@@ -49,6 +49,7 @@ from .quadrature import QuadratureRule, triangle_rule
 from .solver import (
     FactorHandle,
     NotSPDError,
+    SPDFactorHandle,
     SolveReport,
     SolverError,
     apply,

@@ -178,6 +178,7 @@ def run_experiment(config):
     identical either way since levels are independent.
     """
     levels = list(range(config.max_level + 1))
+    reports = []
     try:
         if config.parallel:
             with ProcessPoolExecutor() as pool:

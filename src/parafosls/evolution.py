@@ -24,6 +24,10 @@ from .forms import (
 from .quadrature import triangle_rule
 
 _PARTITION_TOL = 1e-12
+# Steps within this relative distance count as one step size and share
+# one factorization; the difference they make to a solution is far below
+# the solver's residual contract.
+_STEP_RTOL = 1e-12
 
 
 @dataclass
@@ -74,11 +78,16 @@ class TimePartition:
 
     @property
     def constant(self):
-        return bool(np.all(self.steps == self.steps[0]))
+        return bool(np.all(_same_step(self.steps, self.steps[0])))
 
     @property
     def times(self):
         return np.concatenate([[0.0], np.cumsum(self.steps)])
+
+
+def _same_step(k, reference):
+    """Whether k equals the reference step up to roundoff."""
+    return np.abs(k - reference) <= _STEP_RTOL * reference
 
 
 def l2_project_initial(u0, mesh, dofmap, solver_tol=solver.DEFAULT_TOL):
@@ -131,15 +140,20 @@ def backward_euler_run(
         raise ValueError(f"initial vector must have length {n_u}")
 
     states = [SystemState(u_coeffs=initial, sigma_coeffs=None, time=0.0)]
+    # The scalar iterates live in one block allocated up front: a view of
+    # each step's solution would pin its flux part as well, and a fresh
+    # array per step fragments the heap, so that peak memory would climb
+    # from run to run in a long-lived process.
+    iterates = np.empty((len(steps), n_u))
     assembler = None
     handle = None
     current_k = None
     u_prev = initial
     last = len(steps)
     for n, k in enumerate(steps, start=1):
-        if assembler is None or k != current_k:
+        if assembler is None or not _same_step(k, current_k):
             assembler = FormAssembler(mesh, dofmap, coeffs, k, variant)
-            handle = solver.factorize_reusable(assembler.total_matrix())
+            handle = solver.SPDFactorHandle(assembler.total_matrix())
             current_k = k
         t_n = times[n]
         rhs = assembler.load_vector(f=lambda x, y: f(t_n, x, y), w=u_prev)
@@ -148,7 +162,8 @@ def backward_euler_run(
         except solver.SolverError as exc:
             raise solver.SolverError(f"time step {n} failed: {exc}") from exc
         sol = report.solution
-        u_n = sol[:n_u]
+        u_n = iterates[n - 1]
+        u_n[:] = sol[:n_u]
         keep = n == last or (keep_sigma_every > 0 and n % keep_sigma_every == 0)
         states.append(
             SystemState(
@@ -179,11 +194,11 @@ def galerkin_be_reference(
     handle = None
     current_k = None
     for n, k in enumerate(partition.steps, start=1):
-        if handle is None or k != current_k:
-            handle = solver.factorize_reusable(mass / k + stiffness)
+        if handle is None or not _same_step(k, current_k):
+            handle = solver.SPDFactorHandle(mass / k + stiffness)
             current_k = k
         t_n = times[n]
-        rhs = mass @ trajectory[-1] / k + assemble_p1_load(
+        rhs = mass @ trajectory[-1] / current_k + assemble_p1_load(
             mesh, dofmap, lambda x, y: f(t_n, x, y)
         )
         trajectory.append(handle.solve(rhs, tol=solver_tol).solution)

@@ -322,6 +322,7 @@ class FormAssembler:
         self._matrix_rule = triangle_rule(matrix_degree)
         self._data_rule = triangle_rule(data_degree)
         self._tables = {}
+        self._load_ops = None
 
     def tables(self, rule):
         key = id(rule)
@@ -338,16 +339,21 @@ class FormAssembler:
         return self.tables(self._data_rule)
 
     def _scatter_matrix(self, local):
-        """Sum (nE, 6, 6) element matrices into a global CSR matrix."""
+        """Sum (nE, 6, m) element matrices into a global CSR matrix.
+
+        Columns are the first m local slots: m = 6 gives a square matrix
+        on the product space, m = 3 one acting on u-coefficients.
+        """
         if not np.isfinite(local).all():
             raise ValueError("non-finite element matrix entries")
         n = self.dofmap.total
+        n_cols = n if local.shape[2] == 6 else self.dofmap.n_u
         ld = self.local_dofs
         rows = np.broadcast_to(ld[:, :, None], local.shape)
-        cols = np.broadcast_to(ld[:, None, :], local.shape)
+        cols = np.broadcast_to(ld[:, None, : local.shape[2]], local.shape)
         mask = (rows >= 0) & (cols >= 0)
         coo = sp.coo_matrix(
-            (local[mask], (rows[mask], cols[mask])), shape=(n, n)
+            (local[mask], (rows[mask], cols[mask])), shape=(n, n_cols)
         )
         return coo.tocsr()
 
@@ -397,7 +403,7 @@ class FormAssembler:
         if w is None:
             return np.zeros_like(tables.x)
         if callable(w):
-            return np.broadcast_to(w(tables.x, tables.y), tables.x.shape)
+            return self._at_data_points(w, "previous-step datum w")
         w = np.asarray(w, dtype=float)
         vertex_vals = np.zeros(self.mesh.num_vertices)
         interior = self.dofmap.u_dof_of_vertex >= 0
@@ -405,19 +411,59 @@ class FormAssembler:
         local = vertex_vals[self.mesh.triangles]  # (nE, 3)
         return np.einsum("qi,ei->eq", tables.lam, local)
 
+    def _load_operators(self):
+        """Sparse operators of the load functional, built on first use.
+
+        ``to_tests`` maps values at the data points to the test
+        functions (entries wj * (v/k + r(v)) scattered by
+        ``local_dofs``); ``from_u`` = to_tests I, where I interpolates
+        u-coefficients to the data points.
+        """
+        if self._load_ops is None:
+            t = self.data_tables
+            weighted = t.wj[:, :, None] * t.test_factor  # (nE, nQ, 6)
+            rows = np.broadcast_to(self.local_dofs[:, None, :], weighted.shape)
+            points = np.arange(t.x.size).reshape(t.x.shape)
+            cols = np.broadcast_to(points[:, :, None], weighted.shape)
+            mask = rows >= 0
+            to_tests = sp.coo_matrix(
+                (weighted[mask], (rows[mask], cols[mask])),
+                shape=(self.dofmap.total, t.x.size),
+            ).tocsr()
+            from_u = self._scatter_matrix(np.einsum("eqi,qj->eij", weighted, t.lam))
+            self._load_ops = (to_tests, from_u)
+        return self._load_ops
+
+    def _at_data_points(self, fn, name):
+        """Values of a data callable at the data points."""
+        t = self.data_tables
+        values = np.asarray(fn(t.x, t.y), dtype=float)
+        try:
+            return np.broadcast_to(values, t.x.shape)
+        except ValueError:
+            raise ValueError(
+                f"{name} returned an array of shape {values.shape}; expected "
+                f"shape {t.x.shape} (elements x data points) or one that "
+                "broadcasts to it"
+            ) from None
+
     def load_vector(self, f=None, w=None):
         """Load of F(v; f, w) = <k f + w, v/k + r(v)>.
 
         f is a callable (x, y) -> array (data at the current time
         level) or None; w is a u-coefficient vector, a callable, or
-        None.
+        None. The first call builds the sparse load operators, so each
+        later call costs one data evaluation and two sparse products.
         """
-        t = self.data_tables
-        data = self._u_at_quadrature(t, w)
+        to_tests, from_u = self._load_operators()
+        load = np.zeros(self.dofmap.total)
         if f is not None:
-            data = data + self.k * np.broadcast_to(f(t.x, t.y), t.x.shape)
-        local = np.einsum("eq,eq,eqi->ei", t.wj, data, t.test_factor)
-        return self._scatter_vector(local)
+            load += self.k * (to_tests @ self._at_data_points(f, "source f").ravel())
+        if callable(w):
+            load += to_tests @ self._at_data_points(w, "previous-step datum w").ravel()
+        elif w is not None:
+            load += from_u @ np.asarray(w, dtype=float)
+        return load
 
     def _gather_local(self, u_coeffs, sigma_coeffs):
         local = np.zeros((self.mesh.num_triangles, 6))
@@ -438,9 +484,7 @@ class FormAssembler:
         r_vals = np.einsum("eqi,ei->eq", t.r_tab, local)
         g_vals = np.einsum("eqix,ei->eqx", t.g_tab, local)
         w_vals = self._u_at_quadrature(t, w)
-        data = np.zeros_like(u_vals) if g is None else np.broadcast_to(
-            g(t.x, t.y), t.x.shape
-        )
+        data = np.zeros_like(u_vals) if g is None else self._at_data_points(g, "data g")
         scalar_res = (u_vals - w_vals) / self.k + r_vals - data
         value = np.sum(
             t.wj * (self.k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals))

@@ -1,7 +1,9 @@
 """Sparse direct solvers with a residual contract.
 
 Both entry points factorize with SuperLU and polish the solution with
-iterative refinement until the requested relative residual is met.
+iterative refinement until the requested relative residual is met;
+symmetric positive definite systems are factorized in SuperLU's
+symmetric mode.
 Direct solves are deterministic, so identical inputs give bitwise
 identical outputs, and one factorization can be reused across the many
 right-hand sides of a constant-step time loop.
@@ -46,18 +48,26 @@ class SolveReport:
 class FactorHandle:
     """Reusable sparse LU factorization of one operator."""
 
+    _SPLU_OPTIONS = {}
+
     def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
         self.matrix = matrix
         try:
-            self.lu = spla.splu(matrix)
+            self.lu = spla.splu(matrix, **self._SPLU_OPTIONS)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
 
     def solve(self, b, tol=DEFAULT_TOL):
         b = np.asarray(b, dtype=float)
+        finite = np.isfinite(b)
+        if not finite.all():
+            raise SolverError(
+                f"non-finite right-hand side: {b.size - np.count_nonzero(finite)} "
+                f"of {b.size} entries are NaN or infinite"
+            )
         norm_b = np.linalg.norm(b)
         x = self.lu.solve(b)
         if norm_b == 0.0:
@@ -75,6 +85,23 @@ class FactorHandle:
             f"after {_MAX_REFINEMENTS} refinement sweeps",
             best_residual=best,
         )
+
+
+class SPDFactorHandle(FactorHandle):
+    """Reusable factorization of a symmetric positive definite operator.
+
+    SuperLU runs in symmetric mode: minimum degree ordering on the
+    structure of A' + A and pivots taken from the diagonal. This keeps
+    the symmetric sparsity pattern; on the least-squares forms it leaves
+    less than half the fill of the default column ordering. The
+    residual contract of ``solve`` still guards the result.
+    """
+
+    _SPLU_OPTIONS = dict(
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
 
 
 def factorize_reusable(matrix):
@@ -99,7 +126,7 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL):
     guard the curvature of the computed solution is probed and a
     non-positive value raises NotSPDError.
     """
-    handle = FactorHandle(matrix)
+    handle = SPDFactorHandle(matrix)
     report = handle.solve(b, tol=tol)
     x = report.solution
     xnorm = np.linalg.norm(x)

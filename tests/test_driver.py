@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from parafosls import driver
 from parafosls.driver import (
     ExperimentConfig,
     conformity_jumps,
@@ -46,6 +47,16 @@ def test_run_experiment_names_failing_level():
     cfg = tiny_config(final_time=0.13)
     with pytest.raises(RuntimeError, match="failed at level 0"):
         run_experiment(cfg)
+
+
+def test_run_experiment_reports_mesh_failure(monkeypatch):
+    def broken_hierarchy(max_level):
+        raise MemoryError("mesh too large")
+
+    monkeypatch.setattr(driver, "mesh_hierarchy", broken_hierarchy)
+    with pytest.raises(RuntimeError, match="failed at level 0: mesh too large") as info:
+        run_experiment(tiny_config())
+    assert isinstance(info.value.__cause__, MemoryError)
 
 
 def test_config_validation():

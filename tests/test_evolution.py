@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parafosls import solver
 from parafosls.analysis import decaying_sine_problem
 from parafosls.evolution import (
     TimePartition,
@@ -29,6 +30,57 @@ def test_partition_validation():
     assert not part.constant
     assert np.isclose(part.final_time, 0.1)
     assert TimePartition.uniform(0.1, 4).constant
+
+
+def test_steps_equal_up_to_roundoff_share_one_factorization(
+    mesh_chain, dofmaps, monkeypatch
+):
+    part = TimePartition(steps=np.diff(np.linspace(0.0, 0.1, 65)))
+    assert part.constant
+    factorizations = []
+    factorize = solver.FactorHandle.__init__
+
+    def counting(handle, matrix):
+        factorizations.append(matrix.shape)
+        factorize(handle, matrix)
+
+    monkeypatch.setattr(solver.FactorHandle, "__init__", counting)
+    m, dm = mesh_chain[1], dofmaps[1]
+    backward_euler_run(
+        lambda t, x, y: np.ones(np.broadcast(x, y).shape),
+        part, m, dm, coeffs=HEAT, variant="primary",
+    )
+    assert factorizations == [(dm.total, dm.total)]
+    galerkin_be_reference(lambda t, x, y: np.ones(np.broadcast(x, y).shape), part, m, dm)
+    assert factorizations[1:] == [(dm.n_u, dm.n_u)]
+
+
+def test_nan_source_fails_fast_with_named_cause(mesh_chain, dofmaps):
+    with pytest.raises(solver.SolverError, match="time step 1 failed: non-finite right-hand side"):
+        backward_euler_run(
+            lambda t, x, y: np.full(np.broadcast(x, y).shape, np.nan),
+            TimePartition.uniform(0.1, 2),
+            mesh_chain[1],
+            dofmaps[1],
+            coeffs=HEAT,
+            variant="primary",
+        )
+
+
+def test_states_do_not_pin_whole_solutions(mesh_chain, dofmaps):
+    """Only the kept states hold flux coefficients: the scalar iterates
+    share one block that holds nothing else."""
+    states = backward_euler_run(
+        lambda t, x, y: np.ones(np.broadcast(x, y).shape),
+        TimePartition.uniform(0.1, 3),
+        mesh_chain[1],
+        dofmaps[1],
+        coeffs=HEAT,
+        variant="primary",
+    )
+    block = states[1].u_coeffs.base
+    assert block.shape == (3, dofmaps[1].n_u)
+    assert all(state.u_coeffs.base is block for state in states[1:])
 
 
 def test_zero_data_gives_zero_trajectory(mesh_chain, dofmaps):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,36 @@ def test_rhs_matches_dense_oracle(mesh_chain, dofmaps, variant, rng):
     fast = assemble_rhs(m, dm, CONVECTION, 0.25, f, w, variant)
     slow = dense_rhs(m, dm, CONVECTION, 0.25, variant, f=f, w=w)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", list(ProblemVariant))
+@pytest.mark.parametrize("w_kind", ["vector", "callable", "none"])
+@pytest.mark.parametrize("with_f", [True, False])
+def test_load_vector_matches_dense_oracle_level2(
+    mesh_chain, dofmaps, variant, w_kind, with_f, rng
+):
+    m, dm = mesh_chain[2], dofmaps[2]
+    w = {
+        "vector": rng.standard_normal(dm.n_u),
+        "callable": lambda x, y: np.cos(2.0 * x) * y,
+        "none": None,
+    }[w_kind]
+
+    def f(x, y):
+        return np.sin(np.pi * x) * np.cos(y)
+
+    f = f if with_f else None
+    asm = FormAssembler(m, dm, variable_coefficients(), 0.03, variant)
+    fast = asm.load_vector(f=f, w=w)
+    slow = dense_rhs(m, dm, asm.coeffs, 0.03, variant, f=f, w=w)
+    assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12 * np.abs(slow).max())
+
+
+def test_source_of_wrong_shape_named(mesh_chain, dofmaps):
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, 0.1, "primary")
+    expected = str(asm.data_tables.x.shape)
+    with pytest.raises(ValueError, match=r"source f .*shape \(5,\).*" + re.escape(expected)):
+        asm.load_vector(f=lambda x, y: np.zeros(5))
 
 
 def test_rhs_previous_step_scaling(mesh_chain, dofmaps):

@@ -7,6 +7,7 @@ from parafosls.forms import Coefficients, FormAssembler, assemble_total_form
 from parafosls.solver import (
     NotSPDError,
     SolverError,
+    SPDFactorHandle,
     apply,
     factorize_reusable,
     solve_general,
@@ -76,6 +77,24 @@ def test_deterministic_solutions(mesh_chain, dofmaps):
     x1 = solve_spd(matrix, b).solution
     x2 = solve_spd(matrix, b).solution
     assert np.array_equal(x1, x2)
+
+
+@pytest.mark.parametrize("variant", ["primary", "alternative"])
+def test_symmetric_mode_matches_general_lu(mesh_chain, dofmaps, variant, rng):
+    coeffs = Coefficients.constant(beta=(1.0, 1.0))
+    matrix = assemble_total_form(mesh_chain[3], dofmaps[3], coeffs, 0.01, variant)
+    handle = SPDFactorHandle(matrix)
+    for b in rng.standard_normal((3, dofmaps[3].total)):
+        x = handle.solve(b).solution
+        reference = solve_general(matrix, b).solution
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_non_finite_rhs_rejected_before_solving():
+    handle = SPDFactorHandle(sp.identity(3, format="csr"))
+    handle.lu = None  # any triangular solve or refinement sweep would fail differently
+    with pytest.raises(SolverError, match="non-finite right-hand side: 1 of 3"):
+        handle.solve(np.array([1.0, np.nan, 0.0]))
 
 
 def test_indefinite_matrix_detected():
