@@ -18,7 +18,8 @@ from .analysis import (
     field_error_norms,
     observed_rates,
 )
-from .driver import ExperimentConfig, run_experiment, run_verification_suite
+from .checks import run_verification_suite
+from .driver import ExperimentConfig, run_experiment
 from .evolution import (
     SystemState,
     TimePartition,
@@ -26,16 +27,7 @@ from .evolution import (
     galerkin_be_reference,
     l2_project_initial,
 )
-from .forms import (
-    CoefficientError,
-    Coefficients,
-    FormAssembler,
-    ProblemVariant,
-    assemble_nonsymmetric_form,
-    assemble_rhs,
-    assemble_total_form,
-    evaluate_lsq_functional,
-)
+from .forms import CoefficientError, Coefficients, FormAssembler, ProblemVariant
 from .mesh import (
     Mesh,
     PointOutsideDomainError,
@@ -52,9 +44,6 @@ from .solver import (
     SPDFactorHandle,
     SolveReport,
     SolverError,
-    apply,
-    factorize_reusable,
-    solve_general,
     solve_spd,
 )
 from .spaces import (

@@ -1,0 +1,283 @@
+"""The discrete properties the least-squares analysis rests on, checked once.
+
+``CHECKS`` lists (name, check) pairs. Each check takes ``(seed,
+solver_tol)``, builds its own meshes and data at desk scale, and returns
+``(passed, detail)``; a check that draws random vectors makes its own
+generator from the seed. ``parafosls verify`` runs the list in order
+and the acceptance tests parametrize over it.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import solver
+from .analysis import decaying_sine_problem, field_error_norms
+from .driver import mesh_hierarchy
+from .evolution import (
+    TimePartition,
+    backward_euler_run,
+    check_stability_bound,
+    galerkin_be_reference,
+    l2_project_initial,
+)
+from .forms import Coefficients, FormAssembler, ProblemVariant
+from .projection import elliptic_project
+from .quadrature import triangle_rule
+from .spaces import build_dof_map, eval_fields_on_triangle
+
+_CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+def conformity_jumps(mesh, dofmap, seed=0):
+    """Largest inter-element jumps of u and of the normal flux.
+
+    Samples random coefficient vectors and compares values from both
+    sides of every interior edge at its midpoint. Conforming spaces
+    must make both jumps vanish to roundoff.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(dofmap.n_u)
+    s = rng.standard_normal(dofmap.n_sigma)
+
+    incident = {}
+    for t in range(mesh.num_triangles):
+        for i in range(3):
+            incident.setdefault(int(mesh.triangle_edges[t, i]), []).append((t, i))
+
+    max_jump_u = 0.0
+    max_jump_flux = 0.0
+    for e, tris in incident.items():
+        if len(tris) != 2:
+            continue
+        a, b = mesh.edges[e]
+        normal_dir = mesh.vertices[b] - mesh.vertices[a]
+        normal = np.array([normal_dir[1], -normal_dir[0]])
+        normal /= np.linalg.norm(normal)
+        vals = []
+        for t, i in tris:
+            # barycentric coordinates of the edge midpoint: the two
+            # edge endpoints carry 1/2, the opposite vertex 0
+            lam = np.full(3, 0.5)
+            lam[i] = 0.0
+            u_val, _, sig, _ = eval_fields_on_triangle(u, s, mesh, dofmap, t, lam)
+            vals.append((u_val, sig @ normal))
+        max_jump_u = max(max_jump_u, abs(vals[0][0] - vals[1][0]))
+        max_jump_flux = max(max_jump_flux, abs(vals[0][1] - vals[1][1]))
+    return max_jump_u, max_jump_flux
+
+
+def _level(level):
+    mesh = mesh_hierarchy(level)[level]
+    return mesh, build_dof_map(mesh)
+
+
+def _one_step(mesh, dofmap):
+    """One primary-variant step of size 0.1 from the projected initial data.
+
+    Returns the assembler of that step, the source at the new time, the
+    initial coefficients and the computed state.
+    """
+    problem = decaying_sine_problem(ProblemVariant.PRIMARY)
+    init = l2_project_initial(lambda x, y: problem.u(0.0, x, y), mesh, dofmap)
+    step = backward_euler_run(
+        problem, TimePartition.uniform(0.1, 1), mesh, dofmap, initial=init
+    )[-1]
+    asm = FormAssembler(mesh, dofmap, problem.coeffs, 0.1, problem.variant)
+    g = lambda x, y: problem.f(0.1, x, y)
+    return asm, g, init, step
+
+
+def check_mesh(seed, solver_tol):
+    for L, m in enumerate(mesh_hierarchy(4)):
+        euler = m.num_vertices - m.num_edges + m.num_triangles
+        if m.num_triangles != 4 * 4**L or euler != 1:
+            return False, f"level {L}: T={m.num_triangles}, euler={euler}"
+        if abs(m.triangle_areas().sum() - 1.0) > 1e-12:
+            return False, f"level {L}: areas sum {m.triangle_areas().sum()}"
+        if not math.isclose(m.mesh_width(), 2.0**-L):
+            return False, f"level {L}: h={m.mesh_width()}"
+    return True, ""
+
+
+def check_quadrature(seed, solver_tol):
+    """Exactness against the factorial formula for monomials on the triangle."""
+    worst = 0.0
+    for degree in (4, 6):
+        rule = triangle_rule(degree)
+        x, y = rule.points[:, 1], rule.points[:, 2]
+        for a in range(rule.exactness_degree + 1):
+            for b in range(rule.exactness_degree + 1 - a):
+                exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+                worst = max(worst, abs(float(np.sum(rule.weights * x**a * y**b)) - exact))
+    return worst < 1e-13, f"worst error {worst:.2e}"
+
+
+def check_total_form_spd(seed, solver_tol):
+    mesh, dofmap = _level(2)
+    for variant in ProblemVariant:
+        for k in (0.1, 1e-3, 1e-6):
+            dense = FormAssembler(mesh, dofmap, _CONVECTION, k, variant).total_matrix().toarray()
+            asym = np.abs(dense - dense.T).max() / np.abs(dense).max()
+            if asym > 1e-12:
+                return False, f"{variant.value}, k={k}: asymmetry {asym:.2e}"
+            try:
+                np.linalg.cholesky(dense)
+            except np.linalg.LinAlgError:
+                return False, f"{variant.value}, k={k}: not SPD"
+    return True, ""
+
+
+def check_coercivity(seed, solver_tol):
+    """Sampled coercivity of the non-symmetric form in the natural norm."""
+    mesh, dofmap = _level(2)
+    rng = np.random.default_rng(seed)
+    asm = FormAssembler(mesh, dofmap, _CONVECTION, 0.01, ProblemVariant.PRIMARY)
+    B = asm.nonsymmetric_matrix()
+    G = asm.natural_gram()
+    quotients = []
+    for _ in range(100):
+        v = rng.standard_normal(dofmap.total)
+        quotients.append(float(v @ (B @ v)) / float(v @ (G @ v)))
+    qmin = min(quotients)
+    return qmin > 0.0, f"min Rayleigh quotient {qmin:.4f}"
+
+
+def check_conformity(seed, solver_tol):
+    jump_u, jump_flux = conformity_jumps(*_level(2), seed=seed)
+    return (
+        jump_u < 1e-12 and jump_flux < 1e-12,
+        f"jumps u {jump_u:.2e}, flux {jump_flux:.2e}",
+    )
+
+
+def check_decoupling(seed, solver_tol):
+    """Zero convection and reaction reduce the scheme to standard Galerkin."""
+    mesh, dofmap = _level(3)
+    part = TimePartition.uniform(0.1, 16)
+
+    def source(t, x, y):
+        return (1.0 + t) * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    u0 = l2_project_initial(
+        lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh, dofmap
+    )
+    ls_states = backward_euler_run(
+        source, part, mesh, dofmap, coeffs=Coefficients.constant(),
+        variant=ProblemVariant.PRIMARY, initial=u0, solver_tol=solver_tol,
+    )
+    galerkin = galerkin_be_reference(source, part, mesh, dofmap, initial=u0)
+    worst = max(
+        np.abs(s.u_coeffs - g).max() / max(np.abs(g).max(), 1e-30)
+        for s, g in zip(ls_states[1:], galerkin[1:])
+    )
+    return worst <= 1e-8, f"max relative coefficient difference {worst:.2e}"
+
+
+def check_stability(seed, solver_tol):
+    """The per-step bound on short runs of the benchmark, both variants."""
+    mesh, dofmap = _level(2)
+    partition = TimePartition.uniform(0.1, 8)
+    for variant in ProblemVariant:
+        problem = decaying_sine_problem(variant)
+        init = l2_project_initial(lambda x, y: problem.u(0.0, x, y), mesh, dofmap)
+        states = backward_euler_run(problem, partition, mesh, dofmap, initial=init)
+        try:
+            check_stability_bound(states, problem.f, partition, mesh, dofmap)
+        except AssertionError as exc:
+            return False, f"{variant.value}: {exc}"
+    return True, ""
+
+
+def check_minimizer(seed, solver_tol):
+    """The computed step beats random competitors in the functional."""
+    mesh, dofmap = _level(2)
+    asm, g, init, step = _one_step(mesh, dofmap)
+    j_opt = asm.lsq_functional(step.u_coeffs, step.sigma_coeffs, g=g, w=init)
+    detail = f"optimal value {j_opt:.6e}"
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        v = rng.standard_normal(dofmap.total)
+        j_other = asm.lsq_functional(v[:dofmap.n_u], v[dofmap.n_u:], g=g, w=init)
+        if j_opt > j_other * (1.0 + 1e-12):
+            return False, detail
+    return True, detail
+
+
+def check_projection_rates(seed, solver_tol):
+    """k-robust optimal rates of the elliptic projection, levels 2 to 5."""
+    problem = decaying_sine_problem(ProblemVariant.PRIMARY)
+    fields = problem.fields_at(0.1)
+    meshes = mesh_hierarchy(5)
+    ok, detail = True, ""
+    for k in (1e-1, 1e-3, 1e-5):
+        errs_nat, errs_u = [], []
+        for m in meshes[2:]:
+            dm = build_dof_map(m)
+            res = elliptic_project(
+                *fields, m, dm, problem.coeffs, k, problem.variant,
+                solver_tol=solver_tol,
+            )
+            eu, eg, es, ed = field_error_norms(
+                *fields, res.u_coeffs, res.sigma_coeffs, m, dm
+            )
+            errs_u.append(eu)
+            errs_nat.append(math.sqrt(eg**2 + es**2 + k * ed**2))
+        for b, f_ in zip(errs_nat[1:-1], errs_nat[2:]):
+            rate = math.log2(b / f_)
+            if not 0.8 <= rate <= 1.2:
+                ok, detail = False, f"k={k}: natural rate {rate:.3f}"
+        for b, f_ in zip(errs_u[1:-1], errs_u[2:]):
+            rate = math.log2(b / f_)
+            if not 1.7 <= rate <= 2.3:
+                ok, detail = False, f"k={k}: L2 rate {rate:.3f}"
+    return ok, detail
+
+
+def check_variational_residual(seed, solver_tol):
+    """The computed step satisfies its own variational equations."""
+    asm, g, init, step = _one_step(*_level(2))
+    rhs = asm.load_vector(f=g, w=init)
+    full = np.concatenate([step.u_coeffs, step.sigma_coeffs])
+    resid = np.abs(asm.total_matrix() @ full - rhs).max()
+    scale = max(np.abs(rhs).max(), 1.0)
+    return resid <= 1e-8 * scale, f"max residual {resid:.2e}"
+
+
+CHECKS = (
+    ("mesh counts, Euler relation, areas, mesh width", check_mesh),
+    ("quadrature exactness (degrees 4 and 6)", check_quadrature),
+    ("total form symmetric and SPD (both variants, k sweep)", check_total_form_spd),
+    ("non-symmetric form coercive on samples", check_coercivity),
+    ("H1/H(div) conformity across interior edges", check_conformity),
+    ("decoupled problem matches Galerkin reference", check_decoupling),
+    ("per-step stability bound", check_stability),
+    ("computed step minimizes the functional", check_minimizer),
+    ("elliptic projection rates, k-robust", check_projection_rates),
+    ("variational residual of computed step", check_variational_residual),
+)
+
+
+def run_verification_suite(solver_tol=solver.DEFAULT_TOL, seed=0):
+    """Run every check in ``CHECKS``, printing one line per check.
+
+    Returns the list of CheckResult.
+    """
+    results = []
+    for name, check in CHECKS:
+        passed, detail = check(seed=seed, solver_tol=solver_tol)
+        result = CheckResult(name=name, passed=bool(passed), detail=detail)
+        results.append(result)
+        line = f"{'PASS' if result.passed else 'FAIL'}  {name}"
+        if detail:
+            line += f"  [{detail}]"
+        print(line)
+    return results

@@ -19,28 +19,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import solver
 from .analysis import (
     ERROR_QUANTITIES,
     compute_errors,
     decaying_sine_problem,
-    field_error_norms,
     observed_rates,
 )
-from .evolution import (
-    TimePartition,
-    backward_euler_run,
-    check_stability_bound,
-    galerkin_be_reference,
-    l2_project_initial,
-)
-from .forms import Coefficients, FormAssembler, ProblemVariant
+from .evolution import TimePartition, backward_euler_run, l2_project_initial
+from .forms import ProblemVariant
 from .mesh import refine_uniform, unit_square_initial_mesh
-from .projection import elliptic_project
-from .quadrature import triangle_rule
-from .spaces import build_dof_map, eval_fields_on_triangle
+from .spaces import build_dof_map
 
 COUPLING_H = "h"
 COUPLING_H2 = "h2"
@@ -182,17 +171,16 @@ def run_experiment(config):
     try:
         if config.parallel:
             with ProcessPoolExecutor() as pool:
-                reports = list(
-                    pool.map(_level_report, [config] * len(levels), levels)
-                )
+                for report in pool.map(_level_report, [config] * len(levels), levels):
+                    reports.append(report)
         else:
             meshes = mesh_hierarchy(config.max_level)
-            reports = []
             for level in levels:
                 reports.append(run_level(config, level, mesh=meshes[level])[0])
     except Exception as exc:
-        failed = len(reports) if not config.parallel else "unknown"
-        raise RuntimeError(f"experiment failed at level {failed}: {exc}") from exc
+        raise RuntimeError(
+            f"experiment failed at level {len(reports)}: {exc}"
+        ) from exc
 
     if config.output_path:
         out = Path(config.output_path)
@@ -201,246 +189,6 @@ def run_experiment(config):
         if config.plot_data:
             write_plot_data(reports, str(out.with_suffix("")))
     return reports
-
-
-# ----------------------------------------------------------------------
-# verification suite
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def conformity_jumps(mesh, dofmap, seed=0):
-    """Largest inter-element jumps of u and of the normal flux.
-
-    Samples random coefficient vectors and compares values from both
-    sides of every interior edge at its midpoint. Conforming spaces
-    must make both jumps vanish to roundoff.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(dofmap.n_u)
-    s = rng.standard_normal(dofmap.n_sigma)
-
-    incident = {}
-    for t in range(mesh.num_triangles):
-        for i in range(3):
-            incident.setdefault(int(mesh.triangle_edges[t, i]), []).append((t, i))
-
-    max_jump_u = 0.0
-    max_jump_flux = 0.0
-    for e, tris in incident.items():
-        if len(tris) != 2:
-            continue
-        a, b = mesh.edges[e]
-        normal_dir = mesh.vertices[b] - mesh.vertices[a]
-        normal = np.array([normal_dir[1], -normal_dir[0]])
-        normal /= np.linalg.norm(normal)
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        vals = []
-        for t, i in tris:
-            # barycentric coordinates of the edge midpoint: the two
-            # edge endpoints carry 1/2, the opposite vertex 0
-            lam = np.full(3, 0.5)
-            lam[i] = 0.0
-            u_val, _, sig, _ = eval_fields_on_triangle(u, s, mesh, dofmap, t, lam)
-            vals.append((u_val, sig @ normal))
-        max_jump_u = max(max_jump_u, abs(vals[0][0] - vals[1][0]))
-        max_jump_flux = max(max_jump_flux, abs(vals[0][1] - vals[1][1]))
-    return max_jump_u, max_jump_flux
-
-
-def _check(results, name, passed, detail=""):
-    results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
-
-
-def run_verification_suite(solver_tol=solver.DEFAULT_TOL, seed=0, out=None):
-    """Execute the structural property checks at desk scale.
-
-    Prints one line per check and returns the list of CheckResult.
-    """
-    import math
-
-    if out is None:
-        out = sys.stdout
-    results = []
-    rng = np.random.default_rng(seed)
-
-    # mesh invariants through level 4
-    meshes = mesh_hierarchy(4)
-    ok = True
-    detail = ""
-    for L, m in enumerate(meshes):
-        euler = m.num_vertices - m.num_edges + m.num_triangles
-        if m.num_triangles != 4 * 4**L or euler != 1:
-            ok, detail = False, f"level {L}: T={m.num_triangles}, euler={euler}"
-            break
-        if abs(m.triangle_areas().sum() - 1.0) > 1e-12:
-            ok, detail = False, f"level {L}: areas sum {m.triangle_areas().sum()}"
-            break
-        if not math.isclose(m.mesh_width(), 2.0**-L):
-            ok, detail = False, f"level {L}: h={m.mesh_width()}"
-            break
-    _check(results, "mesh counts, Euler relation, areas, mesh width", ok, detail)
-
-    # quadrature exactness against the factorial formula
-    worst = 0.0
-    for degree in (4, 6):
-        rule = triangle_rule(degree)
-        x, y = rule.points[:, 1], rule.points[:, 2]
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-                worst = max(worst, abs(float(np.sum(rule.weights * x**a * y**b)) - exact))
-    _check(results, "quadrature exactness (degrees 4 and 6)", worst < 1e-13,
-           f"worst error {worst:.2e}")
-
-    mesh2 = meshes[2]
-    dm2 = build_dof_map(mesh2)
-    coeffs = Coefficients.constant(beta=(1.0, 1.0))
-
-    # symmetry and positive definiteness of the total form
-    ok, detail = True, ""
-    for variant in ProblemVariant:
-        for k in (0.1, 1e-3, 1e-6):
-            dense = FormAssembler(mesh2, dm2, coeffs, k, variant).total_matrix().toarray()
-            asym = np.abs(dense - dense.T).max() / np.abs(dense).max()
-            if asym > 1e-12:
-                ok, detail = False, f"{variant.value}, k={k}: asymmetry {asym:.2e}"
-                break
-            try:
-                np.linalg.cholesky(dense)
-            except np.linalg.LinAlgError:
-                ok, detail = False, f"{variant.value}, k={k}: not SPD"
-                break
-    _check(results, "total form symmetric and SPD (both variants, k sweep)", ok, detail)
-
-    # sampled coercivity of the non-symmetric form w.r.t. the natural norm
-    asm = FormAssembler(mesh2, dm2, coeffs, 0.01, ProblemVariant.PRIMARY)
-    B = asm.nonsymmetric_matrix()
-    G = asm.natural_gram()
-    quotients = []
-    for _ in range(100):
-        v = rng.standard_normal(dm2.total)
-        quotients.append(float(v @ (B @ v)) / float(v @ (G @ v)))
-    qmin = min(quotients)
-    _check(results, "non-symmetric form coercive on samples", qmin > 0.0,
-           f"min Rayleigh quotient {qmin:.4f}")
-
-    # conformity of the discrete spaces
-    jump_u, jump_flux = conformity_jumps(mesh2, dm2, seed=seed)
-    _check(results, "H1/H(div) conformity across interior edges",
-           jump_u < 1e-12 and jump_flux < 1e-12,
-           f"jumps u {jump_u:.2e}, flux {jump_flux:.2e}")
-
-    # decoupling: zero convection/reaction reduces to standard Galerkin
-    mesh3 = mesh_hierarchy(3)[3]
-    dm3 = build_dof_map(mesh3)
-    heat = Coefficients.constant()
-    part = TimePartition.uniform(0.1, 16)
-
-    def source(t, x, y):
-        return (1.0 + t) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    u0 = l2_project_initial(
-        lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh3, dm3
-    )
-    ls_states = backward_euler_run(
-        source, part, mesh3, dm3, coeffs=heat,
-        variant=ProblemVariant.PRIMARY, initial=u0, solver_tol=solver_tol,
-    )
-    galerkin = galerkin_be_reference(source, part, mesh3, dm3, initial=u0)
-    worst = max(
-        np.abs(s.u_coeffs - g).max() / max(np.abs(g).max(), 1e-30)
-        for s, g in zip(ls_states[1:], galerkin[1:])
-    )
-    _check(results, "decoupled problem matches Galerkin reference", worst <= 1e-8,
-           f"max relative coefficient difference {worst:.2e}")
-
-    # stability bound on short runs of the benchmark, both variants
-    ok, detail = True, ""
-    for variant in ProblemVariant:
-        problem = decaying_sine_problem(variant)
-        init = l2_project_initial(
-            lambda x, y: problem.u(0.0, x, y), mesh2, dm2
-        )
-        states = backward_euler_run(
-            problem, TimePartition.uniform(0.1, 8), mesh2, dm2, initial=init
-        )
-        try:
-            check_stability_bound(
-                states, problem.f, TimePartition.uniform(0.1, 8), mesh2, dm2
-            )
-        except AssertionError as exc:
-            ok, detail = False, f"{variant.value}: {exc}"
-    _check(results, "per-step stability bound", ok, detail)
-
-    # the computed step minimizes the least-squares functional
-    problem = decaying_sine_problem(ProblemVariant.PRIMARY)
-    init = l2_project_initial(lambda x, y: problem.u(0.0, x, y), mesh2, dm2)
-    one_step = backward_euler_run(
-        problem, TimePartition.uniform(0.1, 1), mesh2, dm2, initial=init
-    )[-1]
-    asm = FormAssembler(mesh2, dm2, problem.coeffs, 0.1, problem.variant)
-    g = lambda x, y: problem.f(0.1, x, y)
-    j_opt = asm.lsq_functional(one_step.u_coeffs, one_step.sigma_coeffs, g=g, w=init)
-    ok = True
-    for _ in range(20):
-        v = rng.standard_normal(dm2.total)
-        j_other = asm.lsq_functional(v[:dm2.n_u], v[dm2.n_u:], g=g, w=init)
-        if j_other < j_opt * (1.0 - 1e-12):
-            ok = False
-            break
-    _check(results, "computed step minimizes the functional", ok,
-           f"optimal value {j_opt:.6e}")
-
-    # elliptic projection: k-robust optimal rates
-    ok, detail = True, ""
-    proj_meshes = mesh_hierarchy(5)
-    fields = problem.fields_at(0.1)
-    for k in (1e-1, 1e-3, 1e-5):
-        errs_nat, errs_u = [], []
-        for L in range(2, 6):
-            m = proj_meshes[L]
-            dm = build_dof_map(m)
-            res = elliptic_project(
-                *fields, m, dm, problem.coeffs, k, problem.variant,
-                solver_tol=solver_tol,
-            )
-            eu, eg, es, ed = field_error_norms(
-                *fields, res.u_coeffs, res.sigma_coeffs, m, dm
-            )
-            errs_u.append(eu)
-            errs_nat.append(math.sqrt(eg**2 + es**2 + k * ed**2))
-        for b, f_ in zip(errs_nat[1:-1], errs_nat[2:]):
-            rate = math.log2(b / f_)
-            if not 0.8 <= rate <= 1.2:
-                ok, detail = False, f"k={k}: natural rate {rate:.3f}"
-        for b, f_ in zip(errs_u[1:-1], errs_u[2:]):
-            rate = math.log2(b / f_)
-            if not 1.7 <= rate <= 2.3:
-                ok, detail = False, f"k={k}: L2 rate {rate:.3f}"
-    _check(results, "elliptic projection rates, k-robust", ok, detail)
-
-    # discrete solution satisfies its own variational equations
-    matrix = asm.total_matrix()
-    rhs = asm.load_vector(f=g, w=init)
-    full = np.concatenate([one_step.u_coeffs, one_step.sigma_coeffs])
-    resid = np.abs(matrix @ full - rhs).max()
-    scale = max(np.abs(rhs).max(), 1.0)
-    _check(results, "variational residual of computed step", resid <= 1e-8 * scale,
-           f"max residual {resid:.2e}")
-
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"{status}  {r.name}"
-        if r.detail:
-            line += f"  [{r.detail}]"
-        print(line, file=out)
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +271,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "verify":
+        # imported here: the checks module builds on this one
+        from .checks import run_verification_suite
+
         results = run_verification_suite(solver_tol=args.tol, seed=args.seed)
         return 0 if all(r.passed for r in results) else 1
 

@@ -513,27 +513,6 @@ class FormAssembler:
         return self._scatter_matrix(local)
 
 
-def assemble_total_form(mesh, dofmap, coeffs, k, variant):
-    """Sparse matrix of the full time-step bilinear form."""
-    return FormAssembler(mesh, dofmap, coeffs, k, variant).total_matrix()
-
-
-def assemble_nonsymmetric_form(mesh, dofmap, coeffs, k, variant):
-    """Sparse matrix of the non-symmetric spatial form."""
-    return FormAssembler(mesh, dofmap, coeffs, k, variant).nonsymmetric_matrix()
-
-
-def assemble_rhs(mesh, dofmap, coeffs, k, f_n, w, variant):
-    """Load vector of F(.; f_n, w) over all test basis functions."""
-    return FormAssembler(mesh, dofmap, coeffs, k, variant).load_vector(f=f_n, w=w)
-
-
-def evaluate_lsq_functional(state, mesh, dofmap, coeffs, k, g, w, variant):
-    """Least-squares functional value at a discrete state."""
-    asm = FormAssembler(mesh, dofmap, coeffs, k, variant)
-    return asm.lsq_functional(state.u_coeffs, state.sigma_coeffs, g=g, w=w)
-
-
 # Standard continuous-Galerkin P1 pieces, used by the initial-data
 # projection and the reference scheme for the decoupled case.
 

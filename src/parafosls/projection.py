@@ -59,7 +59,7 @@ def elliptic_project(
     asm = FormAssembler(mesh, dofmap, coeffs, k, variant)
     matrix = asm.nonsymmetric_matrix()
     load = asm.nonsymmetric_load_from_fields(u, grad_u, sigma, div_sigma)
-    report = solver.solve_general(matrix, load, tol=solver_tol)
+    report = solver.FactorHandle(matrix).solve(load, tol=solver_tol)
     n_u = dofmap.n_u
     return ProjectionResult(
         u_coeffs=report.solution[:n_u],

@@ -1,9 +1,9 @@
 """Sparse direct solvers with a residual contract.
 
-Both entry points factorize with SuperLU and polish the solution with
+A FactorHandle factorizes with SuperLU and polishes each solution with
 iterative refinement until the requested relative residual is met;
 symmetric positive definite systems are factorized in SuperLU's
-symmetric mode.
+symmetric mode (SPDFactorHandle, solve_spd).
 Direct solves are deterministic, so identical inputs give bitwise
 identical outputs, and one factorization can be reused across the many
 right-hand sides of a constant-step time loop.
@@ -28,7 +28,7 @@ class SolverError(RuntimeError):
 
 
 class NotSPDError(SolverError):
-    """The operator exposed non-positive curvature on a solve."""
+    """The operator is not symmetric positive definite."""
 
 
 @dataclass
@@ -104,36 +104,26 @@ class SPDFactorHandle(FactorHandle):
     )
 
 
-def factorize_reusable(matrix):
-    """Factorize once; reuse the handle for many right-hand sides."""
-    return FactorHandle(matrix)
-
-
-def apply(handle, b, tol=DEFAULT_TOL):
-    """Solve with a previously computed factorization."""
-    return handle.solve(b, tol=tol).solution
-
-
-def solve_general(matrix, b, tol=DEFAULT_TOL):
-    """Solve a nonsingular (possibly non-symmetric) sparse system."""
-    return FactorHandle(matrix).solve(b, tol=tol)
-
-
 def solve_spd(matrix, b, tol=DEFAULT_TOL):
     """Solve a symmetric positive definite sparse system.
 
-    Positive definiteness is the caller's responsibility; as a cheap
-    guard the curvature of the computed solution is probed and a
-    non-positive value raises NotSPDError.
+    Symmetry is the caller's responsibility; positive definiteness is
+    certified by the factorization before the solve. Symmetric mode
+    pivots on the diagonal (the row and column permutations agree), so
+    for a symmetric matrix the pivots are those of an LDL' factorization
+    of the symmetrically permuted matrix, all positive exactly when the
+    matrix is positive definite. Otherwise NotSPDError is raised.
     """
     handle = SPDFactorHandle(matrix)
-    report = handle.solve(b, tol=tol)
-    x = report.solution
-    xnorm = np.linalg.norm(x)
-    if xnorm > 0.0:
-        curvature = float(x @ (handle.matrix @ x))
-        if curvature <= 0.0:
-            raise NotSPDError(
-                f"negative curvature detected: x'Mx = {curvature:.3e}"
-            )
-    return report
+    lu = handle.lu
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotSPDError("non-positive curvature: symmetric-mode pivoting left the diagonal")
+    pivots = lu.U.diagonal()
+    j = int(np.argmin(pivots))
+    if not pivots[j] > 0.0:
+        # pivot j belongs to the unknown that the ordering moved to slot j
+        index = int(np.flatnonzero(lu.perm_c == j)[0])
+        raise NotSPDError(
+            f"non-positive curvature: smallest pivot {pivots[j]:.3e} at index {index}"
+        )
+    return handle.solve(b, tol=tol)

@@ -1,40 +1,22 @@
 """End-to-end acceptance checks at their stated tolerances.
 
-Each numbered test prints exactly one pass/fail line. The convergence
-runs (both variants, both step couplings, full depth) execute once in
-a module fixture and are shared by the rate and stability checks.
+Each test prints exactly one pass/fail line. The convergence runs (both
+variants, both step couplings, full depth) execute once in a module
+fixture and are shared by the numbered rate and stability criteria;
+the structural properties are the checks of ``parafosls.checks.CHECKS``,
+the same list that ``parafosls verify`` runs.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from parafosls.analysis import decaying_sine_problem, field_error_norms, observed_rates
-from parafosls.driver import (
-    ExperimentConfig,
-    conformity_jumps,
-    mesh_hierarchy,
-    run_level,
-)
-from parafosls.evolution import (
-    SystemState,
-    TimePartition,
-    backward_euler_run,
-    check_stability_bound,
-    galerkin_be_reference,
-    l2_project_initial,
-)
-from parafosls.forms import (
-    Coefficients,
-    FormAssembler,
-    ProblemVariant,
-    evaluate_lsq_functional,
-)
-from parafosls.projection import elliptic_project
-from parafosls.quadrature import triangle_rule
-from parafosls.spaces import build_dof_map
+from parafosls.analysis import decaying_sine_problem, observed_rates
+from parafosls.checks import CHECKS
+from parafosls.driver import ExperimentConfig, mesh_hierarchy, run_level
+from parafosls.evolution import check_stability_bound
+from parafosls.solver import DEFAULT_TOL
 
 L2_RATE_BAND = (1.7, 2.3)
 ENERGY_RATE_BAND = (0.8, 1.2)
@@ -139,146 +121,9 @@ def test_criterion_4_stability_every_step(experiment_data):
     )
 
 
-def test_criterion_5_decoupling_oracle(mesh_chain, dofmaps):
-    mesh, dofmap = mesh_chain[3], dofmaps[3]
-    partition = TimePartition.uniform(0.1, 16)
-    heat = Coefficients.constant()
-
-    def source(t, x, y):
-        return (1.0 + 2.0 * np.pi**2 * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    initial = l2_project_initial(
-        lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh, dofmap
-    )
-    ls_states = backward_euler_run(
-        source, partition, mesh, dofmap, coeffs=heat, variant="primary",
-        initial=initial,
-    )
-    reference = galerkin_be_reference(source, partition, mesh, dofmap, initial=initial)
-    worst = max(
-        np.abs(s.u_coeffs - g).max() / np.abs(g).max()
-        for s, g in zip(ls_states[1:], reference[1:])
-    )
-    record(
-        "5 zero-convection runs match the Galerkin reference",
-        worst <= 1e-8,
-        f"max relative coefficient difference {worst:.2e}",
-    )
-
-
-def test_criterion_6_projection_rates(mesh_chain, dofmaps):
-    problem = decaying_sine_problem("primary")
-    fields = problem.fields_at(0.1)
-    ok = True
-    details = []
-    for k in (1e-1, 1e-3, 1e-5):
-        err_u, err_nat = [], []
-        for level in (2, 3, 4, 5):
-            mesh, dofmap = mesh_chain[level], dofmaps[level]
-            res = elliptic_project(
-                *fields, mesh, dofmap, problem.coeffs, k, problem.variant
-            )
-            eu, eg, es, ed = field_error_norms(
-                *fields, res.u_coeffs, res.sigma_coeffs, mesh, dofmap
-            )
-            err_u.append(eu)
-            err_nat.append(math.sqrt(eg**2 + es**2 + k * ed**2))
-        # slopes over the 3->4 and 4->5 transitions
-        for coarse, fine in zip(err_nat[1:-1], err_nat[2:]):
-            ok &= in_band(math.log2(coarse / fine), ENERGY_RATE_BAND)
-        for coarse, fine in zip(err_u[1:-1], err_u[2:]):
-            ok &= in_band(math.log2(coarse / fine), L2_RATE_BAND)
-        details.append(
-            f"k={k:g}: nat {math.log2(err_nat[-2] / err_nat[-1]):.3f}, "
-            f"L2 {math.log2(err_u[-2] / err_u[-1]):.3f}"
-        )
-    record("6 elliptic projection rates, k-robust", ok, "; ".join(details))
-
-
-def test_criterion_7_structural_properties(mesh_chain, dofmaps, rng):
-    ok = True
-    details = []
-
-    # symmetry and SPD across variants and step sizes
-    convection = Coefficients.constant(beta=(1.0, 1.0))
-    mesh, dofmap = mesh_chain[2], dofmaps[2]
-    for variant in ProblemVariant:
-        for k in (0.1, 1e-3, 1e-6):
-            dense = FormAssembler(
-                mesh, dofmap, convection, k, variant
-            ).total_matrix().toarray()
-            if np.abs(dense - dense.T).max() > 1e-12 * np.abs(dense).max():
-                ok = False
-                details.append(f"asymmetric {variant.value} k={k}")
-            try:
-                np.linalg.cholesky(dense)
-            except np.linalg.LinAlgError:
-                ok = False
-                details.append(f"not SPD {variant.value} k={k}")
-
-    # minimizer property against random competitors
-    problem = decaying_sine_problem("primary")
-    initial = l2_project_initial(
-        lambda x, y: problem.u(0.0, x, y), mesh, dofmap
-    )
-    step = backward_euler_run(
-        problem, TimePartition.uniform(0.1, 1), mesh, dofmap, initial=initial
-    )[-1]
-    g = lambda x, y: problem.f(0.1, x, y)
-    j_best = evaluate_lsq_functional(
-        step, mesh, dofmap, problem.coeffs, 0.1, g, initial, "primary"
-    )
-    for _ in range(20):
-        v = rng.standard_normal(dofmap.total)
-        competitor = SystemState(v[: dofmap.n_u], v[dofmap.n_u :], 0.1)
-        j_other = evaluate_lsq_functional(
-            competitor, mesh, dofmap, problem.coeffs, 0.1, g, initial, "primary"
-        )
-        if j_best > j_other * (1.0 + 1e-12):
-            ok = False
-            details.append("minimizer beaten by a random competitor")
-            break
-
-    # conformity of both spaces
-    jump_u, jump_flux = conformity_jumps(mesh, dofmap, seed=11)
-    if jump_u > 1e-12 or jump_flux > 1e-12:
-        ok = False
-        details.append(f"conformity jumps {jump_u:.1e}/{jump_flux:.1e}")
-
-    # mesh invariants through level 4
-    for level, m in enumerate(mesh_chain[:5]):
-        euler = m.num_vertices - m.num_edges + m.num_triangles
-        if m.num_triangles != 4 * 4**level or euler != 1:
-            ok = False
-            details.append(f"mesh counts broken at level {level}")
-
-    record(
-        "7 structural properties (symmetry, SPD, minimizer, conformity, counts)",
-        ok,
-        "; ".join(details) if details else "all satisfied",
-    )
-
-
-def test_criterion_8_quadrature_exactness():
-    worst = 0.0
-    for degree in (4, 6):
-        rule = triangle_rule(degree)
-        x, y = rule.points[:, 1], rule.points[:, 2]
-        for a in range(rule.exactness_degree + 1):
-            for b in range(rule.exactness_degree + 1 - a):
-                exact = (
-                    math.factorial(a)
-                    * math.factorial(b)
-                    / math.factorial(a + b + 2)
-                )
-                worst = max(
-                    worst, abs(float(np.sum(rule.weights * x**a * y**b)) - exact)
-                )
-    record(
-        "8 quadrature rules reproduce the factorial-formula oracle",
-        worst <= 1e-13,
-        f"worst monomial error {worst:.2e}",
-    )
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_registry_check(name, check):
+    record(name, *check(seed=0, solver_tol=DEFAULT_TOL))
 
 
 def test_observation_div_flux_rate_under_l2_coupling(experiment_data):

@@ -3,15 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from parafosls import driver
-from parafosls.driver import (
-    ExperimentConfig,
-    conformity_jumps,
-    default_max_level,
-    main,
-    run_experiment,
-    run_verification_suite,
-)
+from parafosls import checks, driver
+from parafosls.checks import conformity_jumps
+from parafosls.driver import ExperimentConfig, default_max_level, main, run_experiment
 from parafosls.forms import ProblemVariant
 
 
@@ -47,6 +41,11 @@ def test_run_experiment_names_failing_level():
     cfg = tiny_config(final_time=0.13)
     with pytest.raises(RuntimeError, match="failed at level 0"):
         run_experiment(cfg)
+
+
+def test_parallel_run_names_failing_level():
+    with pytest.raises(RuntimeError, match="failed at level 0"):
+        run_experiment(tiny_config(final_time=0.13, parallel=True))
 
 
 def test_run_experiment_reports_mesh_failure(monkeypatch):
@@ -160,17 +159,20 @@ def test_cli_rejects_unknown_variant():
         main(["run", "--variant", "quaternary"])
 
 
-def test_verification_suite_passes(capsys):
-    results = run_verification_suite()
-    out = capsys.readouterr().out
-    assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert out.count("PASS") == len(results)
-    assert "FAIL" not in out
-
-
 def test_cli_verify_exit_code(capsys):
     assert main(["verify"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(checks.CHECKS)
+    for line, (name, _) in zip(lines, checks.CHECKS):
+        assert line.startswith(f"PASS  {name}")
+
+
+def test_cli_verify_reports_a_failing_check(monkeypatch, capsys):
+    failing = ("injected failure", lambda seed, solver_tol: (False, "detail of it"))
+    monkeypatch.setattr(checks, "CHECKS", (checks.CHECKS[0], failing))
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"PASS  {checks.CHECKS[0][0]}", "FAIL  injected failure  [detail of it]"]
 
 
 def test_flipped_rt0_sign_breaks_flux_conformity(mesh_chain, dofmaps):

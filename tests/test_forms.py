@@ -2,20 +2,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parafosls.evolution import SystemState, TimePartition, backward_euler_run, l2_project_initial
+from parafosls.evolution import TimePartition, backward_euler_run, l2_project_initial
 from parafosls.forms import (
     CoefficientError,
     Coefficients,
     FormAssembler,
     ProblemVariant,
-    assemble_nonsymmetric_form,
     assemble_p1_mass,
     assemble_p1_stiffness,
-    assemble_rhs,
-    assemble_total_form,
-    evaluate_lsq_functional,
 )
+from parafosls.solver import FactorHandle
 
 from oracles import dense_rhs, dense_total_matrix
 
@@ -50,15 +49,56 @@ def variable_coefficients():
 @pytest.mark.parametrize("variant", list(ProblemVariant))
 @pytest.mark.parametrize("k", [0.1, 1e-3, 1e-6])
 def test_total_form_symmetric_and_spd(mesh_chain, dofmaps, variant, k):
-    matrix = assemble_total_form(mesh_chain[1], dofmaps[1], CONVECTION, k, variant).toarray()
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, k, variant)
+    matrix = asm.total_matrix().toarray()
     assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
     np.linalg.cholesky(matrix)  # raises if not SPD
+
+
+def _rotated_diffusion(angle, lam1, lam2):
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return rot @ np.diag([lam1, lam2]) @ rot.T
+
+
+_EIGENVALUE = st.floats(0.1, 10.0)
+_CONVECTION_COMPONENT = st.floats(-2.0, 2.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    angle=st.floats(0.0, np.pi),
+    lam1=_EIGENVALUE,
+    lam2=_EIGENVALUE,
+    beta=st.tuples(_CONVECTION_COMPONENT, _CONVECTION_COMPONENT),
+    gamma=st.floats(0.0, 2.0),
+    log_k=st.floats(-8.0, 0.0),
+    level=st.integers(0, 3),
+    variant=st.sampled_from(ProblemVariant),
+)
+def test_total_form_spd_for_admissible_constant_coefficients(
+    mesh_chain, dofmaps, angle, lam1, lam2, beta, gamma, log_k, level, variant
+):
+    coeffs = Coefficients.constant(
+        A=_rotated_diffusion(angle, lam1, lam2), beta=beta, gamma=gamma
+    )
+    asm = FormAssembler(mesh_chain[level], dofmaps[level], coeffs, 10.0**log_k, variant)
+    matrix = asm.total_matrix().toarray()
+    assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
+    np.linalg.cholesky(matrix)  # raises if not SPD
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(gamma=st.floats(-2.0, -1e-3), beta=st.tuples(_CONVECTION_COMPONENT, _CONVECTION_COMPONENT))
+def test_negative_reaction_rejected(mesh_chain, dofmaps, gamma, beta):
+    coeffs = Coefficients.constant(beta=beta, gamma=gamma)
+    with pytest.raises(CoefficientError, match=r"0.5 div\(beta\) \+ gamma"):
+        FormAssembler(mesh_chain[0], dofmaps[0], coeffs, 0.1, "primary").total_matrix()
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
 def test_total_matrix_matches_dense_oracle(mesh_chain, dofmaps, variant):
     m, dm = mesh_chain[1], dofmaps[1]
-    fast = assemble_total_form(m, dm, CONVECTION, 0.05, variant).toarray()
+    fast = FormAssembler(m, dm, CONVECTION, 0.05, variant).total_matrix().toarray()
     slow = dense_total_matrix(m, dm, CONVECTION, 0.05, variant)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-13)
 
@@ -66,7 +106,7 @@ def test_total_matrix_matches_dense_oracle(mesh_chain, dofmaps, variant):
 def test_total_matrix_variable_coefficients_oracle(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
     coeffs = variable_coefficients()
-    fast = assemble_total_form(m, dm, coeffs, 0.01, "primary").toarray()
+    fast = FormAssembler(m, dm, coeffs, 0.01, "primary").total_matrix().toarray()
     slow = dense_total_matrix(m, dm, coeffs, 0.01, "primary")
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-13)
 
@@ -76,7 +116,7 @@ def test_decoupled_u_block_is_galerkin_operator(mesh_chain, dofmaps):
     (1/k) mass + stiffness and the scalar-flux coupling cancels globally."""
     m, dm = mesh_chain[0], dofmaps[0]
     k = 0.05
-    total = assemble_total_form(m, dm, HEAT, k, "primary").toarray()
+    total = FormAssembler(m, dm, HEAT, k, "primary").total_matrix().toarray()
     n_u = dm.n_u
 
     # frozen oracle values for the single interior hat function:
@@ -93,9 +133,9 @@ def test_decoupled_u_block_is_galerkin_operator(mesh_chain, dofmaps):
 
 
 def test_nonsymmetric_form_is_nonsymmetric_with_convection(mesh_chain, dofmaps):
-    matrix = assemble_nonsymmetric_form(
+    matrix = FormAssembler(
         mesh_chain[1], dofmaps[1], CONVECTION, 0.05, "primary"
-    ).toarray()
+    ).nonsymmetric_matrix().toarray()
     assert np.abs(matrix - matrix.T).max() > 1e-8
 
 
@@ -140,7 +180,8 @@ def test_nonsymmetric_coercive_in_natural_norm(mesh_chain, dofmaps, rng):
 
 
 def test_rhs_zero_data(mesh_chain, dofmaps):
-    rhs = assemble_rhs(mesh_chain[1], dofmaps[1], CONVECTION, 0.1, None, None, "primary")
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, 0.1, "primary")
+    rhs = asm.load_vector(f=None, w=None)
     assert np.allclose(rhs, 0.0)
 
 
@@ -152,7 +193,7 @@ def test_rhs_matches_dense_oracle(mesh_chain, dofmaps, variant, rng):
     def f(x, y):
         return np.sin(np.pi * x) * np.cos(y)
 
-    fast = assemble_rhs(m, dm, CONVECTION, 0.25, f, w, variant)
+    fast = FormAssembler(m, dm, CONVECTION, 0.25, variant).load_vector(f=f, w=w)
     slow = dense_rhs(m, dm, CONVECTION, 0.25, variant, f=f, w=w)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
@@ -193,7 +234,7 @@ def test_rhs_previous_step_scaling(mesh_chain, dofmaps):
     m, dm = mesh_chain[0], dofmaps[0]
     k = 0.125
     w = np.array([0.8])
-    rhs = assemble_rhs(m, dm, HEAT, k, None, w, "primary")
+    rhs = FormAssembler(m, dm, HEAT, k, "primary").load_vector(f=None, w=w)
     # single interior hat: <w, phi>/k = 0.8 * (1/6) / k
     assert np.isclose(rhs[0], 0.8 / 6.0 / k)
 
@@ -201,7 +242,7 @@ def test_rhs_previous_step_scaling(mesh_chain, dofmaps):
 def test_coefficient_condition_violation_names_point(mesh_chain, dofmaps):
     bad = Coefficients.constant(beta=(1.0, 1.0), gamma=-0.5)
     with pytest.raises(CoefficientError, match=r"0.5 div\(beta\) \+ gamma.*\("):
-        assemble_total_form(mesh_chain[0], dofmaps[0], bad, 0.1, "primary")
+        FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary").total_matrix()
 
 
 def test_indefinite_diffusion_rejected(mesh_chain, dofmaps):
@@ -215,13 +256,13 @@ def test_indefinite_diffusion_rejected(mesh_chain, dofmaps):
         gamma=lambda x, y: np.zeros(np.broadcast(x, y).shape),
     )
     with pytest.raises(CoefficientError):
-        assemble_total_form(mesh_chain[0], dofmaps[0], bad, 0.1, "primary")
+        FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary").total_matrix()
 
 
 def test_lsq_functional_zero_state(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
-    state = SystemState(np.zeros(dm.n_u), np.zeros(dm.n_sigma), 0.0)
-    value = evaluate_lsq_functional(state, m, dm, CONVECTION, 0.1, None, None, "primary")
+    asm = FormAssembler(m, dm, CONVECTION, 0.1, "primary")
+    value = asm.lsq_functional(np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=None, w=None)
     assert value == 0.0
 
 
@@ -229,11 +270,8 @@ def test_lsq_functional_positive_off_zero(mesh_chain, dofmaps, rng):
     m, dm = mesh_chain[1], dofmaps[1]
     for variant in ProblemVariant:
         v = rng.standard_normal(dm.total)
-        state = SystemState(v[: dm.n_u], v[dm.n_u :], 0.0)
-        assert (
-            evaluate_lsq_functional(state, m, dm, CONVECTION, 0.1, None, None, variant)
-            > 0.0
-        )
+        asm = FormAssembler(m, dm, CONVECTION, 0.1, variant)
+        assert asm.lsq_functional(v[: dm.n_u], v[dm.n_u :], g=None, w=None) > 0.0
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
@@ -249,20 +287,17 @@ def test_solution_minimizes_functional(mesh_chain, dofmaps, variant, rng):
         problem, TimePartition.uniform(k, 1), m, dm, initial=initial
     )[-1]
     g = lambda x, y: problem.f(k, x, y)
-    j_best = evaluate_lsq_functional(state, m, dm, problem.coeffs, k, g, initial, variant)
+    asm = FormAssembler(m, dm, problem.coeffs, k, variant)
+    j_best = asm.lsq_functional(state.u_coeffs, state.sigma_coeffs, g=g, w=initial)
     for _ in range(20):
         v = rng.standard_normal(dm.total)
-        competitor = SystemState(v[: dm.n_u], v[dm.n_u :], k)
-        j_other = evaluate_lsq_functional(
-            competitor, m, dm, problem.coeffs, k, g, initial, variant
-        )
+        j_other = asm.lsq_functional(v[: dm.n_u], v[dm.n_u :], g=g, w=initial)
         assert j_best <= j_other * (1.0 + 1e-12)
 
 
 def test_variational_residual_of_solved_step(mesh_chain, dofmaps):
     """The solved coefficients satisfy every test equation to solver accuracy."""
     from parafosls.analysis import decaying_sine_problem
-    from parafosls.solver import factorize_reusable
 
     m, dm = mesh_chain[2], dofmaps[2]
     problem = decaying_sine_problem("primary")
@@ -270,7 +305,7 @@ def test_variational_residual_of_solved_step(mesh_chain, dofmaps):
     matrix = asm.total_matrix()
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
     rhs = asm.load_vector(f=lambda x, y: problem.f(0.1, x, y), w=initial)
-    solution = factorize_reusable(matrix).solve(rhs).solution
+    solution = FactorHandle(matrix).solve(rhs).solution
     residual = np.abs(matrix @ solution - rhs).max()
     assert residual <= 1e-10 * max(np.abs(rhs).max(), 1.0)
 

@@ -7,6 +7,7 @@ from parafosls.analysis import decaying_sine_problem, field_error_norms
 from parafosls.evolution import SystemState
 from parafosls.forms import FormAssembler
 from parafosls.projection import elliptic_project
+from parafosls.solver import FactorHandle
 from parafosls.spaces import eval_discrete_function
 
 
@@ -54,14 +55,12 @@ def test_projection_is_identity_on_discrete_pairs(mesh_chain, dofmaps, variant, 
 
 def test_projection_identity_algebraic(mesh_chain, dofmaps, rng):
     """Same statement at the linear-algebra level: B c as data returns c."""
-    from parafosls.solver import solve_general
-
     m, dm = mesh_chain[2], dofmaps[2]
     problem = decaying_sine_problem("primary")
     asm = FormAssembler(m, dm, problem.coeffs, 1e-3, "primary")
     B = asm.nonsymmetric_matrix()
     c = rng.standard_normal(dm.total)
-    sol = solve_general(B, B @ c).solution
+    sol = FactorHandle(B).solve(B @ c).solution
     assert np.abs(sol - c).max() <= 1e-10 * max(1.0, np.abs(c).max())
 
 

@@ -3,14 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from parafosls.evolution import TimePartition, backward_euler_run, l2_project_initial
-from parafosls.forms import Coefficients, FormAssembler, assemble_total_form
+from parafosls.forms import Coefficients, FormAssembler
 from parafosls.solver import (
+    FactorHandle,
     NotSPDError,
     SolverError,
     SPDFactorHandle,
-    apply,
-    factorize_reusable,
-    solve_general,
     solve_spd,
 )
 
@@ -33,13 +31,15 @@ def test_small_spd_system():
 def test_small_nonsymmetric_system():
     # [[1,1],[0,1]] x = (2,1) -> x = (1,1) by back substitution
     matrix = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    report = solve_general(matrix, np.array([2.0, 1.0]))
+    report = FactorHandle(matrix).solve(np.array([2.0, 1.0]))
     assert np.allclose(report.solution, [1.0, 1.0], atol=1e-14)
 
 
 def test_level0_system_matches_dense_oracle(mesh_chain, dofmaps):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
-    matrix = assemble_total_form(mesh_chain[0], dofmaps[0], coeffs, 0.1, "primary")
+    matrix = FormAssembler(
+        mesh_chain[0], dofmaps[0], coeffs, 0.1, "primary"
+    ).total_matrix()
     b = np.arange(1.0, 10.0)
     x = solve_spd(matrix, b).solution
     oracle = np.linalg.solve(matrix.toarray(), b)
@@ -51,28 +51,32 @@ def test_projection_system_matches_dense_oracle(mesh_chain, dofmaps, rng):
     asm = FormAssembler(mesh_chain[1], dofmaps[1], coeffs, 0.01, "primary")
     matrix = asm.nonsymmetric_matrix()
     b = rng.standard_normal(dofmaps[1].total)
-    x = solve_general(matrix, b).solution
+    x = FactorHandle(matrix).solve(b).solution
     oracle = np.linalg.solve(matrix.toarray(), b)
     assert np.allclose(x, oracle, rtol=1e-10, atol=1e-12)
 
 
 def test_factor_reuse_matches_direct_solve(mesh_chain, dofmaps, rng):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
-    matrix = assemble_total_form(mesh_chain[1], dofmaps[1], coeffs, 0.1, "primary")
-    handle = factorize_reusable(matrix)
+    matrix = FormAssembler(
+        mesh_chain[1], dofmaps[1], coeffs, 0.1, "primary"
+    ).total_matrix()
+    handle = FactorHandle(matrix)
     b1 = rng.standard_normal(dofmaps[1].total)
     b2 = rng.standard_normal(dofmaps[1].total)
-    x1 = apply(handle, b1)
+    x1 = handle.solve(b1).solution
     assert np.abs(x1 - solve_spd(matrix, b1).solution).max() <= 1e-12
-    # applies with different right-hand sides are independent
-    x2 = apply(handle, b2)
-    assert np.abs(apply(handle, b1) - x1).max() == 0.0
+    # solves with different right-hand sides are independent
+    x2 = handle.solve(b2).solution
+    assert np.abs(handle.solve(b1).solution - x1).max() == 0.0
     assert np.abs(x2 - solve_spd(matrix, b2).solution).max() <= 1e-12
 
 
 def test_deterministic_solutions(mesh_chain, dofmaps):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
-    matrix = assemble_total_form(mesh_chain[2], dofmaps[2], coeffs, 0.01, "primary")
+    matrix = FormAssembler(
+        mesh_chain[2], dofmaps[2], coeffs, 0.01, "primary"
+    ).total_matrix()
     b = np.sin(np.arange(dofmaps[2].total))
     x1 = solve_spd(matrix, b).solution
     x2 = solve_spd(matrix, b).solution
@@ -82,11 +86,13 @@ def test_deterministic_solutions(mesh_chain, dofmaps):
 @pytest.mark.parametrize("variant", ["primary", "alternative"])
 def test_symmetric_mode_matches_general_lu(mesh_chain, dofmaps, variant, rng):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
-    matrix = assemble_total_form(mesh_chain[3], dofmaps[3], coeffs, 0.01, variant)
+    matrix = FormAssembler(
+        mesh_chain[3], dofmaps[3], coeffs, 0.01, variant
+    ).total_matrix()
     handle = SPDFactorHandle(matrix)
     for b in rng.standard_normal((3, dofmaps[3].total)):
         x = handle.solve(b).solution
-        reference = solve_general(matrix, b).solution
+        reference = FactorHandle(matrix).solve(b).solution
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -103,15 +109,33 @@ def test_indefinite_matrix_detected():
         solve_spd(matrix, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1.0, 0.0], [0.0, -1.0]], r"smallest pivot -1\.000e\+00 at index 1"),
+        ([[0.0, 1.0], [1.0, 0.0]], "pivoting left the diagonal"),
+    ],
+)
+def test_indefinite_matrix_detected_whatever_the_solution(entries, message):
+    """Both solutions of M x = (1, 0.5) have positive curvature x'Mx; the
+    pivots still expose the indefinite matrix. The second matrix has a
+    positive U diagonal only because its rows were swapped."""
+    matrix = sp.csr_matrix(np.array(entries))
+    with pytest.raises(NotSPDError, match=message):
+        solve_spd(matrix, np.array([1.0, 0.5]))
+
+
 def test_singular_matrix_raises():
     matrix = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
-        solve_general(matrix, np.array([1.0, 0.0]))
+        FactorHandle(matrix).solve(np.array([1.0, 0.0]))
 
 
 def test_residual_contract_on_reports(mesh_chain, dofmaps, rng):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
-    matrix = assemble_total_form(mesh_chain[2], dofmaps[2], coeffs, 1e-3, "alternative")
+    matrix = FormAssembler(
+        mesh_chain[2], dofmaps[2], coeffs, 1e-3, "alternative"
+    ).total_matrix()
     b = rng.standard_normal(dofmaps[2].total)
     for tol in (1e-8, 1e-12):
         report = solve_spd(matrix, b, tol=tol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parafosls.driver import conformity_jumps
+from parafosls.checks import conformity_jumps
 from parafosls.evolution import SystemState
 from parafosls.spaces import (
     build_dof_map,
