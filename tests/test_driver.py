@@ -159,6 +159,15 @@ def test_cli_rejects_unknown_variant():
         main(["run", "--variant", "quaternary"])
 
 
+def test_verification_suite_passes(capsys):
+    results = checks.run_verification_suite()
+    out = capsys.readouterr().out
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert [r.name for r in results] == [name for name, _ in checks.CHECKS]
+    assert out.count("PASS") == len(results)
+    assert "FAIL" not in out
+
+
 def test_cli_verify_exit_code(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
