@@ -91,17 +91,24 @@ def _as_matrix_field(mat):
     return fn
 
 
-def _sym_matrix_power(values, power):
-    """Apply a power to a field of symmetric 2x2 matrices.
+def _spd_root(values, inverse=False):
+    """A^{1/2}, or A^{-1/2} if ``inverse``, of a field of SPD 2x2 matrices.
 
-    ``values`` has shape (2, 2) + shape; eigenvalues must be positive.
+    ``values`` has shape (2, 2) + shape. In closed form (Cayley-Hamilton):
+    with s = sqrt(det A) and t = sqrt(tr A + 2s), A^{1/2} = (A + sI)/t
+    and A^{-1/2} = adj(A + sI)/(t s). A = I gives exactly I.
     """
-    stacked = np.moveaxis(values, (0, 1), (-2, -1))
-    vals, vecs = np.linalg.eigh(stacked)
-    if np.any(vals <= 0.0):
+    a, b = values[0]
+    c, d = values[1]
+    det = a * d - b * c
+    if not np.all((det > 0.0) & (a > 0.0)):
         raise CoefficientError("diffusion matrix has a non-positive eigenvalue")
-    powered = np.einsum("...ik,...k,...jk->...ij", vecs, vals**power, vecs)
-    return np.moveaxis(powered, (-2, -1), (0, 1))
+    s = np.sqrt(det)
+    t = np.sqrt(a + d + 2.0 * s)
+    if inverse:
+        ts = t * s
+        return np.stack([[(d + s) / ts, -b / ts], [-c / ts, (a + s) / ts]])
+    return np.stack([[(a + s) / t, b / t], [c / t, (d + s) / t]])
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,9 @@ class Coefficients:
 
     ``div_beta`` is the analytic divergence of beta, supplied by the
     caller (it enters the admissibility check 0.5 div beta + gamma >= 0
-    and must not be approximated numerically). ``A_sqrt``/``A_inv_sqrt``
-    are derived from A by pointwise symmetric eigendecomposition.
+    and must not be approximated numerically). A must be symmetric
+    positive definite at every point; ``A_sqrt``/``A_inv_sqrt`` are its
+    roots, computed pointwise in closed form for 2x2 matrices.
     """
 
     A: Callable
@@ -126,10 +134,10 @@ class Coefficients:
         """Build from the four basic callables, deriving the matrix roots."""
 
         def a_sqrt(x, y):
-            return _sym_matrix_power(A(x, y), 0.5)
+            return _spd_root(A(x, y))
 
         def a_inv_sqrt(x, y):
-            return _sym_matrix_power(A(x, y), -0.5)
+            return _spd_root(A(x, y), inverse=True)
 
         return cls(
             A=A,
@@ -151,6 +159,19 @@ class Coefficients:
         )
 
 
+def _slot_matvec(m, v):
+    """A (nE, nQ, 2, 2) matrix field applied to the (nE, nQ, n, 2) vectors.
+
+    The einsum "eqxy,eqiy->eqix" written out, with the same products
+    and sums, so it is bitwise equal and much faster on strided views.
+    """
+    m = m[:, :, None]
+    out = np.empty(np.broadcast_shapes(m.shape[:3], v.shape[:3]) + (2,))
+    out[..., 0] = m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1]
+    out[..., 1] = m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]
+    return out
+
+
 class _RuleTables:
     """Per-quadrature-rule element tables shared by all forms.
 
@@ -158,8 +179,8 @@ class _RuleTables:
     i in 0..5 (three P1 vertex functions, then three RT0 edge
     functions) the tables hold the scalar value U, the first-order
     residual R = r(basis_i) and the flux residual G = d(basis_i), plus
-    the physical weights wj = w_q * 2|T_e| and the test factor
-    TF = U/k + R used by load vectors.
+    the physical weights wj = w_q * 2|T_e|. Each table entry is
+    computed only on the slots where its basis part is non-zero.
     """
 
     def __init__(self, asm, rule):
@@ -177,14 +198,22 @@ class _RuleTables:
         self.y = pts[..., 1]
 
         self.lam = lam
-        a_vals = np.moveaxis(asm.coeffs.A(self.x, self.y), (0, 1), (-2, -1))
-        eigs = np.linalg.eigvalsh(a_vals)
-        if np.any(eigs[..., 0] <= 0.0):
-            e, q = np.unravel_index(int(np.argmin(eigs[..., 0])), (n_e, n_q))
+        a_vals = np.broadcast_to(asm.coeffs.A(self.x, self.y), (2, 2, n_e, n_q))
+        (a, b), (c, d) = a_vals
+        asym = np.abs(b - c)
+        tol = 1e-12 * np.abs(a_vals).max(axis=(0, 1))
+        if np.any(asym > tol):
+            worst = int(np.argmax(asym - tol))
             raise CoefficientError(
-                "diffusion matrix not positive definite at point "
-                f"({self.x[e, q]:.6g}, {self.y[e, q]:.6g}): "
-                f"lambda_min = {eigs[e, q, 0]:.6g}"
+                f"diffusion matrix not symmetric at point {self._point(worst)}: "
+                f"|A01 - A10| = {asym.flat[worst]:.6g}"
+            )
+        lambda_min = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+        if np.any(lambda_min <= 0.0):
+            worst = int(np.argmin(lambda_min))
+            raise CoefficientError(
+                f"diffusion matrix not positive definite at point {self._point(worst)}: "
+                f"lambda_min = {lambda_min.flat[worst]:.6g}"
             )
         self.a_sqrt = np.moveaxis(
             asm.coeffs.A_sqrt(self.x, self.y), (0, 1), (-2, -1)
@@ -203,59 +232,45 @@ class _RuleTables:
         div_beta = np.broadcast_to(asm.coeffs.div_beta(self.x, self.y), (n_e, n_q))
         margin = 0.5 * div_beta + self.gamma
         if np.any(margin < 0.0):
-            e, q = np.unravel_index(int(np.argmin(margin)), (n_e, n_q))
+            worst = int(np.argmin(margin))
             raise CoefficientError(
                 "coefficient condition 0.5 div(beta) + gamma >= 0 fails at "
-                f"point ({self.x[e, q]:.6g}, {self.y[e, q]:.6g}): "
-                f"value {margin[e, q]:.6g}"
+                f"point {self._point(worst)}: value {margin.flat[worst]:.6g}"
             )
 
-        # RT0 values at the quadrature points: c_i (x_q - p_i)
-        rt_vals = asm.rt_coef[:, None, :, None] * (
+        # P1 gradients (slots 0-2) and RT0 values c_i (x_q - p_i) (slots
+        # 3-5) at the quadrature points
+        self.grads = np.broadcast_to(asm.p1_grads[:, None], (n_e, n_q, 3, 2))
+        self.rt_vals = asm.rt_coef[:, None, :, None] * (
             pts[:, :, None, :] - asm.verts[:, None, :, :]
         )  # (nE, nQ, 3, 2)
+        gamma_lam = self.gamma[:, :, None] * lam  # gamma u on slots 0-2
 
-        # scalar value of each local basis function
+        # scalar value of each local basis function, zero for RT0 slots
         u_tab = np.zeros((n_e, n_q, 6))
         u_tab[:, :, :3] = lam[None, :, :]
         self.u_tab = u_tab
 
-        # gradient of the P1 part, zero for RT0 slots
-        grad_tab = np.zeros((n_e, n_q, 6, 2))
-        grad_tab[:, :, :3, :] = asm.p1_grads[:, None, :, :]
-
-        # sigma value / divergence, zero for P1 slots
-        sig_tab = np.zeros((n_e, n_q, 6, 2))
-        sig_tab[:, :, 3:, :] = rt_vals
-        div_tab = np.zeros((n_e, n_q, 6))
-        div_tab[:, :, 3:] = asm.rt_divs[:, None, :]
-
+        a_grad = _slot_matvec(self.a_sqrt, self.grads)
+        a_sig = _slot_matvec(self.a_inv_sqrt, self.rt_vals)
+        r_tab = np.empty((n_e, n_q, 6))
+        g_tab = np.empty((n_e, n_q, 6, 2))
+        r_tab[:, :, 3:] = -asm.rt_divs[:, None, :]
         if asm.variant is ProblemVariant.PRIMARY:
-            r_tab = (
-                -div_tab
-                - np.einsum("eqx,eqix->eqi", self.beta, grad_tab)
-                + self.gamma[:, :, None] * u_tab
-            )
-            g_tab = np.einsum(
-                "eqxy,eqiy->eqix", self.a_sqrt, grad_tab
-            ) - np.einsum("eqxy,eqiy->eqix", self.a_inv_sqrt, sig_tab)
+            r_tab[:, :, :3] = gamma_lam - np.einsum("eqx,eqix->eqi", self.beta, self.grads)
+            g_tab[:, :, :3] = a_grad
+            g_tab[:, :, 3:] = -a_sig
         else:
-            r_tab = -div_tab + self.gamma[:, :, None] * u_tab
-            g_tab = (
-                np.einsum("eqxy,eqiy->eqix", self.a_inv_sqrt, sig_tab)
-                - np.einsum("eqxy,eqiy->eqix", self.a_sqrt, grad_tab)
-                + np.einsum("eqxy,eqy->eqx", self.a_inv_sqrt, self.beta)[
-                    :, :, None, :
-                ]
-                * u_tab[:, :, :, None]
-            )
-
+            r_tab[:, :, :3] = gamma_lam
+            a_beta = np.einsum("eqxy,eqy->eqx", self.a_inv_sqrt, self.beta)
+            g_tab[:, :, :3] = a_beta[:, :, None, :] * lam[None, :, :, None] - a_grad
+            g_tab[:, :, 3:] = a_sig
         self.r_tab = r_tab
         self.g_tab = g_tab
-        self.grad_tab = grad_tab
-        self.sig_tab = sig_tab
-        self.div_tab = div_tab
-        self.test_factor = u_tab / asm.k + r_tab
+
+    def _point(self, flat_index):
+        """The quadrature point of a flat (element, point) index, formatted."""
+        return f"({self.x.flat[flat_index]:.6g}, {self.y.flat[flat_index]:.6g})"
 
     def exact_residuals(self, asm, u, grad_u, sigma, div_sigma):
         """r and d of an exact field given by vectorized callables."""
@@ -421,7 +436,8 @@ class FormAssembler:
         """
         if self._load_ops is None:
             t = self.data_tables
-            weighted = t.wj[:, :, None] * t.test_factor  # (nE, nQ, 6)
+            test_factor = t.u_tab / self.k + t.r_tab  # v/k + r(v)
+            weighted = t.wj[:, :, None] * test_factor  # (nE, nQ, 6)
             rows = np.broadcast_to(self.local_dofs[:, None, :], weighted.shape)
             points = np.arange(t.x.size).reshape(t.x.shape)
             cols = np.broadcast_to(points[:, :, None], weighted.shape)
@@ -505,11 +521,12 @@ class FormAssembler:
     def natural_gram(self):
         """Gram matrix of ||grad u||^2 + ||sigma||^2 + k ||div sigma||^2."""
         t = self.matrix_tables
-        local = (
-            np.einsum("eq,eqix,eqjx->eij", t.wj, t.grad_tab, t.grad_tab)
-            + np.einsum("eq,eqix,eqjx->eij", t.wj, t.sig_tab, t.sig_tab)
-            + np.einsum("eq,eqi,eqj->eij", t.wj * self.k, t.div_tab, t.div_tab)
-        )
+        local = np.zeros((self.mesh.num_triangles, 6, 6))
+        grads = np.ascontiguousarray(t.grads)  # the same summation order as a full table
+        local[:, :3, :3] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
+        local[:, 3:, 3:] = np.einsum(
+            "eq,eqix,eqjx->eij", t.wj, t.rt_vals, t.rt_vals
+        ) + np.einsum("eq,ei,ej->eij", t.wj * self.k, self.rt_divs, self.rt_divs)
         return self._scatter_matrix(local)
 
 

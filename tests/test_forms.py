@@ -56,8 +56,22 @@ def test_total_form_symmetric_and_spd(mesh_chain, dofmaps, variant, k):
 
 
 def _rotated_diffusion(angle, lam1, lam2):
-    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-    return rot @ np.diag([lam1, lam2]) @ rot.T
+    """R(angle) diag(lam1, lam2) R(angle)^T; array arguments give a (2, 2) + shape field."""
+    c, s = np.cos(angle), np.sin(angle)
+    off = (lam1 - lam2) * c * s
+    return np.array([[lam1 * c * c + lam2 * s * s, off], [off, lam1 * s * s + lam2 * c * c]])
+
+
+def _diffusion_only(A):
+    """Coefficients with the given diffusion field and no convection or reaction."""
+
+    def zero(x, y):
+        return np.zeros(np.broadcast(x, y).shape)
+
+    return Coefficients.make(
+        A=A, beta=lambda x, y: np.zeros((2,) + np.broadcast(x, y).shape),
+        div_beta=zero, gamma=zero,
+    )
 
 
 _EIGENVALUE = st.floats(0.1, 10.0)
@@ -80,6 +94,47 @@ def test_total_form_spd_for_admissible_constant_coefficients(
 ):
     coeffs = Coefficients.constant(
         A=_rotated_diffusion(angle, lam1, lam2), beta=beta, gamma=gamma
+    )
+    asm = FormAssembler(mesh_chain[level], dofmaps[level], coeffs, 10.0**log_k, variant)
+    matrix = asm.total_matrix().toarray()
+    assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
+    np.linalg.cholesky(matrix)  # raises if not SPD
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    angle=st.tuples(st.floats(0.0, np.pi), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    lam1=_EIGENVALUE,
+    lam1_swing=st.floats(0.0, 0.9),
+    lam2=_EIGENVALUE,
+    beta=st.tuples(*[_CONVECTION_COMPONENT] * 4),
+    gamma=st.floats(0.0, 2.0),
+    log_k=st.floats(-8.0, 0.0),
+    level=st.integers(0, 2),
+    variant=st.sampled_from(ProblemVariant),
+)
+def test_total_form_spd_for_admissible_variable_coefficients(
+    mesh_chain, dofmaps, angle, lam1, lam1_swing, lam2, beta, gamma, log_k, level, variant
+):
+    """A = R(theta) diag(lam1, lam2) R(theta)^T with theta and lam1 varying
+    in space, a variable beta with its analytic divergence, and
+    gamma = gamma0 + |div beta| / 2, so 0.5 div beta + gamma >= gamma0 >= 0."""
+    b0, b1, b2, b3 = beta
+
+    def A(x, y):
+        theta = angle[0] + angle[1] * x + angle[2] * y
+        lam = lam1 * (1.0 + lam1_swing * np.sin(np.pi * x) * np.cos(np.pi * y))
+        return _rotated_diffusion(theta, lam, np.full_like(lam, lam2))
+
+    def beta_field(x, y):
+        return np.stack([b0 + b1 * x * y, b2 + b3 * y * np.sin(np.pi * x)])
+
+    def div_beta(x, y):
+        return b1 * y + b3 * np.sin(np.pi * x)
+
+    coeffs = Coefficients.make(
+        A=A, beta=beta_field, div_beta=div_beta,
+        gamma=lambda x, y: gamma + 0.5 * np.abs(div_beta(x, y)),
     )
     asm = FormAssembler(mesh_chain[level], dofmaps[level], coeffs, 10.0**log_k, variant)
     matrix = asm.total_matrix().toarray()
@@ -246,17 +301,74 @@ def test_coefficient_condition_violation_names_point(mesh_chain, dofmaps):
 
 
 def test_indefinite_diffusion_rejected(mesh_chain, dofmaps):
-    bad = Coefficients.make(
-        A=lambda x, y: np.broadcast_to(
+    bad = _diffusion_only(
+        lambda x, y: np.broadcast_to(
             np.array([[1.0, 0.0], [0.0, -1.0]])[..., None, None],
             (2, 2) + np.broadcast(x, y).shape,
-        ),
-        beta=lambda x, y: np.zeros((2,) + np.broadcast(x, y).shape),
-        div_beta=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-        gamma=lambda x, y: np.zeros(np.broadcast(x, y).shape),
+        )
     )
     with pytest.raises(CoefficientError):
         FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary").total_matrix()
+
+
+def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps):
+    tables = FormAssembler(mesh_chain[1], dofmaps[1], HEAT, 0.1, "primary").matrix_tables
+    x0, y0 = tables.x[5, 2], tables.y[5, 2]
+
+    def A(x, y):
+        out = _rotated_diffusion(0.0, np.ones_like(x), np.ones_like(x))
+        out[1, 1] = np.where((x == x0) & (y == y0), -0.5, 1.0)
+        return out
+
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], _diffusion_only(A), 0.1, "primary")
+    point = re.escape(f"({x0:.6g}, {y0:.6g})")
+    with pytest.raises(CoefficientError, match=point + r": lambda_min = -0\.5$"):
+        asm.total_matrix()
+
+
+def test_nonsymmetric_diffusion_rejected(mesh_chain, dofmaps):
+    """A symmetric-matrix root reads one triangle only, so it would take
+    ((1, 5), (0, 1)) for the identity: the asymmetry must fail first."""
+    bad = Coefficients.constant(A=((1.0, 5.0), (0.0, 1.0)))
+    asm = FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary")
+    with pytest.raises(CoefficientError, match=r"not symmetric at point \(.+\): \|A01 - A10\| = 5$"):
+        asm.total_matrix()
+    # an asymmetry below the relative tolerance 1e-12 is roundoff
+    nearly = Coefficients.constant(A=((2.0, 0.5), (0.5 + 1e-13, 2.0)))
+    FormAssembler(mesh_chain[0], dofmaps[0], nearly, 0.1, "primary").total_matrix()
+
+
+def test_closed_form_roots_agree_with_eigh(rng):
+    """Random SPD fields with condition numbers up to 1e8."""
+    n = 2000
+    lam1 = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    field = _rotated_diffusion(
+        rng.uniform(0.0, np.pi, n), lam1, lam1 / 10.0 ** rng.uniform(0.0, 8.0, n)
+    )
+    coeffs = _diffusion_only(lambda x, y: field)
+    x = np.zeros(n)
+    a, root, inv_root = (
+        np.moveaxis(m, (0, 1), (-2, -1))
+        for m in (field, coeffs.A_sqrt(x, x), coeffs.A_inv_sqrt(x, x))
+    )
+    vals, vecs = np.linalg.eigh(a)
+    eigh_root = (vecs * np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+
+    def norm(m):
+        return np.linalg.norm(m, ord=2, axis=(-2, -1))
+
+    assert (norm(root - eigh_root) / norm(eigh_root)).max() <= 1e-12
+    assert (norm(root @ root - a) / norm(a)).max() <= 1e-12
+    # A^{-1/2} carries the O(eps cond) error of the smallest eigenvalue
+    # with either method, so it is checked through its defining identity
+    assert (norm(root @ inv_root - np.eye(2)) / (norm(root) * norm(inv_root))).max() <= 1e-12
+
+
+def test_identity_diffusion_roots_are_exact():
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5))
+    identity = _rotated_diffusion(0.0, np.ones_like(x), np.ones_like(x))
+    assert np.array_equal(HEAT.A_sqrt(x, y), identity)
+    assert np.array_equal(HEAT.A_inv_sqrt(x, y), identity)
 
 
 def test_lsq_functional_zero_state(mesh_chain, dofmaps):
