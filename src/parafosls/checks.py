@@ -25,7 +25,7 @@ from .evolution import (
 from .forms import Coefficients, FormAssembler, ProblemVariant
 from .projection import elliptic_project
 from .quadrature import triangle_rule
-from .spaces import build_dof_map
+from .spaces import build_dof_map, eval_fields_on_triangle
 
 _CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
 
@@ -48,46 +48,31 @@ def conformity_jumps(mesh, dofmap, seed=0):
     u = rng.standard_normal(dofmap.n_u)
     s = rng.standard_normal(dofmap.n_sigma)
 
-    # the two (triangle, local edge) sides of every interior edge, (2, nI)
-    edge_of_side = mesh.triangle_edges.ravel()
-    order = np.argsort(edge_of_side, kind="stable")
-    counts = np.bincount(edge_of_side, minlength=mesh.num_edges)
-    start = np.cumsum(counts) - counts
-    interior = np.flatnonzero(counts == 2)
-    tri, loc = np.divmod(order[np.stack([start[interior], start[interior] + 1])], 3)
+    incident = {}
+    for t in range(mesh.num_triangles):
+        for i in range(3):
+            incident.setdefault(int(mesh.triangle_edges[t, i]), []).append((t, i))
 
-    # barycentric coordinates of the edge midpoint: the two edge
-    # endpoints carry 1/2, the opposite vertex 0
-    lam = np.where(np.arange(3) == loc[..., None], 0.0, 0.5)  # (2, nI, 3)
-    p = mesh.vertices[mesh.triangles[tri]]  # (2, nI, 3, 2)
-    x = np.sum(lam[..., None] * p, axis=-2)
-    d1 = p[..., 1, :] - p[..., 0, :]
-    d2 = p[..., 2, :] - p[..., 0, :]
-    area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-    edge_len = np.linalg.norm(p[..., [1, 2, 0], :] - p[..., [2, 0, 1], :], axis=-1)
-    scale = mesh.triangle_edge_signs[tri] * edge_len
-    rt_vals = scale[..., None] * (x[..., None, :] - p) / (2.0 * area)[..., None, None]
-
-    vertex_u = np.zeros(mesh.num_vertices)
-    inner = dofmap.u_dof_of_vertex >= 0
-    vertex_u[inner] = u[dofmap.u_dof_of_vertex[inner]]
-    corner_u = vertex_u[mesh.triangles[tri]]
-    coef = s[mesh.triangle_edges[tri]]
-    u_val = np.zeros(tri.shape)
-    sigma = np.zeros(tri.shape + (2,))
-    for i in range(3):  # accumulate in local order, as a pointwise evaluation does
-        u_val += corner_u[..., i] * lam[..., i]
-        sigma += coef[..., i, None] * rt_vals[..., i, :]
-
-    a, b = mesh.edges[interior].T
-    normal_dir = mesh.vertices[b] - mesh.vertices[a]
-    normal = np.stack([normal_dir[:, 1], -normal_dir[:, 0]], axis=-1)
-    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-    flux = (sigma[..., None, :] @ normal[..., None])[..., 0, 0]
-    return (
-        float(np.max(np.abs(u_val[0] - u_val[1]), initial=0.0)),
-        float(np.max(np.abs(flux[0] - flux[1]), initial=0.0)),
-    )
+    max_jump_u = 0.0
+    max_jump_flux = 0.0
+    for e, tris in incident.items():
+        if len(tris) != 2:
+            continue
+        a, b = mesh.edges[e]
+        normal_dir = mesh.vertices[b] - mesh.vertices[a]
+        normal = np.array([normal_dir[1], -normal_dir[0]])
+        normal /= np.linalg.norm(normal)
+        vals = []
+        for t, i in tris:
+            # barycentric coordinates of the edge midpoint: the two
+            # edge endpoints carry 1/2, the opposite vertex 0
+            lam = np.full(3, 0.5)
+            lam[i] = 0.0
+            u_val, _, sig, _ = eval_fields_on_triangle(u, s, mesh, dofmap, t, lam)
+            vals.append((u_val, sig @ normal))
+        max_jump_u = max(max_jump_u, abs(vals[0][0] - vals[1][0]))
+        max_jump_flux = max(max_jump_flux, abs(vals[0][1] - vals[1][1]))
+    return max_jump_u, max_jump_flux
 
 
 def _level(level):

@@ -91,24 +91,21 @@ def _as_matrix_field(mat):
     return fn
 
 
-def _spd_root(values, inverse=False):
-    """A^{1/2}, or A^{-1/2} if ``inverse``, of a field of SPD 2x2 matrices.
+def _spd_roots(values):
+    """(A^{1/2}, A^{-1/2}) of a field of SPD 2x2 matrices, shape (2, 2) + shape.
 
-    ``values`` has shape (2, 2) + shape. In closed form (Cayley-Hamilton):
-    with s = sqrt(det A) and t = sqrt(tr A + 2s), A^{1/2} = (A + sI)/t
-    and A^{-1/2} = adj(A + sI)/(t s). A = I gives exactly I.
+    In closed form (Cayley-Hamilton): with s = sqrt(det A) and
+    t = sqrt(tr A + 2s), A^{1/2} = (A + sI)/t and A^{-1/2} =
+    adj(A + sI)/(t s). A = I gives exactly I. The caller checks that A
+    is symmetric positive definite.
     """
-    a, b = values[0]
-    c, d = values[1]
-    det = a * d - b * c
-    if not np.all((det > 0.0) & (a > 0.0)):
-        raise CoefficientError("diffusion matrix has a non-positive eigenvalue")
-    s = np.sqrt(det)
+    (a, b), (c, d) = values
+    s = np.sqrt(a * d - b * c)
     t = np.sqrt(a + d + 2.0 * s)
-    if inverse:
-        ts = t * s
-        return np.stack([[(d + s) / ts, -b / ts], [-c / ts, (a + s) / ts]])
-    return np.stack([[(a + s) / t, b / t], [c / t, (d + s) / t]])
+    ts = t * s
+    root = np.stack([[(a + s) / t, b / t], [c / t, (d + s) / t]])
+    inv_root = np.stack([[(d + s) / ts, -b / ts], [-c / ts, (a + s) / ts]])
+    return root, inv_root
 
 
 @dataclass(frozen=True)
@@ -118,40 +115,19 @@ class Coefficients:
     ``div_beta`` is the analytic divergence of beta, supplied by the
     caller (it enters the admissibility check 0.5 div beta + gamma >= 0
     and must not be approximated numerically). A must be symmetric
-    positive definite at every point; ``A_sqrt``/``A_inv_sqrt`` are its
-    roots, computed pointwise in closed form for 2x2 matrices.
+    positive definite at every point; the forms take its roots
+    A^{1/2}, A^{-1/2} pointwise in closed form for 2x2 matrices.
     """
 
     A: Callable
-    A_sqrt: Callable
-    A_inv_sqrt: Callable
     beta: Callable
     div_beta: Callable
     gamma: Callable
 
     @classmethod
-    def make(cls, A, beta, div_beta, gamma):
-        """Build from the four basic callables, deriving the matrix roots."""
-
-        def a_sqrt(x, y):
-            return _spd_root(A(x, y))
-
-        def a_inv_sqrt(x, y):
-            return _spd_root(A(x, y), inverse=True)
-
-        return cls(
-            A=A,
-            A_sqrt=a_sqrt,
-            A_inv_sqrt=a_inv_sqrt,
-            beta=beta,
-            div_beta=div_beta,
-            gamma=gamma,
-        )
-
-    @classmethod
     def constant(cls, A=((1.0, 0.0), (0.0, 1.0)), beta=(0.0, 0.0), gamma=0.0):
         """Constant coefficients; div beta is zero."""
-        return cls.make(
+        return cls(
             A=_as_matrix_field(A),
             beta=_as_vector_field(beta),
             div_beta=_as_scalar_field(0.0),
@@ -215,12 +191,9 @@ class _RuleTables:
                 f"diffusion matrix not positive definite at point {self._point(worst)}: "
                 f"lambda_min = {lambda_min.flat[worst]:.6g}"
             )
-        self.a_sqrt = np.moveaxis(
-            asm.coeffs.A_sqrt(self.x, self.y), (0, 1), (-2, -1)
+        self.a_sqrt, self.a_inv_sqrt = (
+            np.moveaxis(root, (0, 1), (-2, -1)) for root in _spd_roots(a_vals)
         )  # (nE, nQ, 2, 2)
-        self.a_inv_sqrt = np.moveaxis(
-            asm.coeffs.A_inv_sqrt(self.x, self.y), (0, 1), (-2, -1)
-        )
         self.beta = np.moveaxis(
             np.broadcast_to(
                 asm.coeffs.beta(self.x, self.y), (2, n_e, n_q)

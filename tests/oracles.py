@@ -9,7 +9,7 @@ paths only share the quadrature rules and the basis definition.
 import numpy as np
 
 from parafosls.quadrature import triangle_rule
-from parafosls.spaces import eval_fields_on_triangle, eval_local_basis
+from parafosls.spaces import eval_local_basis
 
 
 def _pointwise(fn, x, y):
@@ -40,8 +40,9 @@ def _basis_fields(basis):
 
 def _residuals(coeffs, variant, x, y, value, grad, sigma, div):
     """Scalar and flux residuals of one field at one point."""
-    a_sqrt = _pointwise(coeffs.A_sqrt, x, y)
-    a_inv_sqrt = _pointwise(coeffs.A_inv_sqrt, x, y)
+    vals, vecs = np.linalg.eigh(_pointwise(coeffs.A, x, y))
+    a_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
+    a_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
     beta = _pointwise(coeffs.beta, x, y)
     gamma = float(_pointwise(coeffs.gamma, x, y))
     if getattr(variant, "value", variant) == "primary":
@@ -117,38 +118,3 @@ def dense_rhs(mesh, dofmap, coeffs, k, variant, f=None, w=None, degree=6):
                 ri, _ = _residuals(coeffs, variant, xq[0], xq[1], *fld)
                 out[dofs[i]] += wq * data * (fld[0] / k + ri)
     return out
-
-
-def pointwise_conformity_jumps(mesh, dofmap, seed=0):
-    """Largest u and normal-flux jumps across interior edges, edge by edge.
-
-    The loop the vectorized ``checks.conformity_jumps`` replaced: the same
-    random coefficients, each side evaluated at the edge midpoint.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(dofmap.n_u)
-    s = rng.standard_normal(dofmap.n_sigma)
-
-    incident = {}
-    for t in range(mesh.num_triangles):
-        for i in range(3):
-            incident.setdefault(int(mesh.triangle_edges[t, i]), []).append((t, i))
-
-    max_jump_u = 0.0
-    max_jump_flux = 0.0
-    for e, tris in incident.items():
-        if len(tris) != 2:
-            continue
-        a, b = mesh.edges[e]
-        normal_dir = mesh.vertices[b] - mesh.vertices[a]
-        normal = np.array([normal_dir[1], -normal_dir[0]])
-        normal /= np.linalg.norm(normal)
-        vals = []
-        for t, i in tris:
-            lam = np.full(3, 0.5)
-            lam[i] = 0.0
-            u_val, _, sig, _ = eval_fields_on_triangle(u, s, mesh, dofmap, t, lam)
-            vals.append((u_val, sig @ normal))
-        max_jump_u = max(max_jump_u, abs(vals[0][0] - vals[1][0]))
-        max_jump_flux = max(max_jump_flux, abs(vals[0][1] - vals[1][1]))
-    return max_jump_u, max_jump_flux

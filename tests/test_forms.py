@@ -11,6 +11,7 @@ from parafosls.forms import (
     Coefficients,
     FormAssembler,
     ProblemVariant,
+    _spd_roots,
     assemble_p1_mass,
     assemble_p1_stiffness,
 )
@@ -43,7 +44,7 @@ def variable_coefficients():
     def gamma(x, y):
         return 1.0 + 0.5 * np.broadcast_to(x, np.broadcast(x, y).shape)
 
-    return Coefficients.make(A=A, beta=beta, div_beta=div_beta, gamma=gamma)
+    return Coefficients(A=A, beta=beta, div_beta=div_beta, gamma=gamma)
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
@@ -68,7 +69,7 @@ def _diffusion_only(A):
     def zero(x, y):
         return np.zeros(np.broadcast(x, y).shape)
 
-    return Coefficients.make(
+    return Coefficients(
         A=A, beta=lambda x, y: np.zeros((2,) + np.broadcast(x, y).shape),
         div_beta=zero, gamma=zero,
     )
@@ -132,7 +133,7 @@ def test_total_form_spd_for_admissible_variable_coefficients(
     def div_beta(x, y):
         return b1 * y + b3 * np.sin(np.pi * x)
 
-    coeffs = Coefficients.make(
+    coeffs = Coefficients(
         A=A, beta=beta_field, div_beta=div_beta,
         gamma=lambda x, y: gamma + 0.5 * np.abs(div_beta(x, y)),
     )
@@ -345,11 +346,8 @@ def test_closed_form_roots_agree_with_eigh(rng):
     field = _rotated_diffusion(
         rng.uniform(0.0, np.pi, n), lam1, lam1 / 10.0 ** rng.uniform(0.0, 8.0, n)
     )
-    coeffs = _diffusion_only(lambda x, y: field)
-    x = np.zeros(n)
     a, root, inv_root = (
-        np.moveaxis(m, (0, 1), (-2, -1))
-        for m in (field, coeffs.A_sqrt(x, x), coeffs.A_inv_sqrt(x, x))
+        np.moveaxis(m, (0, 1), (-2, -1)) for m in (field, *_spd_roots(field))
     )
     vals, vecs = np.linalg.eigh(a)
     eigh_root = (vecs * np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
@@ -367,8 +365,9 @@ def test_closed_form_roots_agree_with_eigh(rng):
 def test_identity_diffusion_roots_are_exact():
     x, y = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5))
     identity = _rotated_diffusion(0.0, np.ones_like(x), np.ones_like(x))
-    assert np.array_equal(HEAT.A_sqrt(x, y), identity)
-    assert np.array_equal(HEAT.A_inv_sqrt(x, y), identity)
+    root, inv_root = _spd_roots(HEAT.A(x, y))
+    assert np.array_equal(root, identity)
+    assert np.array_equal(inv_root, identity)
 
 
 def test_lsq_functional_zero_state(mesh_chain, dofmaps):

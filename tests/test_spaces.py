@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,6 @@ from parafosls.spaces import (
     eval_fields_on_triangle,
     eval_local_basis,
 )
-
-from oracles import pointwise_conformity_jumps
 
 
 def test_dof_counts_level0(mesh_chain, dofmaps):
@@ -168,19 +164,3 @@ def test_conformity_of_both_spaces(mesh_chain, dofmaps):
     jump_u, jump_flux = conformity_jumps(mesh_chain[2], dofmaps[2], seed=3)
     assert jump_u <= 1e-12
     assert jump_flux <= 1e-12
-
-
-@pytest.mark.parametrize("level", [0, 1, 2, 3])
-def test_conformity_jumps_equal_pointwise_loop(mesh_chain, dofmaps, level):
-    """Same arithmetic as the edge-by-edge loop, so the same values exactly,
-    also on a mesh with one flipped orientation sign."""
-    m, dm = mesh_chain[level], dofmaps[level]
-    signs = m.triangle_edge_signs.copy()
-    t, i = np.argwhere(m.triangle_edges == np.flatnonzero(~m.boundary_edge)[0])[0]
-    signs[t, i] = -signs[t, i]
-    tampered = dataclasses.replace(m, triangle_edge_signs=signs)
-    for mesh in (m, tampered):
-        for seed in (0, 1, 3):
-            assert conformity_jumps(mesh, dm, seed=seed) == pointwise_conformity_jumps(
-                mesh, dm, seed=seed
-            )
