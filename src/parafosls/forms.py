@@ -91,16 +91,36 @@ def _as_matrix_field(mat):
     return fn
 
 
-def _spd_roots(values):
-    """(A^{1/2}, A^{-1/2}) of a field of SPD 2x2 matrices, shape (2, 2) + shape.
+def _spd_roots(values, where):
+    """(A^{1/2}, A^{-1/2}) of a field of 2x2 matrices, shape (2, 2) + shape.
 
-    In closed form (Cayley-Hamilton): with s = sqrt(det A) and
-    t = sqrt(tr A + 2s), A^{1/2} = (A + sI)/t and A^{-1/2} =
-    adj(A + sI)/(t s). A = I gives exactly I. The caller checks that A
-    is symmetric positive definite.
+    Raises ``CoefficientError`` naming ``where(i)``, the point of flat
+    index i, unless A is symmetric (|A01 - A10| <= 1e-12 max|A|) and
+    positive definite there. The roots are in closed form
+    (Cayley-Hamilton): with s = sqrt(det A) and t = sqrt(tr A + 2s),
+    A^{1/2} = (A + sI)/t and A^{-1/2} = adj(A + sI)/(t s). A = I gives
+    exactly I.
     """
     (a, b), (c, d) = values
-    s = np.sqrt(a * d - b * c)
+    asym = np.abs(b - c)
+    tol = 1e-12 * np.abs(values).max(axis=(0, 1))
+    if np.any(asym > tol):
+        worst = int(np.argmax(asym - tol))
+        raise CoefficientError(
+            f"diffusion matrix not symmetric at point {where(worst)}: "
+            f"|A01 - A10| = {asym.flat[worst]:.6g}"
+        )
+    det = a * d - b * c
+    lambda_min = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+    # near cond(A) = 1/eps a positive lambda_min can round to det <= 0
+    bad = (lambda_min <= 0.0) | (det <= 0.0)
+    if np.any(bad):
+        worst = int(np.argmin(np.where(bad, lambda_min, np.inf)))
+        raise CoefficientError(
+            f"diffusion matrix not positive definite at point {where(worst)}: "
+            f"lambda_min = {lambda_min.flat[worst]:.6g}"
+        )
+    s = np.sqrt(det)
     t = np.sqrt(a + d + 2.0 * s)
     ts = t * s
     root = np.stack([[(a + s) / t, b / t], [c / t, (d + s) / t]])
@@ -175,24 +195,9 @@ class _RuleTables:
 
         self.lam = lam
         a_vals = np.broadcast_to(asm.coeffs.A(self.x, self.y), (2, 2, n_e, n_q))
-        (a, b), (c, d) = a_vals
-        asym = np.abs(b - c)
-        tol = 1e-12 * np.abs(a_vals).max(axis=(0, 1))
-        if np.any(asym > tol):
-            worst = int(np.argmax(asym - tol))
-            raise CoefficientError(
-                f"diffusion matrix not symmetric at point {self._point(worst)}: "
-                f"|A01 - A10| = {asym.flat[worst]:.6g}"
-            )
-        lambda_min = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
-        if np.any(lambda_min <= 0.0):
-            worst = int(np.argmin(lambda_min))
-            raise CoefficientError(
-                f"diffusion matrix not positive definite at point {self._point(worst)}: "
-                f"lambda_min = {lambda_min.flat[worst]:.6g}"
-            )
         self.a_sqrt, self.a_inv_sqrt = (
-            np.moveaxis(root, (0, 1), (-2, -1)) for root in _spd_roots(a_vals)
+            np.moveaxis(root, (0, 1), (-2, -1))
+            for root in _spd_roots(a_vals, self._point)
         )  # (nE, nQ, 2, 2)
         self.beta = np.moveaxis(
             np.broadcast_to(

@@ -327,6 +327,16 @@ def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps):
         asm.total_matrix()
 
 
+def test_diffusion_singular_to_roundoff_rejected(mesh_chain, dofmaps):
+    """Here tr/2 - hypot rounds to lambda_min = 3.6e-15 > 0 while det A
+    rounds to -3.6e-15, so the closed-form roots would be NaN."""
+    b = -4.165905789897516
+    bad = Coefficients.constant(A=((35.18625711319704, b), (b, 0.4932258351455212)))
+    asm = FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary")
+    with pytest.raises(CoefficientError, match=r"not positive definite at point \(.+\): lambda_min = 3\.55"):
+        asm.total_matrix()
+
+
 def test_nonsymmetric_diffusion_rejected(mesh_chain, dofmaps):
     """A symmetric-matrix root reads one triangle only, so it would take
     ((1, 5), (0, 1)) for the identity: the asymmetry must fail first."""
@@ -347,7 +357,7 @@ def test_closed_form_roots_agree_with_eigh(rng):
         rng.uniform(0.0, np.pi, n), lam1, lam1 / 10.0 ** rng.uniform(0.0, 8.0, n)
     )
     a, root, inv_root = (
-        np.moveaxis(m, (0, 1), (-2, -1)) for m in (field, *_spd_roots(field))
+        np.moveaxis(m, (0, 1), (-2, -1)) for m in (field, *_spd_roots(field, str))
     )
     vals, vecs = np.linalg.eigh(a)
     eigh_root = (vecs * np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
@@ -365,7 +375,7 @@ def test_closed_form_roots_agree_with_eigh(rng):
 def test_identity_diffusion_roots_are_exact():
     x, y = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5))
     identity = _rotated_diffusion(0.0, np.ones_like(x), np.ones_like(x))
-    root, inv_root = _spd_roots(HEAT.A(x, y))
+    root, inv_root = _spd_roots(HEAT.A(x, y), str)
     assert np.array_equal(root, identity)
     assert np.array_equal(inv_root, identity)
 
