@@ -14,7 +14,13 @@ import numpy as np
 
 from .forms import Coefficients, ProblemVariant
 from .quadrature import triangle_rule
-from .spaces import element_geometry
+from .spaces import (
+    element_geometry,
+    p1_vertex_values,
+    quadrature_points,
+    quadrature_weights,
+    rt0_values,
+)
 
 ERROR_QUANTITIES = ("err_u", "err_grad_u", "err_sigma", "err_div_sigma", "natural_norm")
 
@@ -152,26 +158,16 @@ def field_error_norms(
     """
     rule = triangle_rule(degree)
     verts, areas, p1_grads, rt_coef, rt_divs = element_geometry(mesh)
-    lam = rule.points
-    wj = rule.weights[None, :] * (2.0 * areas[:, None])
-    pts = np.einsum("qi,eix->eqx", lam, verts)
+    wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
     x, y = pts[..., 0], pts[..., 1]
 
-    vertex_vals = np.zeros(mesh.num_vertices)
-    interior = dofmap.u_dof_of_vertex >= 0
-    if u_coeffs is not None:
-        vertex_vals[interior] = np.asarray(u_coeffs, dtype=float)[
-            dofmap.u_dof_of_vertex[interior]
-        ]
-    local_u = vertex_vals[mesh.triangles]  # (nE, 3)
-    u_h = np.einsum("qi,ei->eq", lam, local_u)
+    local_u = p1_vertex_values(u_coeffs, mesh, dofmap)  # (nE, 3)
+    u_h = np.einsum("qi,ei->eq", rule.points, local_u)
     grad_h = np.einsum("ei,eix->ex", local_u, p1_grads)  # constant per element
 
     if sigma_coeffs is not None:
         local_s = np.asarray(sigma_coeffs, dtype=float)[mesh.triangle_edges]
-        rt_vals = rt_coef[:, None, :, None] * (
-            pts[:, :, None, :] - verts[:, None, :, :]
-        )
+        rt_vals = rt0_values(rt_coef, verts, pts)
         sig_h = np.einsum("ei,eqix->eqx", local_s, rt_vals)
         div_h = np.einsum("ei,ei->e", local_s, rt_divs)
     else:

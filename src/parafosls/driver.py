@@ -15,7 +15,6 @@ Two subcommands are exposed:
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,7 +48,6 @@ class ExperimentConfig:
     solver_tol: float = solver.DEFAULT_TOL
     output_path: str = None
     plot_data: bool = False
-    parallel: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "variant", ProblemVariant(self.variant))
@@ -89,14 +87,12 @@ def mesh_hierarchy(max_level):
     return meshes
 
 
-def run_level(config, level, mesh=None):
-    """Run one level of an experiment.
+def run_level(config, level, mesh):
+    """Run one level of an experiment on its mesh.
 
     Returns (report, states, mesh, dofmap, partition); the trajectory
     allows bound checks on every step.
     """
-    if mesh is None:
-        mesh = mesh_hierarchy(level)[level]
     dofmap = build_dof_map(mesh)
     problem = decaying_sine_problem(config.variant)
     partition = config.partition(level)
@@ -113,28 +109,25 @@ def run_level(config, level, mesh=None):
     return report, states, mesh, dofmap, partition
 
 
-def _level_report(config, level):
-    return run_level(config, level)[0]
-
-
 def format_float(value):
     """Full double precision, locale-independent."""
     return f"{value:.17g}"
 
 
-def write_reports_csv(reports, path):
-    lines = [_CSV_HEADER]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [str(r.level), format_float(r.h), format_float(r.k), str(r.dofs)]
-                + [
-                    format_float(getattr(r, q))
-                    for q in ERROR_QUANTITIES
-                ]
-            )
+def _reports_csv(reports):
+    """The error CSV text: the header, then one line per level."""
+    lines = [_CSV_HEADER] + [
+        ",".join(
+            [str(r.level), format_float(r.h), format_float(r.k), str(r.dofs)]
+            + [format_float(getattr(r, q)) for q in ERROR_QUANTITIES]
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        for r in reports
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def write_reports_csv(reports, path):
+    Path(path).write_text(_reports_csv(reports))
 
 
 def write_rates_csv(reports, path):
@@ -162,21 +155,13 @@ def write_plot_data(reports, stem):
 def run_experiment(config):
     """Run all levels of one experiment and emit the output files.
 
-    Returns the list of per-level error reports. Levels run
-    sequentially unless ``config.parallel`` is set; results are
-    identical either way since levels are independent.
+    Returns the list of per-level error reports, levels in order.
     """
-    levels = list(range(config.max_level + 1))
     reports = []
     try:
-        if config.parallel:
-            with ProcessPoolExecutor() as pool:
-                for report in pool.map(_level_report, [config] * len(levels), levels):
-                    reports.append(report)
-        else:
-            meshes = mesh_hierarchy(config.max_level)
-            for level in levels:
-                reports.append(run_level(config, level, mesh=meshes[level])[0])
+        meshes = mesh_hierarchy(config.max_level)
+        for level in range(config.max_level + 1):
+            reports.append(run_level(config, level, mesh=meshes[level])[0])
     except Exception as exc:
         raise RuntimeError(
             f"experiment failed at level {len(reports)}: {exc}"
@@ -210,10 +195,19 @@ def _read_config_file(path):
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
+_CONFIG_KEYS = (
+    "variant", "coupling", "max_level", "final_time", "k0", "tol", "out", "plot_data"
+)
 
 
 def _merge_config(args):
     file_values = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown config key {unknown[0]!r} in {args.config} "
+            f"(accepted: {', '.join(_CONFIG_KEYS)})"
+        )
 
     def pick(flag_value, key, convert, default):
         if flag_value is not None:
@@ -233,10 +227,6 @@ def _merge_config(args):
         output_path=pick(args.out, "out", str, None),
         plot_data=pick(
             args.plot_data or None, "plot_data",
-            lambda s: s.lower() in _BOOL_TRUE, False,
-        ),
-        parallel=pick(
-            args.parallel or None, "parallel",
             lambda s: s.lower() in _BOOL_TRUE, False,
         ),
     )
@@ -260,7 +250,6 @@ def build_parser():
     run_p.add_argument("--out")
     run_p.add_argument("--config", help="key=value settings file; flags win")
     run_p.add_argument("--plot-data", action="store_true", dest="plot_data")
-    run_p.add_argument("--parallel", action="store_true")
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
     verify_p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
@@ -285,14 +274,7 @@ def main(argv=None):
         return 1
 
     rates = observed_rates(reports) if len(reports) > 1 else {}
-    print(_CSV_HEADER)
-    for r in reports:
-        print(
-            ",".join(
-                [str(r.level), format_float(r.h), format_float(r.k), str(r.dofs)]
-                + [format_float(getattr(r, q)) for q in ERROR_QUANTITIES]
-            )
-        )
+    print(_reports_csv(reports), end="")
     if rates:
         print("\nfinal-window rates:")
         for q in ERROR_QUANTITIES:

@@ -22,7 +22,7 @@ from .forms import (
     assemble_p1_stiffness,
 )
 from .quadrature import triangle_rule
-from .spaces import element_geometry
+from .spaces import element_geometry, quadrature_points, quadrature_weights
 
 _PARTITION_TOL = 1e-12
 # Steps within this relative distance count as one step size and share
@@ -217,8 +217,7 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
     mass = assemble_p1_mass(mesh, dofmap)
     rule = triangle_rule(6)
     verts, areas, _, _, _ = element_geometry(mesh)
-    wj = rule.weights[None, :] * (2.0 * areas[:, None])
-    pts = np.einsum("qi,eix->eqx", rule.points, verts)
+    wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
     x, y = pts[..., 0], pts[..., 1]
 
     def u_norm(c):

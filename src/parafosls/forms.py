@@ -38,10 +38,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .quadrature import triangle_rule
-from .spaces import element_geometry
+from .spaces import (
+    element_geometry,
+    p1_vertex_values,
+    quadrature_points,
+    quadrature_weights,
+    rt0_values,
+    scatter_matrix,
+    scatter_vector,
+)
 
 
 class CoefficientError(ValueError):
@@ -168,6 +175,21 @@ def _slot_matvec(m, v):
     return out
 
 
+def _signed_sum(terms):
+    """The sum of the (sign, array) terms, added left to right.
+
+    Terms given as None are left out: in IEEE arithmetic x - y equals
+    (-y) + x exactly, so leaving out a zero term changes no bit.
+    """
+    terms = [(s, t) for s, t in terms if t is not None]
+    out = np.empty(np.broadcast_shapes(*(t.shape for _, t in terms)))
+    (sign, first), *rest = terms
+    np.multiply(first, sign, out=out)  # exact: the sign is +1 or -1
+    for sign, term in rest:
+        (np.add if sign > 0 else np.subtract)(out, term, out=out)
+    return out
+
+
 class _RuleTables:
     """Per-quadrature-rule element tables shared by all forms.
 
@@ -185,11 +207,9 @@ class _RuleTables:
         n_e = mesh.num_triangles
         n_q = lam.shape[0]
 
-        self.rule = rule
-        self.wj = rule.weights[None, :] * (2.0 * asm.areas[:, None])  # (nE, nQ)
-
-        # physical quadrature points
-        pts = np.einsum("qi,eix->eqx", lam, asm.verts)
+        self.variant = asm.variant
+        self.wj = quadrature_weights(rule, asm.areas)  # (nE, nQ)
+        pts = quadrature_points(rule, asm.verts)  # (nE, nQ, 2)
         self.x = pts[..., 0]
         self.y = pts[..., 1]
 
@@ -199,13 +219,7 @@ class _RuleTables:
             np.moveaxis(root, (0, 1), (-2, -1))
             for root in _spd_roots(a_vals, self._point)
         )  # (nE, nQ, 2, 2)
-        self.beta = np.moveaxis(
-            np.broadcast_to(
-                asm.coeffs.beta(self.x, self.y), (2, n_e, n_q)
-            ),
-            0,
-            -1,
-        )  # (nE, nQ, 2)
+        self.beta = self._vector_at_points(asm.coeffs.beta)  # (nE, nQ, 2)
         self.gamma = np.broadcast_to(asm.coeffs.gamma(self.x, self.y), (n_e, n_q))
         div_beta = np.broadcast_to(asm.coeffs.div_beta(self.x, self.y), (n_e, n_q))
         margin = 0.5 * div_beta + self.gamma
@@ -216,65 +230,70 @@ class _RuleTables:
                 f"point {self._point(worst)}: value {margin.flat[worst]:.6g}"
             )
 
-        # P1 gradients (slots 0-2) and RT0 values c_i (x_q - p_i) (slots
-        # 3-5) at the quadrature points
+        # P1 gradients (slots 0-2) and RT0 values (slots 3-5) at the
+        # quadrature points
         self.grads = np.broadcast_to(asm.p1_grads[:, None], (n_e, n_q, 3, 2))
-        self.rt_vals = asm.rt_coef[:, None, :, None] * (
-            pts[:, :, None, :] - asm.verts[:, None, :, :]
-        )  # (nE, nQ, 3, 2)
-        gamma_lam = self.gamma[:, :, None] * lam  # gamma u on slots 0-2
+        self.rt_vals = rt0_values(asm.rt_coef, asm.verts, pts)  # (nE, nQ, 3, 2)
 
         # scalar value of each local basis function, zero for RT0 slots
-        u_tab = np.zeros((n_e, n_q, 6))
-        u_tab[:, :, :3] = lam[None, :, :]
-        self.u_tab = u_tab
+        self.u_tab = np.zeros((n_e, n_q, 6))
+        self.u_tab[:, :, :3] = lam[None, :, :]
 
-        a_grad = _slot_matvec(self.a_sqrt, self.grads)
-        a_sig = _slot_matvec(self.a_inv_sqrt, self.rt_vals)
-        r_tab = np.empty((n_e, n_q, 6))
-        g_tab = np.empty((n_e, n_q, 6, 2))
-        r_tab[:, :, 3:] = -asm.rt_divs[:, None, :]
-        if asm.variant is ProblemVariant.PRIMARY:
-            r_tab[:, :, :3] = gamma_lam - np.einsum("eqx,eqix->eqi", self.beta, self.grads)
-            g_tab[:, :, :3] = a_grad
-            g_tab[:, :, 3:] = -a_sig
-        else:
-            r_tab[:, :, :3] = gamma_lam
-            a_beta = np.einsum("eqxy,eqy->eqx", self.a_inv_sqrt, self.beta)
-            g_tab[:, :, :3] = a_beta[:, :, None, :] * lam[None, :, :, None] - a_grad
-            g_tab[:, :, 3:] = a_sig
-        self.r_tab = r_tab
-        self.g_tab = g_tab
+        self.r_tab = np.empty((n_e, n_q, 6))
+        self.g_tab = np.empty((n_e, n_q, 6, 2))
+        self.r_tab[:, :, :3], self.g_tab[:, :, :3] = self.residuals(u=lam, grad=self.grads)
+        self.r_tab[:, :, 3:], self.g_tab[:, :, 3:] = self.residuals(
+            sigma=self.rt_vals, div=asm.rt_divs[:, None, :]
+        )
 
     def _point(self, flat_index):
         """The quadrature point of a flat (element, point) index, formatted."""
         return f"({self.x.flat[flat_index]:.6g}, {self.y.flat[flat_index]:.6g})"
 
-    def exact_residuals(self, asm, u, grad_u, sigma, div_sigma):
-        """r and d of an exact field given by vectorized callables."""
-        u_ex = np.broadcast_to(u(self.x, self.y), self.x.shape)
-        grad_ex = np.moveaxis(
-            np.broadcast_to(grad_u(self.x, self.y), (2,) + self.x.shape), 0, -1
+    def _vector_at_points(self, fn):
+        """A vector field callable at the quadrature points, (nE, nQ, 2)."""
+        return np.moveaxis(
+            np.broadcast_to(fn(self.x, self.y), (2,) + self.x.shape), 0, -1
         )
-        sig_ex = np.moveaxis(
-            np.broadcast_to(sigma(self.x, self.y), (2,) + self.x.shape), 0, -1
-        )
-        div_ex = np.broadcast_to(div_sigma(self.x, self.y), self.x.shape)
-        if asm.variant is ProblemVariant.PRIMARY:
-            r_ex = -div_ex - np.einsum("eqx,eqx->eq", self.beta, grad_ex) \
-                + self.gamma * u_ex
-            g_ex = np.einsum("eqxy,eqy->eqx", self.a_sqrt, grad_ex) - np.einsum(
-                "eqxy,eqy->eqx", self.a_inv_sqrt, sig_ex
+
+    def residuals(self, u=None, grad=None, sigma=None, div=None):
+        """r (nE, nQ, n) and d (nE, nQ, n, 2) of fields with a slot axis.
+
+        The scalar value u and the divergence div broadcast to
+        (nE, nQ, n), the gradient grad and the flux sigma to
+        (nE, nQ, n, 2). A part given as None is zero and left out. The
+        terms are summed in the order of the definitions in the module
+        docstring. This is the one place where the two splittings
+        differ.
+        """
+        a_grad = None if grad is None else _slot_matvec(self.a_sqrt, grad)
+        a_sig = None if sigma is None else _slot_matvec(self.a_inv_sqrt, sigma)
+        gamma_u = None if u is None else self.gamma[:, :, None] * u
+        if self.variant is ProblemVariant.PRIMARY:
+            beta_grad = (
+                None if grad is None else np.einsum("eqx,eqix->eqi", self.beta, grad)
             )
+            r = _signed_sum([(-1, div), (-1, beta_grad), (1, gamma_u)])
+            d = _signed_sum([(1, a_grad), (-1, a_sig)])
         else:
-            r_ex = -div_ex + self.gamma * u_ex
-            g_ex = (
-                np.einsum("eqxy,eqy->eqx", self.a_inv_sqrt, sig_ex)
-                - np.einsum("eqxy,eqy->eqx", self.a_sqrt, grad_ex)
-                + np.einsum("eqxy,eqy->eqx", self.a_inv_sqrt, self.beta)
-                * u_ex[:, :, None]
-            )
-        return r_ex, g_ex
+            beta_u = None
+            if u is not None:
+                a_beta = np.einsum("eqxy,eqy->eqx", self.a_inv_sqrt, self.beta)
+                beta_u = a_beta[:, :, None, :] * u[..., None]
+            r = _signed_sum([(-1, div), (1, gamma_u)])
+            d = _signed_sum([(1, a_sig), (-1, a_grad), (1, beta_u)])
+        return r, d
+
+    def exact_residuals(self, u, grad_u, sigma, div_sigma):
+        """r (nE, nQ) and d (nE, nQ, 2) of an exact field given by vectorized callables."""
+        shape = self.x.shape
+        r, d = self.residuals(
+            u=np.broadcast_to(u(self.x, self.y), shape)[..., None],
+            grad=self._vector_at_points(grad_u)[:, :, None],
+            sigma=self._vector_at_points(sigma)[:, :, None],
+            div=np.broadcast_to(div_sigma(self.x, self.y), shape)[..., None],
+        )
+        return r[..., 0], d[:, :, 0]
 
 
 class FormAssembler:
@@ -342,20 +361,9 @@ class FormAssembler:
         n = self.dofmap.total
         n_cols = n if local.shape[2] == 6 else self.dofmap.n_u
         ld = self.local_dofs
-        rows = np.broadcast_to(ld[:, :, None], local.shape)
-        cols = np.broadcast_to(ld[:, None, : local.shape[2]], local.shape)
-        mask = (rows >= 0) & (cols >= 0)
-        coo = sp.coo_matrix(
-            (local[mask], (rows[mask], cols[mask])), shape=(n, n_cols)
+        return scatter_matrix(
+            local, ld[:, :, None], ld[:, None, : local.shape[2]], (n, n_cols)
         )
-        return coo.tocsr()
-
-    def _scatter_vector(self, local):
-        """Sum (nE, 6) element vectors into a global vector."""
-        out = np.zeros(self.dofmap.total)
-        mask = self.local_dofs >= 0
-        np.add.at(out, self.local_dofs[mask], local[mask])
-        return out
 
     def total_matrix(self):
         """Matrix of the full time-step form (symmetric positive definite)."""
@@ -397,11 +405,7 @@ class FormAssembler:
             return np.zeros_like(tables.x)
         if callable(w):
             return self._at_data_points(w, "previous-step datum w")
-        w = np.asarray(w, dtype=float)
-        vertex_vals = np.zeros(self.mesh.num_vertices)
-        interior = self.dofmap.u_dof_of_vertex >= 0
-        vertex_vals[interior] = w[self.dofmap.u_dof_of_vertex[interior]]
-        local = vertex_vals[self.mesh.triangles]  # (nE, 3)
+        local = p1_vertex_values(w, self.mesh, self.dofmap)
         return np.einsum("qi,ei->eq", tables.lam, local)
 
     def _load_operators(self):
@@ -416,14 +420,13 @@ class FormAssembler:
             t = self.data_tables
             test_factor = t.u_tab / self.k + t.r_tab  # v/k + r(v)
             weighted = t.wj[:, :, None] * test_factor  # (nE, nQ, 6)
-            rows = np.broadcast_to(self.local_dofs[:, None, :], weighted.shape)
             points = np.arange(t.x.size).reshape(t.x.shape)
-            cols = np.broadcast_to(points[:, :, None], weighted.shape)
-            mask = rows >= 0
-            to_tests = sp.coo_matrix(
-                (weighted[mask], (rows[mask], cols[mask])),
-                shape=(self.dofmap.total, t.x.size),
-            ).tocsr()
+            to_tests = scatter_matrix(
+                weighted,
+                self.local_dofs[:, None, :],
+                points[:, :, None],
+                (self.dofmap.total, t.x.size),
+            )
             from_u = self._scatter_matrix(np.einsum("eqi,qj->eij", weighted, t.lam))
             self._load_ops = (to_tests, from_u)
         return self._load_ops
@@ -461,9 +464,7 @@ class FormAssembler:
 
     def _gather_local(self, u_coeffs, sigma_coeffs):
         local = np.zeros((self.mesh.num_triangles, 6))
-        u_slots = self.local_dofs[:, :3]
-        valid = u_slots >= 0
-        local[:, :3][valid] = np.asarray(u_coeffs, dtype=float)[u_slots[valid]]
+        local[:, :3] = p1_vertex_values(u_coeffs, self.mesh, self.dofmap)
         if sigma_coeffs is not None:
             local[:, 3:] = np.asarray(sigma_coeffs, dtype=float)[
                 self.mesh.triangle_edges
@@ -488,13 +489,13 @@ class FormAssembler:
     def nonsymmetric_load_from_fields(self, u, grad_u, sigma, div_sigma):
         """Load b(exact pair, basis_i) for the elliptic projection."""
         t = self.data_tables
-        r_ex, g_ex = t.exact_residuals(self, u, grad_u, sigma, div_sigma)
+        r_ex, g_ex = t.exact_residuals(u, grad_u, sigma, div_sigma)
         local = (
             np.einsum("eq,eq,eqi->ei", t.wj, r_ex, t.u_tab)
             + np.einsum("eq,eq,eqi->ei", t.wj * self.k, r_ex, t.r_tab)
             + np.einsum("eq,eqx,eqix->ei", t.wj, g_ex, t.g_tab)
         )
-        return self._scatter_vector(local)
+        return scatter_vector(local, self.local_dofs, self.dofmap.total)
 
     def natural_gram(self):
         """Gram matrix of ||grad u||^2 + ||sigma||^2 + k ||div sigma||^2."""
@@ -512,46 +513,30 @@ class FormAssembler:
 # projection and the reference scheme for the decoupled case.
 
 
-def _p1_context(mesh, dofmap, degree):
-    rule = triangle_rule(degree)
-    verts, areas, p1_grads, _, _ = element_geometry(mesh)
-    wj = rule.weights[None, :] * (2.0 * areas[:, None])
-    dofs = dofmap.u_dof_of_vertex[mesh.triangles]
-    return rule, verts, p1_grads, wj, dofs
-
-
-def _scatter_p1(local, dofs, n):
-    rows = np.broadcast_to(dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(dofs[:, None, :], local.shape)
-    mask = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix(
-        (local[mask], (rows[mask], cols[mask])), shape=(n, n)
-    ).tocsr()
-
-
 def assemble_p1_mass(mesh, dofmap, degree=4):
     """Mass matrix <u, v> on the interior-vertex P1 space."""
-    rule, _, _, wj, dofs = _p1_context(mesh, dofmap, degree)
-    lam = rule.points
-    local = np.einsum("eq,qi,qj->eij", wj, lam, lam)
-    return _scatter_p1(local, dofs, dofmap.n_u)
+    rule = triangle_rule(degree)
+    _, areas, _, _, _ = element_geometry(mesh)
+    wj = quadrature_weights(rule, areas)
+    local = np.einsum("eq,qi,qj->eij", wj, rule.points, rule.points)
+    dofs = dofmap.u_dof_of_vertex[mesh.triangles]
+    return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)
 
 
 def assemble_p1_load(mesh, dofmap, fn, degree=6):
     """Load vector <f, v> on the interior-vertex P1 space."""
-    rule, verts, _, wj, dofs = _p1_context(mesh, dofmap, degree)
-    lam = rule.points
-    pts = np.einsum("qi,eix->eqx", lam, verts)
+    rule = triangle_rule(degree)
+    verts, areas, _, _, _ = element_geometry(mesh)
+    wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
     vals = np.broadcast_to(fn(pts[..., 0], pts[..., 1]), pts.shape[:2])
-    local = np.einsum("eq,eq,qi->ei", wj, vals, lam)
-    out = np.zeros(dofmap.n_u)
-    mask = dofs >= 0
-    np.add.at(out, dofs[mask], local[mask])
-    return out
+    local = np.einsum("eq,eq,qi->ei", wj, vals, rule.points)
+    return scatter_vector(local, dofmap.u_dof_of_vertex[mesh.triangles], dofmap.n_u)
 
 
 def assemble_p1_stiffness(mesh, dofmap, degree=4):
     """Stiffness matrix <grad u, grad v> on the interior-vertex P1 space."""
-    rule, _, grads, wj, dofs = _p1_context(mesh, dofmap, degree)
+    _, areas, grads, _, _ = element_geometry(mesh)
+    wj = quadrature_weights(triangle_rule(degree), areas)
     local = np.einsum("eq,eix,ejx->eij", wj, grads, grads)
-    return _scatter_p1(local, dofs, dofmap.n_u)
+    dofs = dofmap.u_dof_of_vertex[mesh.triangles]
+    return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)

@@ -174,19 +174,6 @@ def refine_uniform(mesh):
     return _connect(vertices, sons, level=mesh.level + 1)
 
 
-def barycentric_coordinates(mesh, triangle, x):
-    """Barycentric coordinates of point ``x`` in the given triangle."""
-    p = mesh.vertices[mesh.triangles[triangle]]
-    t = np.array(
-        [
-            [p[0, 0] - p[2, 0], p[1, 0] - p[2, 0]],
-            [p[0, 1] - p[2, 1], p[1, 1] - p[2, 1]],
-        ]
-    )
-    lam01 = np.linalg.solve(t, np.asarray(x, dtype=float) - p[2])
-    return np.array([lam01[0], lam01[1], 1.0 - lam01[0] - lam01[1]])
-
-
 def locate_point(mesh, x, tol=BARYCENTRIC_TOL):
     """Find a triangle containing ``x``.
 

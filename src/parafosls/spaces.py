@@ -6,11 +6,16 @@ flux variable lives in the lowest-order Raviart-Thomas space (one DOF
 per edge, the constant normal component with respect to the global
 edge orientation). Both spaces share one global index range: u-DOFs
 first, then sigma-DOFs.
+
+The module also holds the vectorized geometry all assemblers share:
+quadrature weights and points, RT0 values, the P1_0 vertex gather and
+the scatters to global arrays, which drop the -1 boundary indices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import locate_point
 
@@ -104,6 +109,47 @@ def element_geometry(mesh):
     rt_coef = scale / (2.0 * areas[:, None])
     rt_divs = scale / areas[:, None]
     return verts, areas, p1_grads, rt_coef, rt_divs
+
+
+def quadrature_weights(rule, areas):
+    """Physical weights wj = w_q 2|T| of a rule, (T, Q)."""
+    return rule.weights[None, :] * (2.0 * areas[:, None])
+
+
+def quadrature_points(rule, verts):
+    """Physical points of a rule on every triangle, (T, Q, 2)."""
+    return np.einsum("qi,eix->eqx", rule.points, verts)
+
+
+def rt0_values(rt_coef, verts, points):
+    """RT0 basis vectors c_i (x - p_i) at per-triangle points, (T, Q, 3, 2)."""
+    return rt_coef[:, None, :, None] * (points[:, :, None, :] - verts[:, None, :, :])
+
+
+def p1_vertex_values(u_coeffs, mesh, dofmap):
+    """(T, 3) vertex values of a P1_0 coefficient vector, zero on the boundary."""
+    padded = np.append(np.asarray(u_coeffs, dtype=float), 0.0)  # index -1 reads the 0
+    return padded[dofmap.u_dof_of_vertex[mesh.triangles]]
+
+
+def scatter_matrix(local, rows, cols, shape):
+    """Sum element entries into a CSR matrix of the given shape.
+
+    ``rows`` and ``cols`` broadcast to ``local.shape``; entries with a
+    negative (boundary) row or column index are dropped.
+    """
+    rows = np.broadcast_to(rows, local.shape)
+    cols = np.broadcast_to(cols, local.shape)
+    mask = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((local[mask], (rows[mask], cols[mask])), shape=shape).tocsr()
+
+
+def scatter_vector(local, dofs, size):
+    """Sum element entries into a vector; negative indices are dropped."""
+    out = np.zeros(size)
+    mask = dofs >= 0
+    np.add.at(out, dofs[mask], local[mask])
+    return out
 
 
 def eval_local_basis(mesh, triangle, barycentric):

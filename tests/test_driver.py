@@ -43,11 +43,6 @@ def test_run_experiment_names_failing_level():
         run_experiment(cfg)
 
 
-def test_parallel_run_names_failing_level():
-    with pytest.raises(RuntimeError, match="failed at level 0"):
-        run_experiment(tiny_config(final_time=0.13, parallel=True))
-
-
 def test_run_experiment_reports_mesh_failure(monkeypatch):
     def broken_hierarchy(max_level):
         raise MemoryError("mesh too large")
@@ -92,13 +87,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_parallel_matches_sequential(tmp_path):
-    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    run_experiment(tiny_config(output_path=str(seq)))
-    run_experiment(tiny_config(output_path=str(par), parallel=True))
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_plot_data_files(tmp_path):
     out = tmp_path / "study.csv"
     run_experiment(tiny_config(output_path=str(out), plot_data=True, max_level=1))
@@ -127,8 +115,9 @@ def test_cli_run_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     printed = capsys.readouterr().out
-    assert "level,h,k,dofs" in printed
-    assert out.exists()
+    csv_block = printed.split("\n\n", 1)[0] + "\n"
+    assert csv_block.startswith("level,h,k,dofs")
+    assert csv_block == out.read_text()
 
 
 def test_cli_config_file_and_flag_override(tmp_path):
@@ -144,6 +133,18 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert code == 0
     lines = (tmp_path / "file.csv").read_text().splitlines()
     assert len(lines) == 3  # header + levels 0..1, flag beats the file
+
+
+@pytest.mark.parametrize("line", ["max-levle = 1", "parallel = yes"])
+def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
+    config_file = tmp_path / "settings.cfg"
+    config_file.write_text(f"coupling = h\n{line}\n")
+    code = main(["run", "--config", str(config_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    key = line.split(" =")[0].replace("-", "_")
+    assert f"error: unknown config key '{key}'" in err
+    assert "accepted: variant, coupling, max_level" in err
 
 
 def test_cli_rejects_bad_final_time(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parafosls.analysis import decaying_sine_problem
 from parafosls.evolution import TimePartition, backward_euler_run, l2_project_initial
 from parafosls.forms import (
     CoefficientError,
@@ -17,7 +18,7 @@ from parafosls.forms import (
 )
 from parafosls.solver import FactorHandle
 
-from oracles import dense_rhs, dense_total_matrix
+from oracles import _residuals, dense_rhs, dense_total_matrix
 
 CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
 HEAT = Coefficients.constant()
@@ -165,6 +166,22 @@ def test_total_matrix_variable_coefficients_oracle(mesh_chain, dofmaps):
     fast = FormAssembler(m, dm, coeffs, 0.01, "primary").total_matrix().toarray()
     slow = dense_total_matrix(m, dm, coeffs, 0.01, "primary")
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("variant", list(ProblemVariant))
+def test_exact_residuals_match_oracle(mesh_chain, dofmaps, variant):
+    """r and d of an exact field at every data point, against eigh roots."""
+    m, dm = mesh_chain[1], dofmaps[1]
+    coeffs = variable_coefficients()
+    fields = decaying_sine_problem(variant).fields_at(0.05)
+    tables = FormAssembler(m, dm, coeffs, 0.01, variant).data_tables
+    r, d = tables.exact_residuals(*fields)
+    for e, q in np.ndindex(tables.x.shape):
+        x, y = tables.x[e, q], tables.y[e, q]
+        values = [np.asarray(fn(x, y), dtype=float) for fn in fields]
+        r_ref, d_ref = _residuals(coeffs, variant, x, y, *values)
+        np.testing.assert_allclose(r[e, q], r_ref, rtol=1e-12)
+        np.testing.assert_allclose(d[e, q], d_ref, rtol=1e-12)
 
 
 def test_decoupled_u_block_is_galerkin_operator(mesh_chain, dofmaps):
