@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import Coefficients, ProblemVariant
+from .forms import DATA_DEGREE, Coefficients, ProblemVariant
 from .quadrature import triangle_rule
 from .spaces import (
     element_geometry,
@@ -148,7 +148,7 @@ class ErrorReport:
 
 
 def field_error_norms(
-    u, grad_u, sigma, div_sigma, u_coeffs, sigma_coeffs, mesh, dofmap, degree=6
+    u, grad_u, sigma, div_sigma, u_coeffs, sigma_coeffs, mesh, dofmap
 ):
     """L2 distances between analytic fields and a discrete pair.
 
@@ -156,7 +156,7 @@ def field_error_norms(
     fields are (x, y) callables; the discrete pair is given by its
     coefficient vectors (sigma may be None, meaning zero).
     """
-    rule = triangle_rule(degree)
+    rule = triangle_rule(DATA_DEGREE)
     verts, areas, p1_grads, rt_coef, rt_divs = element_geometry(mesh)
     wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
     x, y = pts[..., 0], pts[..., 1]

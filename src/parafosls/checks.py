@@ -28,6 +28,7 @@ from .quadrature import triangle_rule
 from .spaces import build_dof_map, eval_fields_on_triangle
 
 _CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
+_ONE_STEP = 0.1
 
 
 @dataclass
@@ -81,18 +82,18 @@ def _level(level):
 
 
 def _one_step(mesh, dofmap):
-    """One primary-variant step of size 0.1 from the projected initial data.
+    """One primary-variant step of size _ONE_STEP from the projected initial data.
 
-    Returns the assembler of that step, the source at the new time, the
-    initial coefficients and the computed state.
+    Returns the assembler of the problem, the source at the new time,
+    the initial coefficients and the computed state.
     """
     problem = decaying_sine_problem(ProblemVariant.PRIMARY)
     init = l2_project_initial(lambda x, y: problem.u(0.0, x, y), mesh, dofmap)
     step = backward_euler_run(
-        problem, TimePartition.uniform(0.1, 1), mesh, dofmap, initial=init
+        problem, TimePartition.uniform(_ONE_STEP, 1), mesh, dofmap, initial=init
     )[-1]
-    asm = FormAssembler(mesh, dofmap, problem.coeffs, 0.1, problem.variant)
-    g = lambda x, y: problem.f(0.1, x, y)
+    asm = FormAssembler(mesh, dofmap, problem.coeffs, problem.variant)
+    g = lambda x, y: problem.f(_ONE_STEP, x, y)
     return asm, g, init, step
 
 
@@ -124,8 +125,9 @@ def check_quadrature(seed, solver_tol):
 def check_total_form_spd(seed, solver_tol):
     mesh, dofmap = _level(2)
     for variant in ProblemVariant:
+        asm = FormAssembler(mesh, dofmap, _CONVECTION, variant)
         for k in (0.1, 1e-3, 1e-6):
-            dense = FormAssembler(mesh, dofmap, _CONVECTION, k, variant).total_matrix().toarray()
+            dense = asm.total_matrix(k).toarray()
             asym = np.abs(dense - dense.T).max() / np.abs(dense).max()
             if asym > 1e-12:
                 return False, f"{variant.value}, k={k}: asymmetry {asym:.2e}"
@@ -140,9 +142,9 @@ def check_coercivity(seed, solver_tol):
     """Sampled coercivity of the non-symmetric form in the natural norm."""
     mesh, dofmap = _level(2)
     rng = np.random.default_rng(seed)
-    asm = FormAssembler(mesh, dofmap, _CONVECTION, 0.01, ProblemVariant.PRIMARY)
-    B = asm.nonsymmetric_matrix()
-    G = asm.natural_gram()
+    asm = FormAssembler(mesh, dofmap, _CONVECTION, ProblemVariant.PRIMARY)
+    B = asm.nonsymmetric_matrix(0.01)
+    G = asm.natural_gram(0.01)
     quotients = []
     for _ in range(100):
         v = rng.standard_normal(dofmap.total)
@@ -201,12 +203,12 @@ def check_minimizer(seed, solver_tol):
     """The computed step beats random competitors in the functional."""
     mesh, dofmap = _level(2)
     asm, g, init, step = _one_step(mesh, dofmap)
-    j_opt = asm.lsq_functional(step.u_coeffs, step.sigma_coeffs, g=g, w=init)
+    j_opt = asm.lsq_functional(_ONE_STEP, step.u_coeffs, step.sigma_coeffs, g=g, w=init)
     detail = f"optimal value {j_opt:.6e}"
     rng = np.random.default_rng(seed)
     for _ in range(20):
         v = rng.standard_normal(dofmap.total)
-        j_other = asm.lsq_functional(v[:dofmap.n_u], v[dofmap.n_u:], g=g, w=init)
+        j_other = asm.lsq_functional(_ONE_STEP, v[:dofmap.n_u], v[dofmap.n_u:], g=g, w=init)
         if j_opt > j_other * (1.0 + 1e-12):
             return False, detail
     return True, detail
@@ -245,9 +247,9 @@ def check_projection_rates(seed, solver_tol):
 def check_variational_residual(seed, solver_tol):
     """The computed step satisfies its own variational equations."""
     asm, g, init, step = _one_step(*_level(2))
-    rhs = asm.load_vector(f=g, w=init)
+    rhs = asm.load_vector(_ONE_STEP, f=g, w=init)
     full = np.concatenate([step.u_coeffs, step.sigma_coeffs])
-    resid = np.abs(asm.total_matrix() @ full - rhs).max()
+    resid = np.abs(asm.total_matrix(_ONE_STEP) @ full - rhs).max()
     scale = max(np.abs(rhs).max(), 1.0)
     return resid <= 1e-8 * scale, f"max residual {resid:.2e}"
 

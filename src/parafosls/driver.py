@@ -14,6 +14,7 @@ Two subcommands are exposed:
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,8 +56,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown coupling {self.coupling!r} (use 'h' or 'h2')")
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
-        if self.final_time <= 0.0 or self.k0 <= 0.0:
-            raise ValueError("final_time and k0 must be positive")
+        for name in ("final_time", "k0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def step_size(self, level):
         """Time step at a level: k0 halves (h) or quarters (h2) per level."""

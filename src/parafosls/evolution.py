@@ -16,6 +16,7 @@ import numpy as np
 
 from . import solver
 from .forms import (
+    DATA_DEGREE,
     FormAssembler,
     assemble_p1_load,
     assemble_p1_mass,
@@ -55,8 +56,10 @@ class TimePartition:
         object.__setattr__(self, "steps", steps)
         if steps.ndim != 1 or steps.size == 0:
             raise ValueError("need at least one time step")
-        if np.any(steps <= 0.0):
-            raise ValueError("all time steps must be positive")
+        bad = ~(np.isfinite(steps) & (steps > 0.0))
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise ValueError(f"time step {n + 1} = {steps[n]} is not positive and finite")
 
     @classmethod
     def uniform(cls, final_time, num_steps):
@@ -67,7 +70,7 @@ class TimePartition:
     @classmethod
     def from_steps(cls, steps, final_time=None):
         part = cls(steps=np.asarray(steps, dtype=float))
-        if final_time is not None and abs(part.final_time - final_time) > _PARTITION_TOL:
+        if final_time is not None and not abs(part.final_time - final_time) <= _PARTITION_TOL:
             raise ValueError(
                 f"steps sum to {part.final_time}, expected {final_time}"
             )
@@ -146,18 +149,17 @@ def backward_euler_run(
     # array per step fragments the heap, so that peak memory would climb
     # from run to run in a long-lived process.
     iterates = np.empty((len(steps), n_u))
-    assembler = None
+    assembler = FormAssembler(mesh, dofmap, coeffs, variant)
     handle = None
     current_k = None
     u_prev = initial
     last = len(steps)
     for n, k in enumerate(steps, start=1):
-        if assembler is None or not _same_step(k, current_k):
-            assembler = FormAssembler(mesh, dofmap, coeffs, k, variant)
-            handle = solver.SPDFactorHandle(assembler.total_matrix())
+        if handle is None or not _same_step(k, current_k):
+            handle = solver.SPDFactorHandle(assembler.total_matrix(k))
             current_k = k
         t_n = times[n]
-        rhs = assembler.load_vector(f=lambda x, y: f(t_n, x, y), w=u_prev)
+        rhs = assembler.load_vector(current_k, f=lambda x, y: f(t_n, x, y), w=u_prev)
         try:
             report = handle.solve(rhs, tol=solver_tol)
         except solver.SolverError as exc:
@@ -215,7 +217,7 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
     violation.
     """
     mass = assemble_p1_mass(mesh, dofmap)
-    rule = triangle_rule(6)
+    rule = triangle_rule(DATA_DEGREE)
     verts, areas, _, _, _ = element_geometry(mesh)
     wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
     x, y = pts[..., 0], pts[..., 1]

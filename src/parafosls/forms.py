@@ -35,6 +35,7 @@ fields prepend an axis of length 2, matrix fields prepend (2, 2).
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,8 @@ from .spaces import (
     scatter_matrix,
     scatter_vector,
 )
+
+MATRIX_DEGREE, DATA_DEGREE = 4, 6  # quadrature exactness: matrix terms, data terms
 
 
 class CoefficientError(ValueError):
@@ -160,6 +163,14 @@ class Coefficients:
             div_beta=_as_scalar_field(0.0),
             gamma=_as_scalar_field(gamma),
         )
+
+
+def _step(k):
+    """The step k as a float; raises unless it is positive and finite."""
+    k = float(k)
+    if not (np.isfinite(k) and k > 0.0):
+        raise ValueError(f"time step k must be positive and finite, got {k}")
+    return k
 
 
 def _slot_matvec(m, v):
@@ -297,21 +308,18 @@ class _RuleTables:
 
 
 class FormAssembler:
-    """Element-loop assembly of all forms for one mesh/coefficients/k.
+    """Element-loop assembly of all forms for one mesh and coefficients.
 
-    Matrix terms are integrated with a rule exact to ``matrix_degree``
-    (enough for constant coefficients at lowest order), data terms
-    (loads, functional values, exact-field products) with
-    ``data_degree``.
+    The element tables do not depend on the step k; every form takes k
+    as its first argument. Matrix terms are integrated exactly to degree
+    4 (enough for constant coefficients at lowest order), data terms
+    (loads, functional values, exact-field products) to degree 6.
     """
 
-    def __init__(self, mesh, dofmap, coeffs, k, variant, matrix_degree=4, data_degree=6):
-        if k <= 0.0:
-            raise ValueError(f"time step must be positive, got {k}")
+    def __init__(self, mesh, dofmap, coeffs, variant):
         self.mesh = mesh
         self.dofmap = dofmap
         self.coeffs = coeffs
-        self.k = float(k)
         self.variant = ProblemVariant(variant)
 
         (
@@ -330,25 +338,15 @@ class FormAssembler:
             ],
             axis=1,
         )
+        self._load_ops = None  # (k, operators): one pair at a time, ~20 MB at level 6
 
-        self._matrix_rule = triangle_rule(matrix_degree)
-        self._data_rule = triangle_rule(data_degree)
-        self._tables = {}
-        self._load_ops = None
-
-    def tables(self, rule):
-        key = id(rule)
-        if key not in self._tables:
-            self._tables[key] = _RuleTables(self, rule)
-        return self._tables[key]
-
-    @property
+    @cached_property
     def matrix_tables(self):
-        return self.tables(self._matrix_rule)
+        return _RuleTables(self, triangle_rule(MATRIX_DEGREE))
 
-    @property
+    @cached_property
     def data_tables(self):
-        return self.tables(self._data_rule)
+        return _RuleTables(self, triangle_rule(DATA_DEGREE))
 
     def _scatter_matrix(self, local):
         """Sum (nE, 6, m) element matrices into a global CSR matrix.
@@ -365,38 +363,28 @@ class FormAssembler:
             local, ld[:, :, None], ld[:, None, : local.shape[2]], (n, n_cols)
         )
 
-    def total_matrix(self):
+    def total_matrix(self, k):
         """Matrix of the full time-step form (symmetric positive definite)."""
+        k = _step(k)
         t = self.matrix_tables
         local = (
-            np.einsum("eq,eqi,eqj->eij", t.wj / self.k, t.u_tab, t.u_tab)
+            np.einsum("eq,eqi,eqj->eij", t.wj / k, t.u_tab, t.u_tab)
             + np.einsum("eq,eqi,eqj->eij", t.wj, t.r_tab, t.u_tab)
             + np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
-            + np.einsum("eq,eqi,eqj->eij", t.wj * self.k, t.r_tab, t.r_tab)
+            + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
             + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
         )
         return self._scatter_matrix(local)
 
-    def nonsymmetric_matrix(self):
+    def nonsymmetric_matrix(self, k):
         """Matrix of the spatial part <r(u), v> + k<r(u), r(v)> + <d(u), d(v)>."""
+        k = _step(k)
         t = self.matrix_tables
         local = (
             np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
-            + np.einsum("eq,eqi,eqj->eij", t.wj * self.k, t.r_tab, t.r_tab)
+            + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
             + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
         )
-        return self._scatter_matrix(local)
-
-    def coupling_matrix(self):
-        """Matrix of the lone coupling term <u, r(v)>."""
-        t = self.matrix_tables
-        local = np.einsum("eq,eqi,eqj->eij", t.wj, t.r_tab, t.u_tab)
-        return self._scatter_matrix(local)
-
-    def scaled_mass_matrix(self):
-        """Matrix of (1/k)<u, v> on the product space (only u-u entries)."""
-        t = self.matrix_tables
-        local = np.einsum("eq,eqi,eqj->eij", t.wj / self.k, t.u_tab, t.u_tab)
         return self._scatter_matrix(local)
 
     def _u_at_quadrature(self, tables, w):
@@ -408,17 +396,19 @@ class FormAssembler:
         local = p1_vertex_values(w, self.mesh, self.dofmap)
         return np.einsum("qi,ei->eq", tables.lam, local)
 
-    def _load_operators(self):
-        """Sparse operators of the load functional, built on first use.
+    def _load_operators(self, k):
+        """Sparse operators of the load functional for step k.
 
         ``to_tests`` maps values at the data points to the test
         functions (entries wj * (v/k + r(v)) scattered by
         ``local_dofs``); ``from_u`` = to_tests I, where I interpolates
-        u-coefficients to the data points.
+        u-coefficients to the data points. The pair is kept until a
+        call with another k replaces it.
         """
-        if self._load_ops is None:
+        if self._load_ops is None or self._load_ops[0] != k:
+            self._load_ops = None
             t = self.data_tables
-            test_factor = t.u_tab / self.k + t.r_tab  # v/k + r(v)
+            test_factor = t.u_tab / k + t.r_tab  # v/k + r(v)
             weighted = t.wj[:, :, None] * test_factor  # (nE, nQ, 6)
             points = np.arange(t.x.size).reshape(t.x.shape)
             to_tests = scatter_matrix(
@@ -428,8 +418,8 @@ class FormAssembler:
                 (self.dofmap.total, t.x.size),
             )
             from_u = self._scatter_matrix(np.einsum("eqi,qj->eij", weighted, t.lam))
-            self._load_ops = (to_tests, from_u)
-        return self._load_ops
+            self._load_ops = (k, (to_tests, from_u))
+        return self._load_ops[1]
 
     def _at_data_points(self, fn, name):
         """Values of a data callable at the data points."""
@@ -444,18 +434,20 @@ class FormAssembler:
                 "broadcasts to it"
             ) from None
 
-    def load_vector(self, f=None, w=None):
+    def load_vector(self, k, f=None, w=None):
         """Load of F(v; f, w) = <k f + w, v/k + r(v)>.
 
         f is a callable (x, y) -> array (data at the current time
         level) or None; w is a u-coefficient vector, a callable, or
-        None. The first call builds the sparse load operators, so each
-        later call costs one data evaluation and two sparse products.
+        None. The first call with a given k builds the sparse load
+        operators, so each later call with that k costs one data
+        evaluation and two sparse products.
         """
-        to_tests, from_u = self._load_operators()
+        k = _step(k)
+        to_tests, from_u = self._load_operators(k)
         load = np.zeros(self.dofmap.total)
         if f is not None:
-            load += self.k * (to_tests @ self._at_data_points(f, "source f").ravel())
+            load += k * (to_tests @ self._at_data_points(f, "source f").ravel())
         if callable(w):
             load += to_tests @ self._at_data_points(w, "previous-step datum w").ravel()
         elif w is not None:
@@ -471,8 +463,9 @@ class FormAssembler:
             ]
         return local
 
-    def lsq_functional(self, u_coeffs, sigma_coeffs, g=None, w=None):
+    def lsq_functional(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
         """Value of the least-squares functional at a discrete pair."""
+        k = _step(k)
         t = self.data_tables
         local = self._gather_local(u_coeffs, sigma_coeffs)
         u_vals = np.einsum("eqi,ei->eq", t.u_tab, local)
@@ -480,32 +473,34 @@ class FormAssembler:
         g_vals = np.einsum("eqix,ei->eqx", t.g_tab, local)
         w_vals = self._u_at_quadrature(t, w)
         data = np.zeros_like(u_vals) if g is None else self._at_data_points(g, "data g")
-        scalar_res = (u_vals - w_vals) / self.k + r_vals - data
+        scalar_res = (u_vals - w_vals) / k + r_vals - data
         value = np.sum(
-            t.wj * (self.k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals))
+            t.wj * (k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals))
         )
         return float(value)
 
-    def nonsymmetric_load_from_fields(self, u, grad_u, sigma, div_sigma):
+    def nonsymmetric_load_from_fields(self, k, u, grad_u, sigma, div_sigma):
         """Load b(exact pair, basis_i) for the elliptic projection."""
+        k = _step(k)
         t = self.data_tables
         r_ex, g_ex = t.exact_residuals(u, grad_u, sigma, div_sigma)
         local = (
             np.einsum("eq,eq,eqi->ei", t.wj, r_ex, t.u_tab)
-            + np.einsum("eq,eq,eqi->ei", t.wj * self.k, r_ex, t.r_tab)
+            + np.einsum("eq,eq,eqi->ei", t.wj * k, r_ex, t.r_tab)
             + np.einsum("eq,eqx,eqix->ei", t.wj, g_ex, t.g_tab)
         )
         return scatter_vector(local, self.local_dofs, self.dofmap.total)
 
-    def natural_gram(self):
+    def natural_gram(self, k):
         """Gram matrix of ||grad u||^2 + ||sigma||^2 + k ||div sigma||^2."""
+        k = _step(k)
         t = self.matrix_tables
         local = np.zeros((self.mesh.num_triangles, 6, 6))
         grads = np.ascontiguousarray(t.grads)  # the same summation order as a full table
         local[:, :3, :3] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
         local[:, 3:, 3:] = np.einsum(
             "eq,eqix,eqjx->eij", t.wj, t.rt_vals, t.rt_vals
-        ) + np.einsum("eq,ei,ej->eij", t.wj * self.k, self.rt_divs, self.rt_divs)
+        ) + np.einsum("eq,ei,ej->eij", t.wj * k, self.rt_divs, self.rt_divs)
         return self._scatter_matrix(local)
 
 
@@ -513,9 +508,9 @@ class FormAssembler:
 # projection and the reference scheme for the decoupled case.
 
 
-def assemble_p1_mass(mesh, dofmap, degree=4):
+def assemble_p1_mass(mesh, dofmap):
     """Mass matrix <u, v> on the interior-vertex P1 space."""
-    rule = triangle_rule(degree)
+    rule = triangle_rule(MATRIX_DEGREE)
     _, areas, _, _, _ = element_geometry(mesh)
     wj = quadrature_weights(rule, areas)
     local = np.einsum("eq,qi,qj->eij", wj, rule.points, rule.points)
@@ -523,9 +518,9 @@ def assemble_p1_mass(mesh, dofmap, degree=4):
     return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)
 
 
-def assemble_p1_load(mesh, dofmap, fn, degree=6):
+def assemble_p1_load(mesh, dofmap, fn):
     """Load vector <f, v> on the interior-vertex P1 space."""
-    rule = triangle_rule(degree)
+    rule = triangle_rule(DATA_DEGREE)
     verts, areas, _, _, _ = element_geometry(mesh)
     wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
     vals = np.broadcast_to(fn(pts[..., 0], pts[..., 1]), pts.shape[:2])
@@ -533,10 +528,10 @@ def assemble_p1_load(mesh, dofmap, fn, degree=6):
     return scatter_vector(local, dofmap.u_dof_of_vertex[mesh.triangles], dofmap.n_u)
 
 
-def assemble_p1_stiffness(mesh, dofmap, degree=4):
+def assemble_p1_stiffness(mesh, dofmap):
     """Stiffness matrix <grad u, grad v> on the interior-vertex P1 space."""
     _, areas, grads, _, _ = element_geometry(mesh)
-    wj = quadrature_weights(triangle_rule(degree), areas)
+    wj = quadrature_weights(triangle_rule(MATRIX_DEGREE), areas)
     local = np.einsum("eq,eix,ejx->eij", wj, grads, grads)
     dofs = dofmap.u_dof_of_vertex[mesh.triangles]
     return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)

@@ -87,10 +87,6 @@ class Mesh:
         """Largest element diameter h."""
         return float(self.triangle_diameters().max())
 
-    def edge_lengths(self):
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.linalg.norm(d, axis=1)
-
 
 def _connect(vertices, triangles, level):
     """Derive edge connectivity and build a validated Mesh."""

@@ -56,9 +56,9 @@ def elliptic_project(
     -------
     ProjectionResult
     """
-    asm = FormAssembler(mesh, dofmap, coeffs, k, variant)
-    matrix = asm.nonsymmetric_matrix()
-    load = asm.nonsymmetric_load_from_fields(u, grad_u, sigma, div_sigma)
+    asm = FormAssembler(mesh, dofmap, coeffs, variant)
+    matrix = asm.nonsymmetric_matrix(k)
+    load = asm.nonsymmetric_load_from_fields(k, u, grad_u, sigma, div_sigma)
     report = solver.FactorHandle(matrix).solve(load, tol=solver_tol)
     n_u = dofmap.n_u
     return ProjectionResult(

@@ -36,13 +36,12 @@ class SolveReport:
     """Solution vector plus the achieved relative residual.
 
     ``iterations`` counts refinement sweeps (0 when the factorization
-    alone met the tolerance); ``method`` names the algorithm.
+    alone met the tolerance).
     """
 
     solution: np.ndarray
     relative_residual: float
     iterations: int
-    method: str
 
 
 class FactorHandle:
@@ -71,14 +70,14 @@ class FactorHandle:
         norm_b = np.linalg.norm(b)
         x = self.lu.solve(b)
         if norm_b == 0.0:
-            return SolveReport(x, 0.0, 0, "sparse-lu")
+            return SolveReport(x, 0.0, 0)
         best = np.inf
         for sweep in range(_MAX_REFINEMENTS + 1):
             residual = b - self.matrix @ x
             rel = np.linalg.norm(residual) / norm_b
             best = min(best, rel)
             if rel <= tol:
-                return SolveReport(x, rel, sweep, "sparse-lu")
+                return SolveReport(x, rel, sweep)
             x = x + self.lu.solve(residual)
         raise SolverError(
             f"residual {best:.3e} above tolerance {tol:.3e} "

@@ -54,8 +54,12 @@ def _residuals(coeffs, variant, x, y, value, grad, sigma, div):
     return r, d
 
 
-def dense_total_matrix(mesh, dofmap, coeffs, k, variant, degree=4):
-    """Dense matrix of the time-step form by explicit loops."""
+def _dense_form(mesh, dofmap, coeffs, variant, term, degree=4):
+    """Dense matrix of a bilinear form by explicit loops.
+
+    ``term(test, trial)`` is the integrand for one pair of local basis
+    functions, each given as (value, r, d); row i holds test function i.
+    """
     rule = triangle_rule(degree)
     n = dofmap.total
     out = np.zeros((n, n))
@@ -72,21 +76,34 @@ def dense_total_matrix(mesh, dofmap, coeffs, k, variant, degree=4):
                 (f[0], *_residuals(coeffs, variant, xq[0], xq[1], *f))
                 for f in fields
             ]
-            for i, (ui, ri, di) in enumerate(evals):
+            for i, test in enumerate(evals):
                 if dofs[i] < 0:
                     continue
-                for j, (uj, rj, dj) in enumerate(evals):
+                for j, trial in enumerate(evals):
                     if dofs[j] < 0:
                         continue
-                    val = (
-                        ui * uj / k
-                        + uj * ri
-                        + rj * ui
-                        + k * rj * ri
-                        + dj @ di
-                    )
-                    out[dofs[i], dofs[j]] += wq * val
+                    out[dofs[i], dofs[j]] += wq * term(test, trial)
     return out
+
+
+def _coupling(test, trial):
+    """Integrand of the coupling term <u, r(v)>."""
+    return trial[0] * test[1]
+
+
+def dense_total_matrix(mesh, dofmap, coeffs, k, variant, degree=4):
+    """Dense matrix of the time-step form by explicit loops."""
+
+    def term(test, trial):
+        (ui, ri, di), (uj, rj, dj) = test, trial
+        return ui * uj / k + _coupling(test, trial) + rj * ui + k * rj * ri + dj @ di
+
+    return _dense_form(mesh, dofmap, coeffs, variant, term, degree)
+
+
+def dense_coupling_matrix(mesh, dofmap, coeffs, variant, degree=4):
+    """Dense matrix of the lone coupling term <u, r(v)> by explicit loops."""
+    return _dense_form(mesh, dofmap, coeffs, variant, _coupling, degree)
 
 
 def dense_rhs(mesh, dofmap, coeffs, k, variant, f=None, w=None, degree=6):

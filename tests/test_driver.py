@@ -60,6 +60,11 @@ def test_config_validation():
         tiny_config(max_level=-1)
     with pytest.raises(ValueError):
         tiny_config(k0=-0.1)
+    for name in ("final_time", "k0"):
+        for bad in (float("nan"), float("inf")):
+            message = f"{name} must be positive and finite, got {bad}"
+            with pytest.raises(ValueError, match=message):
+                tiny_config(**{name: bad})
 
 
 def test_default_max_levels():
@@ -153,6 +158,11 @@ def test_cli_rejects_bad_final_time(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_k0(capsys):
+    assert main(["run", "--k0", "nan"]) == 1
+    assert "error: k0 must be positive and finite, got nan" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_variant():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parafosls import solver
+from parafosls import forms, solver
 from parafosls.analysis import decaying_sine_problem
 from parafosls.evolution import (
     TimePartition,
@@ -26,6 +26,13 @@ def test_partition_validation():
         TimePartition(steps=np.array([0.1, -0.05]))
     with pytest.raises(ValueError):
         TimePartition.from_steps([0.05, 0.04], final_time=0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"time step 2 = {bad} is not positive"):
+            TimePartition.from_steps([0.05, bad])
+        with pytest.raises(ValueError):
+            TimePartition.from_steps([0.05, 0.05], final_time=bad)
+    with pytest.raises(ValueError, match="time step 1 = nan"):
+        TimePartition.uniform(np.nan, 4)
     part = TimePartition.from_steps([0.04, 0.03, 0.03], final_time=0.1)
     assert not part.constant
     assert np.isclose(part.final_time, 0.1)
@@ -168,12 +175,22 @@ def test_stability_bound_on_benchmark(mesh_chain, dofmaps, variant):
     assert np.all(lhs <= rhs * (1 + 1e-10))
 
 
-def test_variable_step_run(mesh_chain, dofmaps):
+def test_variable_step_run(mesh_chain, dofmaps, monkeypatch):
+    """Two distinct steps share one set of element tables per rule."""
     m, dm = mesh_chain[1], dofmaps[1]
     problem = decaying_sine_problem("primary")
     part = TimePartition.from_steps([0.04, 0.03, 0.03], final_time=0.1)
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
+    built = []
+    build = forms._RuleTables.__init__
+
+    def counting(tables, asm, rule):
+        built.append(rule.exactness_degree)
+        build(tables, asm, rule)
+
+    monkeypatch.setattr(forms._RuleTables, "__init__", counting)
     states = backward_euler_run(problem, part, m, dm, initial=initial)
+    assert sorted(built) == [forms.MATRIX_DEGREE, forms.DATA_DEGREE]
     assert len(states) == 4
     assert np.isclose(states[-1].time, 0.1)
     check_stability_bound(states, problem.f, part, m, dm)

@@ -18,7 +18,7 @@ from parafosls.forms import (
 )
 from parafosls.solver import FactorHandle
 
-from oracles import _residuals, dense_rhs, dense_total_matrix
+from oracles import _residuals, dense_coupling_matrix, dense_rhs, dense_total_matrix
 
 CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
 HEAT = Coefficients.constant()
@@ -51,8 +51,8 @@ def variable_coefficients():
 @pytest.mark.parametrize("variant", list(ProblemVariant))
 @pytest.mark.parametrize("k", [0.1, 1e-3, 1e-6])
 def test_total_form_symmetric_and_spd(mesh_chain, dofmaps, variant, k):
-    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, k, variant)
-    matrix = asm.total_matrix().toarray()
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, variant)
+    matrix = asm.total_matrix(k).toarray()
     assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
     np.linalg.cholesky(matrix)  # raises if not SPD
 
@@ -97,8 +97,8 @@ def test_total_form_spd_for_admissible_constant_coefficients(
     coeffs = Coefficients.constant(
         A=_rotated_diffusion(angle, lam1, lam2), beta=beta, gamma=gamma
     )
-    asm = FormAssembler(mesh_chain[level], dofmaps[level], coeffs, 10.0**log_k, variant)
-    matrix = asm.total_matrix().toarray()
+    asm = FormAssembler(mesh_chain[level], dofmaps[level], coeffs, variant)
+    matrix = asm.total_matrix(10.0**log_k).toarray()
     assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
     np.linalg.cholesky(matrix)  # raises if not SPD
 
@@ -138,8 +138,8 @@ def test_total_form_spd_for_admissible_variable_coefficients(
         A=A, beta=beta_field, div_beta=div_beta,
         gamma=lambda x, y: gamma + 0.5 * np.abs(div_beta(x, y)),
     )
-    asm = FormAssembler(mesh_chain[level], dofmaps[level], coeffs, 10.0**log_k, variant)
-    matrix = asm.total_matrix().toarray()
+    asm = FormAssembler(mesh_chain[level], dofmaps[level], coeffs, variant)
+    matrix = asm.total_matrix(10.0**log_k).toarray()
     assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
     np.linalg.cholesky(matrix)  # raises if not SPD
 
@@ -149,13 +149,13 @@ def test_total_form_spd_for_admissible_variable_coefficients(
 def test_negative_reaction_rejected(mesh_chain, dofmaps, gamma, beta):
     coeffs = Coefficients.constant(beta=beta, gamma=gamma)
     with pytest.raises(CoefficientError, match=r"0.5 div\(beta\) \+ gamma"):
-        FormAssembler(mesh_chain[0], dofmaps[0], coeffs, 0.1, "primary").total_matrix()
+        FormAssembler(mesh_chain[0], dofmaps[0], coeffs, "primary").total_matrix(0.1)
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
 def test_total_matrix_matches_dense_oracle(mesh_chain, dofmaps, variant):
     m, dm = mesh_chain[1], dofmaps[1]
-    fast = FormAssembler(m, dm, CONVECTION, 0.05, variant).total_matrix().toarray()
+    fast = FormAssembler(m, dm, CONVECTION, variant).total_matrix(0.05).toarray()
     slow = dense_total_matrix(m, dm, CONVECTION, 0.05, variant)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-13)
 
@@ -163,7 +163,7 @@ def test_total_matrix_matches_dense_oracle(mesh_chain, dofmaps, variant):
 def test_total_matrix_variable_coefficients_oracle(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
     coeffs = variable_coefficients()
-    fast = FormAssembler(m, dm, coeffs, 0.01, "primary").total_matrix().toarray()
+    fast = FormAssembler(m, dm, coeffs, "primary").total_matrix(0.01).toarray()
     slow = dense_total_matrix(m, dm, coeffs, 0.01, "primary")
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-13)
 
@@ -174,7 +174,7 @@ def test_exact_residuals_match_oracle(mesh_chain, dofmaps, variant):
     m, dm = mesh_chain[1], dofmaps[1]
     coeffs = variable_coefficients()
     fields = decaying_sine_problem(variant).fields_at(0.05)
-    tables = FormAssembler(m, dm, coeffs, 0.01, variant).data_tables
+    tables = FormAssembler(m, dm, coeffs, variant).data_tables
     r, d = tables.exact_residuals(*fields)
     for e, q in np.ndindex(tables.x.shape):
         x, y = tables.x[e, q], tables.y[e, q]
@@ -189,7 +189,7 @@ def test_decoupled_u_block_is_galerkin_operator(mesh_chain, dofmaps):
     (1/k) mass + stiffness and the scalar-flux coupling cancels globally."""
     m, dm = mesh_chain[0], dofmaps[0]
     k = 0.05
-    total = FormAssembler(m, dm, HEAT, k, "primary").total_matrix().toarray()
+    total = FormAssembler(m, dm, HEAT, "primary").total_matrix(k).toarray()
     n_u = dm.n_u
 
     # frozen oracle values for the single interior hat function:
@@ -207,31 +207,31 @@ def test_decoupled_u_block_is_galerkin_operator(mesh_chain, dofmaps):
 
 def test_nonsymmetric_form_is_nonsymmetric_with_convection(mesh_chain, dofmaps):
     matrix = FormAssembler(
-        mesh_chain[1], dofmaps[1], CONVECTION, 0.05, "primary"
-    ).nonsymmetric_matrix().toarray()
+        mesh_chain[1], dofmaps[1], CONVECTION, "primary"
+    ).nonsymmetric_matrix(0.05).toarray()
     assert np.abs(matrix - matrix.T).max() > 1e-8
 
 
 def test_form_decomposition(mesh_chain, dofmaps):
-    """total = (1/k) mass + coupling + nonsym, entrywise."""
+    """total = (1/k) mass + coupling + nonsym, entrywise; the mass is the P1
+    mass matrix in the u-u block, the coupling <u, r(v)> the loop oracle's."""
     m, dm = mesh_chain[1], dofmaps[1]
+    k = 0.02
     for variant in ProblemVariant:
-        asm = FormAssembler(m, dm, CONVECTION, 0.02, variant)
-        total = asm.total_matrix().toarray()
-        parts = (
-            asm.scaled_mass_matrix().toarray()
-            + asm.coupling_matrix().toarray()
-            + asm.nonsymmetric_matrix().toarray()
-        )
+        asm = FormAssembler(m, dm, CONVECTION, variant)
+        total = asm.total_matrix(k).toarray()
+        parts = dense_coupling_matrix(m, dm, CONVECTION, variant)
+        parts[: dm.n_u, : dm.n_u] += assemble_p1_mass(m, dm).toarray() / k
+        parts += asm.nonsymmetric_matrix(k).toarray()
         assert np.abs(total - parts).max() <= 1e-12 * np.abs(total).max()
 
 
 def test_nonsymmetric_dominates_half_spatial_form(mesh_chain, dofmaps, rng):
     """b(v, v) >= a(v, v) / 2 for the spatial form a = coupling + b."""
     m, dm = mesh_chain[1], dofmaps[1]
-    asm = FormAssembler(m, dm, CONVECTION, 0.05, "primary")
-    B = asm.nonsymmetric_matrix()
-    A_sp = asm.coupling_matrix() + B
+    asm = FormAssembler(m, dm, CONVECTION, "primary")
+    B = asm.nonsymmetric_matrix(0.05).toarray()
+    A_sp = dense_coupling_matrix(m, dm, CONVECTION, "primary") + B
     for _ in range(50):
         v = rng.standard_normal(dm.total)
         bv = float(v @ (B @ v))
@@ -242,9 +242,9 @@ def test_nonsymmetric_dominates_half_spatial_form(mesh_chain, dofmaps, rng):
 
 def test_nonsymmetric_coercive_in_natural_norm(mesh_chain, dofmaps, rng):
     m, dm = mesh_chain[2], dofmaps[2]
-    asm = FormAssembler(m, dm, CONVECTION, 0.01, "primary")
-    B = asm.nonsymmetric_matrix()
-    G = asm.natural_gram()
+    asm = FormAssembler(m, dm, CONVECTION, "primary")
+    B = asm.nonsymmetric_matrix(0.01)
+    G = asm.natural_gram(0.01)
     quotients = [
         float(v @ (B @ v)) / float(v @ (G @ v))
         for v in rng.standard_normal((100, dm.total))
@@ -252,9 +252,27 @@ def test_nonsymmetric_coercive_in_natural_norm(mesh_chain, dofmaps, rng):
     assert min(quotients) > 0.0
 
 
+@pytest.mark.parametrize("k", [0.0, -0.1, np.nan, np.inf])
+def test_step_must_be_positive_and_finite(mesh_chain, dofmaps, k):
+    """Every form rejects a bad k before it builds any table."""
+    m, dm = mesh_chain[0], dofmaps[0]
+    asm = FormAssembler(m, dm, CONVECTION, "primary")
+    zeros = np.zeros(dm.n_u), np.zeros(dm.n_sigma)
+    fields = decaying_sine_problem("primary").fields_at(0.0)
+    calls = (
+        asm.total_matrix, asm.nonsymmetric_matrix, asm.natural_gram, asm.load_vector,
+        lambda k: asm.lsq_functional(k, *zeros),
+        lambda k: asm.nonsymmetric_load_from_fields(k, *fields),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"k must be positive and finite, got {k}"):
+            call(k)
+    assert "matrix_tables" not in vars(asm) and "data_tables" not in vars(asm)
+
+
 def test_rhs_zero_data(mesh_chain, dofmaps):
-    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, 0.1, "primary")
-    rhs = asm.load_vector(f=None, w=None)
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, "primary")
+    rhs = asm.load_vector(0.1, f=None, w=None)
     assert np.allclose(rhs, 0.0)
 
 
@@ -266,7 +284,7 @@ def test_rhs_matches_dense_oracle(mesh_chain, dofmaps, variant, rng):
     def f(x, y):
         return np.sin(np.pi * x) * np.cos(y)
 
-    fast = FormAssembler(m, dm, CONVECTION, 0.25, variant).load_vector(f=f, w=w)
+    fast = FormAssembler(m, dm, CONVECTION, variant).load_vector(0.25, f=f, w=w)
     slow = dense_rhs(m, dm, CONVECTION, 0.25, variant, f=f, w=w)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
@@ -288,17 +306,17 @@ def test_load_vector_matches_dense_oracle_level2(
         return np.sin(np.pi * x) * np.cos(y)
 
     f = f if with_f else None
-    asm = FormAssembler(m, dm, variable_coefficients(), 0.03, variant)
-    fast = asm.load_vector(f=f, w=w)
+    asm = FormAssembler(m, dm, variable_coefficients(), variant)
+    fast = asm.load_vector(0.03, f=f, w=w)
     slow = dense_rhs(m, dm, asm.coeffs, 0.03, variant, f=f, w=w)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12 * np.abs(slow).max())
 
 
 def test_source_of_wrong_shape_named(mesh_chain, dofmaps):
-    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, 0.1, "primary")
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, "primary")
     expected = str(asm.data_tables.x.shape)
     with pytest.raises(ValueError, match=r"source f .*shape \(5,\).*" + re.escape(expected)):
-        asm.load_vector(f=lambda x, y: np.zeros(5))
+        asm.load_vector(0.1, f=lambda x, y: np.zeros(5))
 
 
 def test_rhs_previous_step_scaling(mesh_chain, dofmaps):
@@ -307,7 +325,7 @@ def test_rhs_previous_step_scaling(mesh_chain, dofmaps):
     m, dm = mesh_chain[0], dofmaps[0]
     k = 0.125
     w = np.array([0.8])
-    rhs = FormAssembler(m, dm, HEAT, k, "primary").load_vector(f=None, w=w)
+    rhs = FormAssembler(m, dm, HEAT, "primary").load_vector(k, f=None, w=w)
     # single interior hat: <w, phi>/k = 0.8 * (1/6) / k
     assert np.isclose(rhs[0], 0.8 / 6.0 / k)
 
@@ -315,7 +333,7 @@ def test_rhs_previous_step_scaling(mesh_chain, dofmaps):
 def test_coefficient_condition_violation_names_point(mesh_chain, dofmaps):
     bad = Coefficients.constant(beta=(1.0, 1.0), gamma=-0.5)
     with pytest.raises(CoefficientError, match=r"0.5 div\(beta\) \+ gamma.*\("):
-        FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary").total_matrix()
+        FormAssembler(mesh_chain[0], dofmaps[0], bad, "primary").total_matrix(0.1)
 
 
 def test_indefinite_diffusion_rejected(mesh_chain, dofmaps):
@@ -326,11 +344,11 @@ def test_indefinite_diffusion_rejected(mesh_chain, dofmaps):
         )
     )
     with pytest.raises(CoefficientError):
-        FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary").total_matrix()
+        FormAssembler(mesh_chain[0], dofmaps[0], bad, "primary").total_matrix(0.1)
 
 
 def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps):
-    tables = FormAssembler(mesh_chain[1], dofmaps[1], HEAT, 0.1, "primary").matrix_tables
+    tables = FormAssembler(mesh_chain[1], dofmaps[1], HEAT, "primary").matrix_tables
     x0, y0 = tables.x[5, 2], tables.y[5, 2]
 
     def A(x, y):
@@ -338,10 +356,10 @@ def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps):
         out[1, 1] = np.where((x == x0) & (y == y0), -0.5, 1.0)
         return out
 
-    asm = FormAssembler(mesh_chain[1], dofmaps[1], _diffusion_only(A), 0.1, "primary")
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], _diffusion_only(A), "primary")
     point = re.escape(f"({x0:.6g}, {y0:.6g})")
     with pytest.raises(CoefficientError, match=point + r": lambda_min = -0\.5$"):
-        asm.total_matrix()
+        asm.total_matrix(0.1)
 
 
 def test_diffusion_singular_to_roundoff_rejected(mesh_chain, dofmaps):
@@ -349,21 +367,21 @@ def test_diffusion_singular_to_roundoff_rejected(mesh_chain, dofmaps):
     rounds to -3.6e-15, so the closed-form roots would be NaN."""
     b = -4.165905789897516
     bad = Coefficients.constant(A=((35.18625711319704, b), (b, 0.4932258351455212)))
-    asm = FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary")
+    asm = FormAssembler(mesh_chain[0], dofmaps[0], bad, "primary")
     with pytest.raises(CoefficientError, match=r"not positive definite at point \(.+\): lambda_min = 3\.55"):
-        asm.total_matrix()
+        asm.total_matrix(0.1)
 
 
 def test_nonsymmetric_diffusion_rejected(mesh_chain, dofmaps):
     """A symmetric-matrix root reads one triangle only, so it would take
     ((1, 5), (0, 1)) for the identity: the asymmetry must fail first."""
     bad = Coefficients.constant(A=((1.0, 5.0), (0.0, 1.0)))
-    asm = FormAssembler(mesh_chain[0], dofmaps[0], bad, 0.1, "primary")
+    asm = FormAssembler(mesh_chain[0], dofmaps[0], bad, "primary")
     with pytest.raises(CoefficientError, match=r"not symmetric at point \(.+\): \|A01 - A10\| = 5$"):
-        asm.total_matrix()
+        asm.total_matrix(0.1)
     # an asymmetry below the relative tolerance 1e-12 is roundoff
     nearly = Coefficients.constant(A=((2.0, 0.5), (0.5 + 1e-13, 2.0)))
-    FormAssembler(mesh_chain[0], dofmaps[0], nearly, 0.1, "primary").total_matrix()
+    FormAssembler(mesh_chain[0], dofmaps[0], nearly, "primary").total_matrix(0.1)
 
 
 def test_closed_form_roots_agree_with_eigh(rng):
@@ -399,8 +417,8 @@ def test_identity_diffusion_roots_are_exact():
 
 def test_lsq_functional_zero_state(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
-    asm = FormAssembler(m, dm, CONVECTION, 0.1, "primary")
-    value = asm.lsq_functional(np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=None, w=None)
+    asm = FormAssembler(m, dm, CONVECTION, "primary")
+    value = asm.lsq_functional(0.1, np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=None, w=None)
     assert value == 0.0
 
 
@@ -408,8 +426,8 @@ def test_lsq_functional_positive_off_zero(mesh_chain, dofmaps, rng):
     m, dm = mesh_chain[1], dofmaps[1]
     for variant in ProblemVariant:
         v = rng.standard_normal(dm.total)
-        asm = FormAssembler(m, dm, CONVECTION, 0.1, variant)
-        assert asm.lsq_functional(v[: dm.n_u], v[dm.n_u :], g=None, w=None) > 0.0
+        asm = FormAssembler(m, dm, CONVECTION, variant)
+        assert asm.lsq_functional(0.1, v[: dm.n_u], v[dm.n_u :], g=None, w=None) > 0.0
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
@@ -425,11 +443,11 @@ def test_solution_minimizes_functional(mesh_chain, dofmaps, variant, rng):
         problem, TimePartition.uniform(k, 1), m, dm, initial=initial
     )[-1]
     g = lambda x, y: problem.f(k, x, y)
-    asm = FormAssembler(m, dm, problem.coeffs, k, variant)
-    j_best = asm.lsq_functional(state.u_coeffs, state.sigma_coeffs, g=g, w=initial)
+    asm = FormAssembler(m, dm, problem.coeffs, variant)
+    j_best = asm.lsq_functional(k, state.u_coeffs, state.sigma_coeffs, g=g, w=initial)
     for _ in range(20):
         v = rng.standard_normal(dm.total)
-        j_other = asm.lsq_functional(v[: dm.n_u], v[dm.n_u :], g=g, w=initial)
+        j_other = asm.lsq_functional(k, v[: dm.n_u], v[dm.n_u :], g=g, w=initial)
         assert j_best <= j_other * (1.0 + 1e-12)
 
 
@@ -439,10 +457,10 @@ def test_variational_residual_of_solved_step(mesh_chain, dofmaps):
 
     m, dm = mesh_chain[2], dofmaps[2]
     problem = decaying_sine_problem("primary")
-    asm = FormAssembler(m, dm, problem.coeffs, 0.1, "primary")
-    matrix = asm.total_matrix()
+    asm = FormAssembler(m, dm, problem.coeffs, "primary")
+    matrix = asm.total_matrix(0.1)
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
-    rhs = asm.load_vector(f=lambda x, y: problem.f(0.1, x, y), w=initial)
+    rhs = asm.load_vector(0.1, f=lambda x, y: problem.f(0.1, x, y), w=initial)
     solution = FactorHandle(matrix).solve(rhs).solution
     residual = np.abs(matrix @ solution - rhs).max()
     assert residual <= 1e-10 * max(np.abs(rhs).max(), 1.0)
@@ -450,7 +468,7 @@ def test_variational_residual_of_solved_step(mesh_chain, dofmaps):
 
 def test_natural_gram_is_spd(mesh_chain, dofmaps):
     gram = FormAssembler(
-        mesh_chain[1], dofmaps[1], CONVECTION, 0.05, "primary"
-    ).natural_gram().toarray()
+        mesh_chain[1], dofmaps[1], CONVECTION, "primary"
+    ).natural_gram(0.05).toarray()
     assert np.allclose(gram, gram.T)
     np.linalg.cholesky(gram)

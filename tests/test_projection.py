@@ -57,8 +57,8 @@ def test_projection_identity_algebraic(mesh_chain, dofmaps, rng):
     """Same statement at the linear-algebra level: B c as data returns c."""
     m, dm = mesh_chain[2], dofmaps[2]
     problem = decaying_sine_problem("primary")
-    asm = FormAssembler(m, dm, problem.coeffs, 1e-3, "primary")
-    B = asm.nonsymmetric_matrix()
+    asm = FormAssembler(m, dm, problem.coeffs, "primary")
+    B = asm.nonsymmetric_matrix(1e-3)
     c = rng.standard_normal(dm.total)
     sol = FactorHandle(B).solve(B @ c).solution
     assert np.abs(sol - c).max() <= 1e-10 * max(1.0, np.abs(c).max())
@@ -72,11 +72,11 @@ def test_defining_equation_residual(mesh_chain, dofmaps, variant):
     fields = problem.fields_at(0.1)
     k = 0.01
     result = elliptic_project(*fields, m, dm, problem.coeffs, k, variant)
-    asm = FormAssembler(m, dm, problem.coeffs, k, variant)
-    lhs = asm.nonsymmetric_matrix() @ np.concatenate(
+    asm = FormAssembler(m, dm, problem.coeffs, variant)
+    lhs = asm.nonsymmetric_matrix(k) @ np.concatenate(
         [result.u_coeffs, result.sigma_coeffs]
     )
-    rhs = asm.nonsymmetric_load_from_fields(*fields)
+    rhs = asm.nonsymmetric_load_from_fields(k, *fields)
     scale = max(np.abs(rhs).max(), 1.0)
     assert np.abs(lhs - rhs).max() <= 1e-9 * scale
 

@@ -38,8 +38,8 @@ def test_small_nonsymmetric_system():
 def test_level0_system_matches_dense_oracle(mesh_chain, dofmaps):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
     matrix = FormAssembler(
-        mesh_chain[0], dofmaps[0], coeffs, 0.1, "primary"
-    ).total_matrix()
+        mesh_chain[0], dofmaps[0], coeffs, "primary"
+    ).total_matrix(0.1)
     b = np.arange(1.0, 10.0)
     x = solve_spd(matrix, b).solution
     oracle = np.linalg.solve(matrix.toarray(), b)
@@ -48,8 +48,8 @@ def test_level0_system_matches_dense_oracle(mesh_chain, dofmaps):
 
 def test_projection_system_matches_dense_oracle(mesh_chain, dofmaps, rng):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
-    asm = FormAssembler(mesh_chain[1], dofmaps[1], coeffs, 0.01, "primary")
-    matrix = asm.nonsymmetric_matrix()
+    asm = FormAssembler(mesh_chain[1], dofmaps[1], coeffs, "primary")
+    matrix = asm.nonsymmetric_matrix(0.01)
     b = rng.standard_normal(dofmaps[1].total)
     x = FactorHandle(matrix).solve(b).solution
     oracle = np.linalg.solve(matrix.toarray(), b)
@@ -59,8 +59,8 @@ def test_projection_system_matches_dense_oracle(mesh_chain, dofmaps, rng):
 def test_factor_reuse_matches_direct_solve(mesh_chain, dofmaps, rng):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
     matrix = FormAssembler(
-        mesh_chain[1], dofmaps[1], coeffs, 0.1, "primary"
-    ).total_matrix()
+        mesh_chain[1], dofmaps[1], coeffs, "primary"
+    ).total_matrix(0.1)
     handle = FactorHandle(matrix)
     b1 = rng.standard_normal(dofmaps[1].total)
     b2 = rng.standard_normal(dofmaps[1].total)
@@ -75,8 +75,8 @@ def test_factor_reuse_matches_direct_solve(mesh_chain, dofmaps, rng):
 def test_deterministic_solutions(mesh_chain, dofmaps):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
     matrix = FormAssembler(
-        mesh_chain[2], dofmaps[2], coeffs, 0.01, "primary"
-    ).total_matrix()
+        mesh_chain[2], dofmaps[2], coeffs, "primary"
+    ).total_matrix(0.01)
     b = np.sin(np.arange(dofmaps[2].total))
     x1 = solve_spd(matrix, b).solution
     x2 = solve_spd(matrix, b).solution
@@ -87,8 +87,8 @@ def test_deterministic_solutions(mesh_chain, dofmaps):
 def test_symmetric_mode_matches_general_lu(mesh_chain, dofmaps, variant, rng):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
     matrix = FormAssembler(
-        mesh_chain[3], dofmaps[3], coeffs, 0.01, variant
-    ).total_matrix()
+        mesh_chain[3], dofmaps[3], coeffs, variant
+    ).total_matrix(0.01)
     handle = SPDFactorHandle(matrix)
     for b in rng.standard_normal((3, dofmaps[3].total)):
         x = handle.solve(b).solution
@@ -134,8 +134,8 @@ def test_singular_matrix_raises():
 def test_residual_contract_on_reports(mesh_chain, dofmaps, rng):
     coeffs = Coefficients.constant(beta=(1.0, 1.0))
     matrix = FormAssembler(
-        mesh_chain[2], dofmaps[2], coeffs, 1e-3, "alternative"
-    ).total_matrix()
+        mesh_chain[2], dofmaps[2], coeffs, "alternative"
+    ).total_matrix(1e-3)
     b = rng.standard_normal(dofmaps[2].total)
     for tol in (1e-8, 1e-12):
         report = solve_spd(matrix, b, tol=tol)
@@ -156,14 +156,14 @@ def test_reused_factor_reproduces_per_step_solving(mesh_chain, dofmaps):
 
     states = backward_euler_run(problem, partition, m, dm, initial=initial)
 
-    asm = FormAssembler(m, dm, problem.coeffs, k, problem.variant)
-    matrix = asm.total_matrix()
+    asm = FormAssembler(m, dm, problem.coeffs, problem.variant)
+    matrix = asm.total_matrix(k)
     u_prev = initial
     worst = 0.0
     times = partition.times
     for n in range(1, n_steps + 1):
-        rhs = asm.load_vector(f=lambda x, y: problem.f(times[n], x, y), w=u_prev)
-        sol = solve_spd(matrix, rhs).solution
+        rhs = asm.load_vector(k, f=lambda x, y: problem.f(times[n], x, y), w=u_prev)
+        sol = SPDFactorHandle(matrix).solve(rhs).solution
         u_prev = sol[: dm.n_u]
         diff = np.abs(states[n].u_coeffs - u_prev).max()
         worst = max(worst, diff / max(np.abs(u_prev).max(), 1e-30))
