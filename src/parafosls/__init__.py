@@ -27,7 +27,13 @@ from .evolution import (
     galerkin_be_reference,
     l2_project_initial,
 )
-from .forms import CoefficientError, Coefficients, FormAssembler, ProblemVariant
+from .forms import (
+    CoefficientError,
+    Coefficients,
+    FormAssembler,
+    ProblemVariant,
+    SeparableSource,
+)
 from .mesh import (
     Mesh,
     PointOutsideDomainError,

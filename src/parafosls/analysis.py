@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import DATA_DEGREE, Coefficients, ProblemVariant
+from .forms import DATA_DEGREE, Coefficients, ProblemVariant, SeparableSource
 from .quadrature import triangle_rule
 from .spaces import (
     element_geometry,
@@ -30,7 +30,8 @@ class ManufacturedProblem:
     """Analytic solution data for one first-order splitting.
 
     All callables take (t, x, y) with array-valued x, y; vector fields
-    return an array with a leading axis of length 2.
+    return an array with a leading axis of length 2. The source f may
+    be a plain callable or a ``SeparableSource``.
     """
 
     u: Callable
@@ -59,7 +60,8 @@ def decaying_sine_problem(variant):
     u(t; x, y) = exp(-2 pi^2 t) sin(pi x) sin(pi y) on the unit square
     with unit diffusion, constant convection beta = (1, 1) and zero
     reaction. The flux and the source follow from the chosen
-    first-order splitting.
+    first-order splitting. The source is a ``SeparableSource`` with
+    theta(t) = exp(-2 pi^2 t).
     """
     variant = ProblemVariant(variant)
     pi = math.pi
@@ -83,10 +85,13 @@ def decaying_sine_problem(variant):
     def laplace_u(t, x, y):
         return -decay * u(t, x, y)
 
-    def convection(t, x, y):
-        # d/dx u + d/dy u, folded into one sine by the addition theorem;
-        # the source is evaluated on every time step
-        return np.exp(-decay * t) * pi * np.sin(pi * (x + y))
+    def theta(t):
+        return np.exp(-decay * t)
+
+    def convection(x, y):
+        # (d/dx u + d/dy u) / theta, folded into one sine by the
+        # addition theorem
+        return pi * np.sin(pi * (x + y))
 
     if variant is ProblemVariant.PRIMARY:
         # flux = grad u; the source reduces to the convective part
@@ -97,22 +102,21 @@ def decaying_sine_problem(variant):
         def div_sigma(t, x, y):
             return laplace_u(t, x, y)
 
-        def f(t, x, y):
-            return -convection(t, x, y)
+        def g(x, y):
+            return -convection(x, y)
 
     else:
         # flux = grad u - beta u
         def sigma(t, x, y):
-            g = grad_u(t, x, y)
-            return g - u(t, x, y)[None, ...]
+            grad = grad_u(t, x, y)
+            return grad - u(t, x, y)[None, ...]
 
         def div_sigma(t, x, y):
-            g = grad_u(t, x, y)
-            return laplace_u(t, x, y) - g[0] - g[1]
+            grad = grad_u(t, x, y)
+            return laplace_u(t, x, y) - grad[0] - grad[1]
 
         # du/dt - div sigma leaves the convective part with a plus sign
-        def f(t, x, y):
-            return convection(t, x, y)
+        g = convection
 
     return ManufacturedProblem(
         u=u,
@@ -121,7 +125,7 @@ def decaying_sine_problem(variant):
         laplace_u=laplace_u,
         sigma=sigma,
         div_sigma=div_sigma,
-        f=f,
+        f=SeparableSource(theta, g),
         coeffs=Coefficients.constant(beta=(1.0, 1.0)),
         variant=variant,
     )

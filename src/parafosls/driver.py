@@ -37,6 +37,21 @@ COUPLING_H2 = "h2"
 _CSV_HEADER = "level,h,k,dofs,err_u,err_grad_u,err_sigma,err_div_sigma,natural_norm"
 
 
+def _check_positive_finite(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _tolerance(text):
+    """argparse type of ``verify --tol``: a positive, finite float."""
+    try:
+        value = float(text)
+        _check_positive_finite("solver tolerance", value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings of one convergence experiment."""
@@ -56,10 +71,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown coupling {self.coupling!r} (use 'h' or 'h2')")
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
-        for name in ("final_time", "k0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("final_time", "k0", "solver_tol"):
+            _check_positive_finite(name, getattr(self, name))
 
     def step_size(self, level):
         """Time step at a level: k0 halves (h) or quarters (h2) per level."""
@@ -255,7 +268,7 @@ def build_parser():
     run_p.add_argument("--plot-data", action="store_true", dest="plot_data")
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
-    verify_p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
+    verify_p.add_argument("--tol", type=_tolerance, default=solver.DEFAULT_TOL)
     verify_p.add_argument("--seed", type=int, default=0)
     return parser
 

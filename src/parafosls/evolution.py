@@ -3,10 +3,12 @@
 Each step solves  total(u^n, v) = F(v; f^n, u^{n-1})  over the product
 space, where f^n is the source evaluated at the new time level. With a
 constant step the system matrix is factorized once and reused for the
-whole run. The standard Galerkin backward Euler scheme on the scalar
-space is provided as an independent reference: for zero convection and
-reaction with unit diffusion the least-squares u-component must
-reproduce it.
+whole run. A ``SeparableSource`` theta(t) g(x, y) is integrated once per
+step size and scaled by theta(t_n) at each step; any other source is
+evaluated afresh at every step. The standard Galerkin backward Euler
+scheme on the scalar space is provided as an independent reference: for
+zero convection and reaction with unit diffusion the least-squares
+u-component must reproduce it.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +20,7 @@ from . import solver
 from .forms import (
     DATA_DEGREE,
     FormAssembler,
+    SeparableSource,
     assemble_p1_load,
     assemble_p1_mass,
     assemble_p1_stiffness,
@@ -119,7 +122,9 @@ def backward_euler_run(
     problem : manufactured problem or callable
         Either an object with attributes ``f`` (source, signature
         (t, x, y)), ``coeffs`` and ``variant``, or the source callable
-        itself (then ``coeffs`` and ``variant`` are required).
+        itself (then ``coeffs`` and ``variant`` are required). A
+        ``SeparableSource`` has its field g integrated once per step
+        size.
     initial : (n_u,) array or None
         Scalar initial coefficients; zero if None.
     keep_sigma_every : int
@@ -131,6 +136,7 @@ def backward_euler_run(
     list of SystemState, one per time level including the initial one.
     """
     f = getattr(problem, "f", problem)
+    separable = isinstance(f, SeparableSource)
     coeffs = coeffs if coeffs is not None else problem.coeffs
     variant = variant if variant is not None else problem.variant
 
@@ -159,7 +165,8 @@ def backward_euler_run(
             handle = solver.SPDFactorHandle(assembler.total_matrix(k))
             current_k = k
         t_n = times[n]
-        rhs = assembler.load_vector(current_k, f=lambda x, y: f(t_n, x, y), w=u_prev)
+        source = f.at(t_n) if separable else lambda x, y: f(t_n, x, y)
+        rhs = assembler.load_vector(current_k, f=source, w=u_prev)
         try:
             report = handle.solve(rhs, tol=solver_tol)
         except solver.SolverError as exc:
@@ -186,8 +193,20 @@ def galerkin_be_reference(
 
     Solves (1/k)<u^n, v> + <grad u^n, grad v> = (1/k)<u^{n-1}, v>
     + <f^n, v> on the interior-vertex P1 space and returns the list of
-    coefficient vectors, including the initial one.
+    coefficient vectors, including the initial one. A
+    ``SeparableSource`` theta g has <g, v> assembled once per run.
     """
+    if isinstance(f, SeparableSource):
+        g_load = assemble_p1_load(mesh, dofmap, f.g)
+
+        def source_load(t):
+            return f.theta(t) * g_load
+
+    else:
+
+        def source_load(t):
+            return assemble_p1_load(mesh, dofmap, lambda x, y: f(t, x, y))
+
     mass = assemble_p1_mass(mesh, dofmap)
     stiffness = assemble_p1_stiffness(mesh, dofmap)
     if initial is None:
@@ -200,10 +219,7 @@ def galerkin_be_reference(
         if handle is None or not _same_step(k, current_k):
             handle = solver.SPDFactorHandle(mass / k + stiffness)
             current_k = k
-        t_n = times[n]
-        rhs = mass @ trajectory[-1] / current_k + assemble_p1_load(
-            mesh, dofmap, lambda x, y: f(t_n, x, y)
-        )
+        rhs = mass @ trajectory[-1] / current_k + source_load(times[n])
         trajectory.append(handle.solve(rhs, tol=solver_tol).solution)
     return trajectory
 
@@ -214,7 +230,8 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
     The n-th iterate must satisfy
     ||u^n|| <= sum_{j<=n} k_j ||f^j|| + ||u^0||, up to a relative
     slack. Returns (lhs, rhs) arrays over n = 1..N; raises on
-    violation.
+    violation. For a ``SeparableSource`` theta g,
+    ||f^j|| = |theta(t_j)| ||g|| with ||g|| integrated once.
     """
     mass = assemble_p1_mass(mesh, dofmap)
     rule = triangle_rule(DATA_DEGREE)
@@ -225,9 +242,20 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
     def u_norm(c):
         return float(np.sqrt(max(c @ (mass @ c), 0.0)))
 
-    def source_norm(t):
-        vals = np.broadcast_to(f(t, x, y), x.shape)
+    def l2_norm(fn):
+        vals = np.broadcast_to(fn(x, y), x.shape)
         return float(np.sqrt(np.sum(wj * vals**2)))
+
+    if isinstance(f, SeparableSource):
+        g_norm = l2_norm(f.g)
+
+        def source_norm(t):
+            return abs(float(f.theta(t))) * g_norm
+
+    else:
+
+        def source_norm(t):
+            return l2_norm(lambda x, y: f(t, x, y))
 
     times = partition.times
     rhs_running = u_norm(states[0].u_coeffs)

@@ -31,6 +31,9 @@ roundoff and can be tested as such.
 All coefficient and data callables are vectorized over coordinate
 arrays: scalar fields map (x, y) to an array of the same shape, vector
 fields prepend an axis of length 2, matrix fields prepend (2, 2).
+A source of the form f(t, x, y) = theta(t) g(x, y) can be given as a
+``SeparableSource``: its load is then one cached image of g per step k,
+scaled by theta at each time level.
 """
 
 import enum
@@ -165,6 +168,38 @@ class Coefficients:
         )
 
 
+@dataclass(frozen=True)
+class SeparableSource:
+    """A source f(t, x, y) = theta(t) g(x, y) that exposes its two factors.
+
+    theta maps a time to a scalar, g is a vectorized (x, y) field. It is
+    called like any source; ``at(t)`` freezes the time, and
+    ``FormAssembler.load_vector`` recognizes the result, so a run with
+    steps of one size evaluates g once.
+    """
+
+    theta: Callable
+    g: Callable
+
+    def __call__(self, t, x, y):
+        return self.theta(t) * self.g(x, y)
+
+    def at(self, t):
+        """The source at time t, the field theta(t) g."""
+        return ScaledField(float(self.theta(t)), self.g)
+
+
+@dataclass(frozen=True)
+class ScaledField:
+    """The (x, y) field scale * g(x, y): a separable source at one time."""
+
+    scale: float
+    g: Callable
+
+    def __call__(self, x, y):
+        return self.scale * self.g(x, y)
+
+
 def _step(k):
     """The step k as a float; raises unless it is positive and finite."""
     k = float(k)
@@ -210,26 +245,28 @@ class _RuleTables:
     residual R = r(basis_i) and the flux residual G = d(basis_i), plus
     the physical weights wj = w_q * 2|T_e|. Each table entry is
     computed only on the slots where its basis part is non-zero.
+
+    U and R are built with the tables; they are all that loads read.
+    The roots of A (and with them its admissibility check), the RT0
+    values and G are built on first use, so tables that only serve
+    loads never hold them.
     """
 
     def __init__(self, asm, rule):
-        mesh = asm.mesh
         lam = rule.points  # (nQ, 3)
-        n_e = mesh.num_triangles
+        n_e = asm.mesh.num_triangles
         n_q = lam.shape[0]
 
         self.variant = asm.variant
         self.wj = quadrature_weights(rule, asm.areas)  # (nE, nQ)
-        pts = quadrature_points(rule, asm.verts)  # (nE, nQ, 2)
-        self.x = pts[..., 0]
-        self.y = pts[..., 1]
+        self._pts = quadrature_points(rule, asm.verts)  # (nE, nQ, 2)
+        self.x = self._pts[..., 0]
+        self.y = self._pts[..., 1]
+        # held by value: a reference to the assembler would be a cycle
+        self._diffusion = asm.coeffs.A
+        self._rt_coef, self._verts = asm.rt_coef, asm.verts
 
         self.lam = lam
-        a_vals = np.broadcast_to(asm.coeffs.A(self.x, self.y), (2, 2, n_e, n_q))
-        self.a_sqrt, self.a_inv_sqrt = (
-            np.moveaxis(root, (0, 1), (-2, -1))
-            for root in _spd_roots(a_vals, self._point)
-        )  # (nE, nQ, 2, 2)
         self.beta = self._vector_at_points(asm.coeffs.beta)  # (nE, nQ, 2)
         self.gamma = np.broadcast_to(asm.coeffs.gamma(self.x, self.y), (n_e, n_q))
         div_beta = np.broadcast_to(asm.coeffs.div_beta(self.x, self.y), (n_e, n_q))
@@ -241,21 +278,38 @@ class _RuleTables:
                 f"point {self._point(worst)}: value {margin.flat[worst]:.6g}"
             )
 
-        # P1 gradients (slots 0-2) and RT0 values (slots 3-5) at the
-        # quadrature points
+        # P1 gradients (slots 0-2) at the quadrature points
         self.grads = np.broadcast_to(asm.p1_grads[:, None], (n_e, n_q, 3, 2))
-        self.rt_vals = rt0_values(asm.rt_coef, asm.verts, pts)  # (nE, nQ, 3, 2)
 
         # scalar value of each local basis function, zero for RT0 slots
         self.u_tab = np.zeros((n_e, n_q, 6))
         self.u_tab[:, :, :3] = lam[None, :, :]
 
         self.r_tab = np.empty((n_e, n_q, 6))
-        self.g_tab = np.empty((n_e, n_q, 6, 2))
-        self.r_tab[:, :, :3], self.g_tab[:, :, :3] = self.residuals(u=lam, grad=self.grads)
-        self.r_tab[:, :, 3:], self.g_tab[:, :, 3:] = self.residuals(
-            sigma=self.rt_vals, div=asm.rt_divs[:, None, :]
+        self.r_tab[:, :, :3] = self.scalar_residual(u=lam, grad=self.grads)
+        self.r_tab[:, :, 3:] = self.scalar_residual(div=asm.rt_divs[:, None, :])
+
+    @cached_property
+    def a_roots(self):
+        """(A^{1/2}, A^{-1/2}) at the points, each (nE, nQ, 2, 2); checks A."""
+        a_vals = np.broadcast_to(self._diffusion(self.x, self.y), (2, 2) + self.x.shape)
+        return tuple(
+            np.moveaxis(root, (0, 1), (-2, -1))
+            for root in _spd_roots(a_vals, self._point)
         )
+
+    @cached_property
+    def rt_vals(self):
+        """RT0 values (slots 3-5) at the quadrature points, (nE, nQ, 3, 2)."""
+        return rt0_values(self._rt_coef, self._verts, self._pts)
+
+    @cached_property
+    def g_tab(self):
+        """G = d(basis_i) at the quadrature points, (nE, nQ, 6, 2)."""
+        g_tab = np.empty(self.u_tab.shape + (2,))
+        g_tab[:, :, :3] = self.flux_residual(u=self.lam, grad=self.grads)
+        g_tab[:, :, 3:] = self.flux_residual(sigma=self.rt_vals)
+        return g_tab
 
     def _point(self, flat_index):
         """The quadrature point of a flat (element, point) index, formatted."""
@@ -267,42 +321,52 @@ class _RuleTables:
             np.broadcast_to(fn(self.x, self.y), (2,) + self.x.shape), 0, -1
         )
 
-    def residuals(self, u=None, grad=None, sigma=None, div=None):
-        """r (nE, nQ, n) and d (nE, nQ, n, 2) of fields with a slot axis.
+    def scalar_residual(self, u=None, grad=None, div=None):
+        """r (nE, nQ, n) of fields with a slot axis.
 
         The scalar value u and the divergence div broadcast to
-        (nE, nQ, n), the gradient grad and the flux sigma to
-        (nE, nQ, n, 2). A part given as None is zero and left out. The
-        terms are summed in the order of the definitions in the module
-        docstring. This is the one place where the two splittings
+        (nE, nQ, n), the gradient grad to (nE, nQ, n, 2). A part given
+        as None is zero and left out. The terms are summed in the order
+        of the definitions in the module docstring. This method and
+        ``flux_residual`` are the one place where the two splittings
         differ.
         """
-        a_grad = None if grad is None else _slot_matvec(self.a_sqrt, grad)
-        a_sig = None if sigma is None else _slot_matvec(self.a_inv_sqrt, sigma)
         gamma_u = None if u is None else self.gamma[:, :, None] * u
         if self.variant is ProblemVariant.PRIMARY:
             beta_grad = (
                 None if grad is None else np.einsum("eqx,eqix->eqi", self.beta, grad)
             )
-            r = _signed_sum([(-1, div), (-1, beta_grad), (1, gamma_u)])
-            d = _signed_sum([(1, a_grad), (-1, a_sig)])
-        else:
-            beta_u = None
-            if u is not None:
-                a_beta = np.einsum("eqxy,eqy->eqx", self.a_inv_sqrt, self.beta)
-                beta_u = a_beta[:, :, None, :] * u[..., None]
-            r = _signed_sum([(-1, div), (1, gamma_u)])
-            d = _signed_sum([(1, a_sig), (-1, a_grad), (1, beta_u)])
-        return r, d
+            return _signed_sum([(-1, div), (-1, beta_grad), (1, gamma_u)])
+        return _signed_sum([(-1, div), (1, gamma_u)])
+
+    def flux_residual(self, u=None, grad=None, sigma=None):
+        """d (nE, nQ, n, 2) of fields with a slot axis, as ``scalar_residual``.
+
+        The flux sigma broadcasts to (nE, nQ, n, 2).
+        """
+        a_sqrt, a_inv_sqrt = self.a_roots
+        a_grad = None if grad is None else _slot_matvec(a_sqrt, grad)
+        a_sig = None if sigma is None else _slot_matvec(a_inv_sqrt, sigma)
+        if self.variant is ProblemVariant.PRIMARY:
+            return _signed_sum([(1, a_grad), (-1, a_sig)])
+        beta_u = None
+        if u is not None:
+            a_beta = np.einsum("eqxy,eqy->eqx", a_inv_sqrt, self.beta)
+            beta_u = a_beta[:, :, None, :] * u[..., None]
+        return _signed_sum([(1, a_sig), (-1, a_grad), (1, beta_u)])
 
     def exact_residuals(self, u, grad_u, sigma, div_sigma):
         """r (nE, nQ) and d (nE, nQ, 2) of an exact field given by vectorized callables."""
         shape = self.x.shape
-        r, d = self.residuals(
-            u=np.broadcast_to(u(self.x, self.y), shape)[..., None],
-            grad=self._vector_at_points(grad_u)[:, :, None],
-            sigma=self._vector_at_points(sigma)[:, :, None],
+        u_vals = np.broadcast_to(u(self.x, self.y), shape)[..., None]
+        grad = self._vector_at_points(grad_u)[:, :, None]
+        r = self.scalar_residual(
+            u=u_vals,
+            grad=grad,
             div=np.broadcast_to(div_sigma(self.x, self.y), shape)[..., None],
+        )
+        d = self.flux_residual(
+            u=u_vals, grad=grad, sigma=self._vector_at_points(sigma)[:, :, None]
         )
         return r[..., 0], d[:, :, 0]
 
@@ -339,6 +403,7 @@ class FormAssembler:
             axis=1,
         )
         self._load_ops = None  # (k, operators): one pair at a time, ~20 MB at level 6
+        self._source_image = None  # (g, k to_tests g): the load of one field g at that k
 
     @cached_property
     def matrix_tables(self):
@@ -403,10 +468,11 @@ class FormAssembler:
         functions (entries wj * (v/k + r(v)) scattered by
         ``local_dofs``); ``from_u`` = to_tests I, where I interpolates
         u-coefficients to the data points. The pair is kept until a
-        call with another k replaces it.
+        call with another k replaces it and drops the source image.
         """
         if self._load_ops is None or self._load_ops[0] != k:
             self._load_ops = None
+            self._source_image = None
             t = self.data_tables
             test_factor = t.u_tab / k + t.r_tab  # v/k + r(v)
             weighted = t.wj[:, :, None] * test_factor  # (nE, nQ, 6)
@@ -434,6 +500,13 @@ class FormAssembler:
                 "broadcasts to it"
             ) from None
 
+    def _image_of(self, k, to_tests, g):
+        """k to_tests g, the load of the field g, kept for the last g at this k."""
+        if self._source_image is None or self._source_image[0] is not g:
+            image = k * (to_tests @ self._at_data_points(g, "source f").ravel())
+            self._source_image = (g, image)
+        return self._source_image[1]
+
     def load_vector(self, k, f=None, w=None):
         """Load of F(v; f, w) = <k f + w, v/k + r(v)>.
 
@@ -441,13 +514,18 @@ class FormAssembler:
         level) or None; w is a u-coefficient vector, a callable, or
         None. The first call with a given k builds the sparse load
         operators, so each later call with that k costs one data
-        evaluation and two sparse products.
+        evaluation and two sparse products. For a ``ScaledField``
+        theta g the load of g at step k is computed once and kept, and
+        a later call with the same g costs a scaling and one product.
         """
         k = _step(k)
         to_tests, from_u = self._load_operators(k)
-        load = np.zeros(self.dofmap.total)
-        if f is not None:
-            load += k * (to_tests @ self._at_data_points(f, "source f").ravel())
+        if isinstance(f, ScaledField):
+            load = np.multiply(self._image_of(k, to_tests, f.g), f.scale)
+        else:
+            load = np.zeros(self.dofmap.total)
+            if f is not None:
+                load += k * (to_tests @ self._at_data_points(f, "source f").ravel())
         if callable(w):
             load += to_tests @ self._at_data_points(w, "previous-step datum w").ravel()
         elif w is not None:

@@ -60,7 +60,9 @@ def test_config_validation():
         tiny_config(max_level=-1)
     with pytest.raises(ValueError):
         tiny_config(k0=-0.1)
-    for name in ("final_time", "k0"):
+    with pytest.raises(ValueError, match="solver_tol must be positive and finite, got -1"):
+        tiny_config(solver_tol=-1.0)
+    for name in ("final_time", "k0", "solver_tol"):
         for bad in (float("nan"), float("inf")):
             message = f"{name} must be positive and finite, got {bad}"
             with pytest.raises(ValueError, match=message):
@@ -163,6 +165,22 @@ def test_cli_rejects_bad_final_time(tmp_path, capsys):
 def test_cli_rejects_non_finite_k0(capsys):
     assert main(["run", "--k0", "nan"]) == 1
     assert "error: k0 must be positive and finite, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1", "0"])
+def test_cli_rejects_bad_tolerance(tmp_path, capsys, bad):
+    assert main(["run", "--tol", bad]) == 1
+    assert "error: solver_tol must be positive and finite" in capsys.readouterr().err
+    config_file = tmp_path / "settings.cfg"
+    config_file.write_text(f"tol = {bad}\n")
+    assert main(["run", "--config", str(config_file)]) == 1
+    assert "error: solver_tol must be positive and finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--tol", bad])
+    assert info.value.code == 2
+    assert "argument --tol: solver tolerance must be positive and finite" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_rejects_unknown_variant():

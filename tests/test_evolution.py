@@ -10,7 +10,7 @@ from parafosls.evolution import (
     galerkin_be_reference,
     l2_project_initial,
 )
-from parafosls.forms import Coefficients, assemble_p1_mass
+from parafosls.forms import Coefficients, SeparableSource, assemble_p1_mass
 from parafosls.quadrature import triangle_rule
 from parafosls.spaces import eval_local_basis
 
@@ -298,3 +298,105 @@ def test_initial_length_validated(mesh_chain, dofmaps):
             variant="primary",
             initial=np.zeros(3),
         )
+
+
+SEPARABLE_PARTITIONS = {
+    "constant": TimePartition.uniform(0.1, 4),
+    "variable": TimePartition.from_steps([0.04, 0.03, 0.03]),
+    "alternating": TimePartition.from_steps([0.02, 0.03] * 4),
+}
+
+
+def relative_difference(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("variant", ["primary", "alternative"])
+@pytest.mark.parametrize("partition", SEPARABLE_PARTITIONS.values(), ids=SEPARABLE_PARTITIONS)
+def test_separable_source_matches_plain_callable(mesh_chain, dofmaps, variant, partition):
+    """The cached source image gives the states of evaluating f at every
+    step; a change of step must not reuse the image of the old step."""
+    m, dm = mesh_chain[2], dofmaps[2]
+    problem = decaying_sine_problem(variant)
+    assert isinstance(problem.f, SeparableSource)
+    initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
+    separable = backward_euler_run(problem, partition, m, dm, initial=initial)
+    plain = backward_euler_run(
+        lambda t, x, y: problem.f(t, x, y), partition, m, dm,
+        coeffs=problem.coeffs, variant=variant, initial=initial,
+    )
+    for a, b in zip(separable[1:], plain[1:]):
+        assert relative_difference(a.u_coeffs, b.u_coeffs) <= 1e-12
+    assert relative_difference(separable[-1].sigma_coeffs, plain[-1].sigma_coeffs) <= 1e-12
+
+
+class CountingSource(SeparableSource):
+    """A separable source whose (t, x, y) call must not happen."""
+
+    def __call__(self, t, x, y):
+        raise AssertionError("separable source evaluated as f(t, x, y)")
+
+
+@pytest.mark.parametrize(
+    "partition, evaluations",
+    [(SEPARABLE_PARTITIONS["constant"], 1), (SEPARABLE_PARTITIONS["variable"], 2)],
+    ids=["constant", "variable"],
+)
+def test_separable_field_evaluated_once_per_run_of_equal_steps(
+    mesh_chain, dofmaps, partition, evaluations
+):
+    calls = []
+
+    def g(x, y):
+        calls.append(x.shape)
+        return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    backward_euler_run(
+        CountingSource(lambda t: np.exp(-t), g), partition, mesh_chain[1], dofmaps[1],
+        coeffs=HEAT, variant="primary",
+    )
+    assert len(calls) == evaluations
+
+
+def test_separable_nan_theta_fails_fast_with_named_cause(mesh_chain, dofmaps):
+    source = SeparableSource(lambda t: np.nan, lambda x, y: np.ones(np.broadcast(x, y).shape))
+    with pytest.raises(solver.SolverError, match="time step 1 failed: non-finite right-hand side"):
+        backward_euler_run(
+            source, TimePartition.uniform(0.1, 2), mesh_chain[1], dofmaps[1],
+            coeffs=HEAT, variant="primary",
+        )
+
+
+def test_separable_field_of_wrong_shape_is_named(mesh_chain, dofmaps):
+    source = SeparableSource(lambda t: 1.0, lambda x, y: np.ones(3))
+    with pytest.raises(ValueError, match="source f returned an array of shape"):
+        backward_euler_run(
+            source, TimePartition.uniform(0.1, 2), mesh_chain[1], dofmaps[1],
+            coeffs=HEAT, variant="primary",
+        )
+
+
+@pytest.mark.parametrize("variant", ["primary", "alternative"])
+def test_stability_bound_separable_matches_plain(mesh_chain, dofmaps, variant):
+    m, dm = mesh_chain[2], dofmaps[2]
+    problem = decaying_sine_problem(variant)
+    part = SEPARABLE_PARTITIONS["variable"]
+    initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
+    states = backward_euler_run(problem, part, m, dm, initial=initial)
+    separable = check_stability_bound(states, problem.f, part, m, dm)
+    plain = check_stability_bound(states, lambda t, x, y: problem.f(t, x, y), part, m, dm)
+    for a, b in zip(separable, plain):
+        assert relative_difference(a, b) <= 1e-12
+
+
+def test_galerkin_separable_matches_plain(mesh_chain, dofmaps):
+    m, dm = mesh_chain[2], dofmaps[2]
+    source = SeparableSource(lambda t: 1.0 + t, u0_sine)
+    part = SEPARABLE_PARTITIONS["alternating"]
+    initial = l2_project_initial(u0_sine, m, dm)
+    separable = galerkin_be_reference(source, part, m, dm, initial=initial)
+    plain = galerkin_be_reference(
+        lambda t, x, y: source(t, x, y), part, m, dm, initial=initial
+    )
+    for a, b in zip(separable[1:], plain[1:]):
+        assert relative_difference(a, b) <= 1e-12
