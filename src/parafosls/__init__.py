@@ -45,7 +45,9 @@ from .mesh import (
 from .projection import ProjectionResult, elliptic_project
 from .quadrature import QuadratureRule, triangle_rule
 from .solver import (
+    CoerciveFactorHandle,
     FactorHandle,
+    NotCoerciveError,
     NotSPDError,
     SPDFactorHandle,
     SolveReport,

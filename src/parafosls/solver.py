@@ -1,9 +1,12 @@
 """Sparse direct solvers with a residual contract.
 
 A FactorHandle factorizes with SuperLU and polishes each solution with
-iterative refinement until the requested relative residual is met;
-symmetric positive definite systems are factorized in SuperLU's
-symmetric mode (SPDFactorHandle, solve_spd).
+iterative refinement until the requested relative residual is met.
+Operators whose symmetric part is positive definite are factorized in
+SuperLU's symmetric mode: coercive ones by CoerciveFactorHandle, whose
+solves end with one refinement sweep on a residual accumulated in
+extended precision, and symmetric positive definite ones by
+SPDFactorHandle and solve_spd. Both certify their pivots on request.
 Direct solves are deterministic, so identical inputs give bitwise
 identical outputs, and one factorization can be reused across the many
 right-hand sides of a constant-step time loop.
@@ -31,12 +34,17 @@ class NotSPDError(SolverError):
     """The operator is not symmetric positive definite."""
 
 
+class NotCoerciveError(SolverError):
+    """The symmetric part of the operator is not positive definite."""
+
+
 @dataclass
 class SolveReport:
     """Solution vector plus the achieved relative residual.
 
     ``iterations`` counts refinement sweeps (0 when the factorization
-    alone met the tolerance).
+    alone met the tolerance), the extended-precision sweep of a
+    CoerciveFactorHandle included.
     """
 
     solution: np.ndarray
@@ -48,6 +56,7 @@ class FactorHandle:
     """Reusable sparse LU factorization of one operator."""
 
     _SPLU_OPTIONS = {}
+    _EXTENDED_SWEEP = False
 
     def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
@@ -77,6 +86,8 @@ class FactorHandle:
             rel = np.linalg.norm(residual) / norm_b
             best = min(best, rel)
             if rel <= tol:
+                if self._EXTENDED_SWEEP:
+                    return self._extended_sweep(b, x, norm_b, tol, sweep)
                 return SolveReport(x, rel, sweep)
             x = x + self.lu.solve(residual)
         raise SolverError(
@@ -85,15 +96,56 @@ class FactorHandle:
             best_residual=best,
         )
 
+    def _extended_sweep(self, b, x, norm_b, tol, sweeps):
+        """One more sweep, on the residual b - Ax accumulated in long double.
 
-class SPDFactorHandle(FactorHandle):
-    """Reusable factorization of a symmetric positive definite operator.
+        ``x`` already meets the contract after ``sweeps`` sweeps; the
+        report counts this one too and carries the double-precision
+        residual of the returned solution.
+        """
+        residual = extended_residual(self.matrix.tocsr(), x, b)
+        x = x + self.lu.solve(residual.astype(float))
+        rel = np.linalg.norm(b - self.matrix @ x) / norm_b
+        if not rel <= tol:
+            raise SolverError(
+                f"residual {rel:.3e} above tolerance {tol:.3e} "
+                "after the extended-precision sweep",
+                best_residual=rel,
+            )
+        return SolveReport(x, rel, sweeps + 1)
+
+
+def extended_residual(matrix, x, b):
+    """b - matrix @ x accumulated in long double, for a CSR matrix.
+
+    Every product and every row sum is formed in ``np.longdouble``
+    (80-bit extended precision on x86), in the order the entries are
+    stored, so the digits that cancellation wipes out of a
+    double-precision residual survive. Returns a long double array.
+    """
+    matrix = sp.csr_matrix(matrix)
+    x = np.asarray(x, np.longdouble)
+    products = matrix.data.astype(np.longdouble) * x[matrix.indices]
+    sums = np.zeros(matrix.shape[0], dtype=np.longdouble)
+    rows = np.flatnonzero(np.diff(matrix.indptr))  # reduceat cannot sum an empty row
+    sums[rows] = np.add.reduceat(products, matrix.indptr[rows])
+    return np.asarray(b, np.longdouble) - sums
+
+
+class CoerciveFactorHandle(FactorHandle):
+    """Reusable factorization of an operator whose symmetric part is
+    positive definite.
 
     SuperLU runs in symmetric mode: minimum degree ordering on the
     structure of A' + A and pivots taken from the diagonal. This keeps
     the symmetric sparsity pattern; on the least-squares forms it leaves
-    less than half the fill of the default column ordering. The
-    residual contract of ``solve`` still guards the result.
+    less than half the fill of the default column ordering. Diagonal
+    pivots are safe because every Schur complement of a coercive matrix
+    is coercive again, so each pivot is positive; ``certify_pivots``
+    checks this. Once a solve meets the residual contract it takes one
+    more refinement sweep on a residual accumulated in long double
+    (``extended_residual``), which removes the error that a
+    double-precision residual leaves in the solution.
     """
 
     _SPLU_OPTIONS = dict(
@@ -101,28 +153,51 @@ class SPDFactorHandle(FactorHandle):
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
+    _EXTENDED_SWEEP = True
+    _PIVOT_ERROR = NotCoerciveError, "not coercive"
+
+    def certify_pivots(self):
+        """Raise unless the factorization pivoted on the diagonal with
+        positive pivots.
+
+        The row and column permutations must agree, and the smallest
+        diagonal entry of U, whose unknown the error names, must be
+        positive.
+        """
+        error, what = self._PIVOT_ERROR
+        lu = self.lu
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise error(f"{what}: symmetric-mode pivoting left the diagonal")
+        pivots = lu.U.diagonal()
+        j = int(np.argmin(pivots))
+        if not pivots[j] > 0.0:
+            # pivot j belongs to the unknown that the ordering moved to slot j
+            index = int(np.flatnonzero(lu.perm_c == j)[0])
+            raise error(f"{what}: smallest pivot {pivots[j]:.3e} at index {index}")
+
+
+class SPDFactorHandle(CoerciveFactorHandle):
+    """Reusable factorization of a symmetric positive definite operator.
+
+    A symmetric positive definite operator is coercive, so it shares the
+    symmetric-mode factorization and the pivot certificate, which here
+    is exact: the pivots are those of an LDL' factorization of the
+    symmetrically permuted matrix, all positive exactly when the matrix
+    is positive definite. Its solves take no extended-precision sweep;
+    the residual contract of ``solve`` guards the result.
+    """
+
+    _EXTENDED_SWEEP = False
+    _PIVOT_ERROR = NotSPDError, "non-positive curvature"
 
 
 def solve_spd(matrix, b, tol=DEFAULT_TOL):
     """Solve a symmetric positive definite sparse system.
 
     Symmetry is the caller's responsibility; positive definiteness is
-    certified by the factorization before the solve. Symmetric mode
-    pivots on the diagonal (the row and column permutations agree), so
-    for a symmetric matrix the pivots are those of an LDL' factorization
-    of the symmetrically permuted matrix, all positive exactly when the
-    matrix is positive definite. Otherwise NotSPDError is raised.
+    certified from the pivots before the solve, and NotSPDError is
+    raised otherwise.
     """
     handle = SPDFactorHandle(matrix)
-    lu = handle.lu
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NotSPDError("non-positive curvature: symmetric-mode pivoting left the diagonal")
-    pivots = lu.U.diagonal()
-    j = int(np.argmin(pivots))
-    if not pivots[j] > 0.0:
-        # pivot j belongs to the unknown that the ordering moved to slot j
-        index = int(np.flatnonzero(lu.perm_c == j)[0])
-        raise NotSPDError(
-            f"non-positive curvature: smallest pivot {pivots[j]:.3e} at index {index}"
-        )
+    handle.certify_pivots()
     return handle.solve(b, tol=tol)

@@ -1,13 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parafosls.analysis import decaying_sine_problem, field_error_norms
+from parafosls import solver
+from parafosls.analysis import ERROR_QUANTITIES, decaying_sine_problem, field_error_norms
 from parafosls.evolution import SystemState
 from parafosls.forms import FormAssembler
 from parafosls.projection import elliptic_project
 from parafosls.solver import FactorHandle
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 from parafosls.spaces import eval_discrete_function
 
 
@@ -137,5 +142,62 @@ def test_result_records_inputs(mesh_chain, dofmaps):
     )
     assert res.k == 0.05
     assert res.relative_residual <= 1e-10
+    assert res.refinement_sweeps >= 1  # the extended-precision sweep at least
     assert res.u_coeffs.shape == (dofmaps[1].n_u,)
     assert res.sigma_coeffs.shape == (dofmaps[1].n_sigma,)
+
+
+@pytest.mark.parametrize("variant", ["primary", "alternative"])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("k", [1e-8, 1e-3, 1.0])
+def test_projection_matches_default_lu(mesh_chain, dofmaps, variant, level, k):
+    """The symmetric-mode solve agrees with a general LU solve."""
+    m, dm = mesh_chain[level], dofmaps[level]
+    problem = decaying_sine_problem(variant)
+    fields = problem.fields_at(0.1)
+    result = elliptic_project(*fields, m, dm, problem.coeffs, k, variant)
+    asm = FormAssembler(m, dm, problem.coeffs, variant)
+    reference = FactorHandle(asm.nonsymmetric_matrix(k)).solve(
+        asm.nonsymmetric_load_from_fields(k, *fields)
+    ).solution
+    x = np.concatenate([result.u_coeffs, result.sigma_coeffs])
+    assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_projection_fill_below_default_lu(mesh_chain, dofmaps, monkeypatch):
+    m, dm = mesh_chain[3], dofmaps[3]
+    problem = decaying_sine_problem("primary")
+    fills = []
+    factorize = solver.FactorHandle.__init__
+
+    def recording(handle, matrix):
+        factorize(handle, matrix)
+        fills.append(handle.lu.nnz)
+
+    monkeypatch.setattr(solver.FactorHandle, "__init__", recording)
+    elliptic_project(*problem.fields_at(0.1), m, dm, problem.coeffs, 1e-3, "primary")
+    matrix = FormAssembler(m, dm, problem.coeffs, "primary").nonsymmetric_matrix(1e-3)
+    FactorHandle(matrix)
+    projection_fill, default_fill = fills
+    assert projection_fill < default_fill
+
+
+def test_projection_errors_match_benchmark_reference(mesh_chain, dofmaps):
+    """The recorded benchmark errors, levels 2-5, at both ends and the
+    most roundoff-sensitive point of its k grid, to its 1e-10 relative."""
+    recorded = json.loads(REFERENCE.read_text())
+    problem = decaying_sine_problem("primary")
+    fields = problem.fields_at(0.1)
+    for index in (0, 18, 23):
+        k = recorded["k_grid"][index]
+        for level in (2, 3, 4, 5):
+            m, dm = mesh_chain[level], dofmaps[level]
+            res = elliptic_project(*fields, m, dm, problem.coeffs, k, problem.variant)
+            eu, eg, es, ed = field_error_norms(
+                *fields, res.u_coeffs, res.sigma_coeffs, m, dm
+            )
+            values = (eu, eg, es, ed, math.sqrt(eg**2 + es**2 + k * ed**2))
+            expected = recorded["projection-ksweep"][str(index)][str(level)]
+            assert len(expected) == len(ERROR_QUANTITIES)
+            for name, v, e in zip(ERROR_QUANTITIES, values, expected):
+                assert abs(v - e) <= 1e-10 * abs(e), (index, level, name)

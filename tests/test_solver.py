@@ -1,14 +1,20 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from parafosls.evolution import TimePartition, backward_euler_run, l2_project_initial
 from parafosls.forms import Coefficients, FormAssembler
+from parafosls import solver
 from parafosls.solver import (
+    CoerciveFactorHandle,
     FactorHandle,
+    NotCoerciveError,
     NotSPDError,
     SolverError,
     SPDFactorHandle,
+    extended_residual,
     solve_spd,
 )
 
@@ -168,3 +174,98 @@ def test_reused_factor_reproduces_per_step_solving(mesh_chain, dofmaps):
         diff = np.abs(states[n].u_coeffs - u_prev).max()
         worst = max(worst, diff / max(np.abs(u_prev).max(), 1e-30))
     assert worst <= 1e-8
+
+
+def test_extended_residual_matches_exact_residual(rng):
+    """The long-double residual agrees with the exact rational one to
+    long-double roundoff, also on a row where double precision cancels
+    to zero; an empty row leaves b."""
+    dense = rng.standard_normal((8, 8)) * (rng.random((8, 8)) < 0.5)
+    dense[0, :3] = (1.0, 1.0, -1.0)
+    dense[0, 3:] = 0.0
+    dense[5] = 0.0
+    x = rng.standard_normal(8)
+    x[:3] = (1.0, 2.0**-60, 1.0)  # row 0 sums to 2**-60 exactly
+    b = rng.standard_normal(8)
+    b[0] = 0.0
+    matrix = sp.csr_matrix(dense)
+
+    result = extended_residual(matrix, x, b)
+
+    assert result.dtype == np.longdouble
+    assert (b - matrix @ x)[0] == 0.0  # double precision loses the whole residual
+    assert result[0] == -(np.longdouble(2.0) ** -60)
+    assert result[5] == b[5]
+    eps = np.finfo(np.longdouble).eps
+    for i in range(8):
+        exact = Fraction(b[i]) - sum(Fraction(a) * Fraction(v) for a, v in zip(dense[i], x))
+        scale = abs(b[i]) + np.abs(dense[i] * x).sum()
+        # the long double's exact rational value
+        error = abs(Fraction(*result[i].as_integer_ratio()) - exact)
+        assert error <= 10 * eps * Fraction(scale)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[-1.0, 3.0], [-3.0, -2.0]], r"not coercive: smallest pivot -5\.500e\+00 at index 0"),
+        ([[0.0, 1.0], [-1.0, 0.0]], "not coercive: symmetric-mode pivoting left the diagonal"),
+    ],
+)
+def test_non_coercive_matrix_detected(entries, message):
+    """A negative definite symmetric part gives a negative pivot; a zero
+    symmetric part (skew matrix) forces pivoting off the diagonal."""
+    handle = CoerciveFactorHandle(sp.csr_matrix(np.array(entries)))
+    with pytest.raises(NotCoerciveError, match=message):
+        handle.certify_pivots()
+    assert issubclass(NotCoerciveError, SolverError)
+
+
+def test_coercive_nonsymmetric_matrix_certified():
+    # [[2,1],[-1,2]] has symmetric part 2 I; x = (1,1) gives b = (3,1)
+    handle = CoerciveFactorHandle(sp.csr_matrix(np.array([[2.0, 1.0], [-1.0, 2.0]])))
+    handle.certify_pivots()
+    report = handle.solve(np.array([3.0, 1.0]))
+    assert np.allclose(report.solution, [1.0, 1.0], atol=1e-15)
+    assert report.iterations == 1  # the extended-precision sweep
+
+
+def refined_in_double(handle, b, tol):
+    """Oracle: the float-only refinement loop of a FactorHandle solve."""
+    x = handle.lu.solve(b)
+    for sweep in range(11):
+        residual = b - handle.matrix @ x
+        rel = np.linalg.norm(residual) / np.linalg.norm(b)
+        if rel <= tol:
+            return x, rel, sweep
+        x = x + handle.lu.solve(residual)
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-16])
+def test_spd_solve_takes_no_extended_sweep(mesh_chain, dofmaps, rng, tol):
+    """SPD solves refine in double precision only: bitwise the float loop,
+    same sweep count (one at tol 1e-16); the coercive handle adds exactly
+    one sweep."""
+    matrix = FormAssembler(
+        mesh_chain[2], dofmaps[2], Coefficients.constant(beta=(1.0, 1.0)), "primary"
+    ).total_matrix(1e-3)
+    b = rng.standard_normal(dofmaps[2].total)
+    handle = SPDFactorHandle(matrix)
+    report = handle.solve(b, tol=tol)
+    x, rel, sweeps = refined_in_double(handle, b, tol)
+    assert np.array_equal(report.solution, x)
+    assert (report.relative_residual, report.iterations) == (rel, sweeps)
+    coercive = CoerciveFactorHandle(matrix).solve(b)
+    assert coercive.iterations == handle.solve(b).iterations + 1
+    assert coercive.relative_residual <= solver.DEFAULT_TOL
+
+
+def test_failed_extended_sweep_raises(monkeypatch):
+    """A sweep that breaks the contract is reported, not returned."""
+    monkeypatch.setattr(
+        solver, "extended_residual", lambda matrix, x, b: np.full(len(b), 1.0, np.longdouble)
+    )
+    handle = CoerciveFactorHandle(sp.identity(2, format="csr"))
+    with pytest.raises(SolverError, match="after the extended-precision sweep"):
+        handle.solve(np.array([1.0, 1.0]))
