@@ -34,6 +34,12 @@ fields prepend an axis of length 2, matrix fields prepend (2, 2).
 A source of the form f(t, x, y) = theta(t) g(x, y) can be given as a
 ``SeparableSource``: its load is then one cached image of g per step k,
 scaled by theta at each time level.
+
+The element tables (basis values, residuals r and d of the basis
+functions, weights) are built for one block of ``BLOCK_ELEMENTS``
+elements at a time inside each form call, and none is kept between
+calls. Every element term is computed from its own element's table
+entries, so the block size changes no bit of any assembled array.
 """
 
 import enum
@@ -55,6 +61,7 @@ from .spaces import (
 )
 
 MATRIX_DEGREE, DATA_DEGREE = 4, 6  # quadrature exactness: matrix terms, data terms
+BLOCK_ELEMENTS = 1024  # elements per block of element tables
 
 
 class CoefficientError(ValueError):
@@ -237,10 +244,10 @@ def _signed_sum(terms):
 
 
 class _RuleTables:
-    """Per-quadrature-rule element tables shared by all forms.
+    """Element tables of one quadrature rule on one block of elements.
 
-    For each element e, quadrature point q and local basis index
-    i in 0..5 (three P1 vertex functions, then three RT0 edge
+    For each element e of the block, quadrature point q and local basis
+    index i in 0..5 (three P1 vertex functions, then three RT0 edge
     functions) the tables hold the scalar value U, the first-order
     residual R = r(basis_i) and the flux residual G = d(basis_i), plus
     the physical weights wj = w_q * 2|T_e|. Each table entry is
@@ -250,21 +257,24 @@ class _RuleTables:
     The roots of A (and with them its admissibility check), the RT0
     values and G are built on first use, so tables that only serve
     loads never hold them.
+
+    The coefficient checks run per block: a ``CoefficientError`` names
+    the worst offending point of the first block that has one.
     """
 
-    def __init__(self, asm, rule):
+    def __init__(self, asm, rule, block):
         lam = rule.points  # (nQ, 3)
-        n_e = asm.mesh.num_triangles
-        n_q = lam.shape[0]
-
         self.variant = asm.variant
-        self.wj = quadrature_weights(rule, asm.areas)  # (nE, nQ)
-        self._pts = quadrature_points(rule, asm.verts)  # (nE, nQ, 2)
+        self._verts = asm.verts[block]
+        self.wj = quadrature_weights(rule, asm.areas[block])  # (nE, nQ)
+        self._pts = quadrature_points(rule, self._verts)  # (nE, nQ, 2)
         self.x = self._pts[..., 0]
         self.y = self._pts[..., 1]
+        n_e, n_q = self.x.shape
         # held by value: a reference to the assembler would be a cycle
         self._diffusion = asm.coeffs.A
-        self._rt_coef, self._verts = asm.rt_coef, asm.verts
+        self._rt_coef = asm.rt_coef[block]
+        self.rt_divs = asm.rt_divs[block]
 
         self.lam = lam
         self.beta = self._vector_at_points(asm.coeffs.beta)  # (nE, nQ, 2)
@@ -279,7 +289,7 @@ class _RuleTables:
             )
 
         # P1 gradients (slots 0-2) at the quadrature points
-        self.grads = np.broadcast_to(asm.p1_grads[:, None], (n_e, n_q, 3, 2))
+        self.grads = np.broadcast_to(asm.p1_grads[block, None], (n_e, n_q, 3, 2))
 
         # scalar value of each local basis function, zero for RT0 slots
         self.u_tab = np.zeros((n_e, n_q, 6))
@@ -287,7 +297,7 @@ class _RuleTables:
 
         self.r_tab = np.empty((n_e, n_q, 6))
         self.r_tab[:, :, :3] = self.scalar_residual(u=lam, grad=self.grads)
-        self.r_tab[:, :, 3:] = self.scalar_residual(div=asm.rt_divs[:, None, :])
+        self.r_tab[:, :, 3:] = self.scalar_residual(div=self.rt_divs[:, None, :])
 
     @cached_property
     def a_roots(self):
@@ -378,6 +388,13 @@ class FormAssembler:
     as its first argument. Matrix terms are integrated exactly to degree
     4 (enough for constant coefficients at lowest order), data terms
     (loads, functional values, exact-field products) to degree 6.
+
+    Each form builds the tables it reads one block of BLOCK_ELEMENTS
+    elements at a time, fills its whole-mesh array of element terms
+    block by block and scatters it in one call. No table outlives the
+    call; the assembler keeps only the data points, which a plain
+    callable source is evaluated at in every step, and the load
+    operators of the last step.
     """
 
     def __init__(self, mesh, dofmap, coeffs, variant):
@@ -405,13 +422,21 @@ class FormAssembler:
         self._load_ops = None  # (k, operators): one pair at a time, ~20 MB at level 6
         self._source_image = None  # (g, k to_tests g): the load of one field g at that k
 
-    @cached_property
-    def matrix_tables(self):
-        return _RuleTables(self, triangle_rule(MATRIX_DEGREE))
+    def _blocks(self, rule):
+        """Yield (slice, _RuleTables) for consecutive blocks of elements.
+
+        Each block holds BLOCK_ELEMENTS elements, the last one the rest.
+        The tables of a block are built when the generator reaches it.
+        """
+        n_e = self.mesh.num_triangles
+        for start in range(0, n_e, BLOCK_ELEMENTS):
+            block = slice(start, min(start + BLOCK_ELEMENTS, n_e))
+            yield block, _RuleTables(self, rule, block)
 
     @cached_property
-    def data_tables(self):
-        return _RuleTables(self, triangle_rule(DATA_DEGREE))
+    def _data_points(self):
+        """The data points (nE, nQ, 2), kept for sources evaluated per step."""
+        return quadrature_points(triangle_rule(DATA_DEGREE), self.verts)
 
     def _scatter_matrix(self, local):
         """Sum (nE, 6, m) element matrices into a global CSR matrix.
@@ -431,35 +456,37 @@ class FormAssembler:
     def total_matrix(self, k):
         """Matrix of the full time-step form (symmetric positive definite)."""
         k = _step(k)
-        t = self.matrix_tables
-        local = (
-            np.einsum("eq,eqi,eqj->eij", t.wj / k, t.u_tab, t.u_tab)
-            + np.einsum("eq,eqi,eqj->eij", t.wj, t.r_tab, t.u_tab)
-            + np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
-            + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
-            + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
-        )
+        local = np.empty((self.mesh.num_triangles, 6, 6))
+        for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
+            local[block] = (
+                np.einsum("eq,eqi,eqj->eij", t.wj / k, t.u_tab, t.u_tab)
+                + np.einsum("eq,eqi,eqj->eij", t.wj, t.r_tab, t.u_tab)
+                + np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
+                + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
+                + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
+            )
         return self._scatter_matrix(local)
 
     def nonsymmetric_matrix(self, k):
         """Matrix of the spatial part <r(u), v> + k<r(u), r(v)> + <d(u), d(v)>."""
         k = _step(k)
-        t = self.matrix_tables
-        local = (
-            np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
-            + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
-            + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
-        )
+        local = np.empty((self.mesh.num_triangles, 6, 6))
+        for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
+            local[block] = (
+                np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
+                + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
+                + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
+            )
         return self._scatter_matrix(local)
 
-    def _u_at_quadrature(self, tables, w):
-        """Values of the previous-step datum w at the data points."""
+    def _u_at_quadrature(self, rule, w):
+        """Values of the previous-step datum w at the data points of rule."""
         if w is None:
-            return np.zeros_like(tables.x)
+            return np.zeros((self.mesh.num_triangles, rule.weights.size))
         if callable(w):
             return self._at_data_points(w, "previous-step datum w")
         local = p1_vertex_values(w, self.mesh, self.dofmap)
-        return np.einsum("qi,ei->eq", tables.lam, local)
+        return np.einsum("qi,ei->eq", rule.points, local)
 
     def _load_operators(self, k):
         """Sparse operators of the load functional for step k.
@@ -473,30 +500,33 @@ class FormAssembler:
         if self._load_ops is None or self._load_ops[0] != k:
             self._load_ops = None
             self._source_image = None
-            t = self.data_tables
-            test_factor = t.u_tab / k + t.r_tab  # v/k + r(v)
-            weighted = t.wj[:, :, None] * test_factor  # (nE, nQ, 6)
-            points = np.arange(t.x.size).reshape(t.x.shape)
+            rule = triangle_rule(DATA_DEGREE)
+            n_e, n_q = self.mesh.num_triangles, rule.weights.size
+            weighted = np.empty((n_e, n_q, 6))
+            for block, t in self._blocks(rule):
+                test_factor = t.u_tab / k + t.r_tab  # v/k + r(v)
+                weighted[block] = t.wj[:, :, None] * test_factor
+            points = np.arange(n_e * n_q).reshape(n_e, n_q)
             to_tests = scatter_matrix(
                 weighted,
                 self.local_dofs[:, None, :],
                 points[:, :, None],
-                (self.dofmap.total, t.x.size),
+                (self.dofmap.total, n_e * n_q),
             )
-            from_u = self._scatter_matrix(np.einsum("eqi,qj->eij", weighted, t.lam))
+            from_u = self._scatter_matrix(np.einsum("eqi,qj->eij", weighted, rule.points))
             self._load_ops = (k, (to_tests, from_u))
         return self._load_ops[1]
 
     def _at_data_points(self, fn, name):
         """Values of a data callable at the data points."""
-        t = self.data_tables
-        values = np.asarray(fn(t.x, t.y), dtype=float)
+        x, y = self._data_points[..., 0], self._data_points[..., 1]
+        values = np.asarray(fn(x, y), dtype=float)
         try:
-            return np.broadcast_to(values, t.x.shape)
+            return np.broadcast_to(values, x.shape)
         except ValueError:
             raise ValueError(
                 f"{name} returned an array of shape {values.shape}; expected "
-                f"shape {t.x.shape} (elements x data points) or one that "
+                f"shape {x.shape} (elements x data points) or one that "
                 "broadcasts to it"
             ) from None
 
@@ -544,41 +574,44 @@ class FormAssembler:
     def lsq_functional(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
         """Value of the least-squares functional at a discrete pair."""
         k = _step(k)
-        t = self.data_tables
+        rule = triangle_rule(DATA_DEGREE)
         local = self._gather_local(u_coeffs, sigma_coeffs)
-        u_vals = np.einsum("eqi,ei->eq", t.u_tab, local)
-        r_vals = np.einsum("eqi,ei->eq", t.r_tab, local)
-        g_vals = np.einsum("eqix,ei->eqx", t.g_tab, local)
-        w_vals = self._u_at_quadrature(t, w)
-        data = np.zeros_like(u_vals) if g is None else self._at_data_points(g, "data g")
-        scalar_res = (u_vals - w_vals) / k + r_vals - data
-        value = np.sum(
-            t.wj * (k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals))
-        )
-        return float(value)
+        w_vals = self._u_at_quadrature(rule, w)
+        data = np.zeros_like(w_vals) if g is None else self._at_data_points(g, "data g")
+        terms = np.empty(w_vals.shape)
+        for block, t in self._blocks(rule):
+            u_vals = np.einsum("eqi,ei->eq", t.u_tab, local[block])
+            r_vals = np.einsum("eqi,ei->eq", t.r_tab, local[block])
+            g_vals = np.einsum("eqix,ei->eqx", t.g_tab, local[block])
+            scalar_res = (u_vals - w_vals[block]) / k + r_vals - data[block]
+            terms[block] = t.wj * (
+                k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals)
+            )
+        return float(np.sum(terms))
 
     def nonsymmetric_load_from_fields(self, k, u, grad_u, sigma, div_sigma):
         """Load b(exact pair, basis_i) for the elliptic projection."""
         k = _step(k)
-        t = self.data_tables
-        r_ex, g_ex = t.exact_residuals(u, grad_u, sigma, div_sigma)
-        local = (
-            np.einsum("eq,eq,eqi->ei", t.wj, r_ex, t.u_tab)
-            + np.einsum("eq,eq,eqi->ei", t.wj * k, r_ex, t.r_tab)
-            + np.einsum("eq,eqx,eqix->ei", t.wj, g_ex, t.g_tab)
-        )
+        local = np.empty((self.mesh.num_triangles, 6))
+        for block, t in self._blocks(triangle_rule(DATA_DEGREE)):
+            r_ex, g_ex = t.exact_residuals(u, grad_u, sigma, div_sigma)
+            local[block] = (
+                np.einsum("eq,eq,eqi->ei", t.wj, r_ex, t.u_tab)
+                + np.einsum("eq,eq,eqi->ei", t.wj * k, r_ex, t.r_tab)
+                + np.einsum("eq,eqx,eqix->ei", t.wj, g_ex, t.g_tab)
+            )
         return scatter_vector(local, self.local_dofs, self.dofmap.total)
 
     def natural_gram(self, k):
         """Gram matrix of ||grad u||^2 + ||sigma||^2 + k ||div sigma||^2."""
         k = _step(k)
-        t = self.matrix_tables
         local = np.zeros((self.mesh.num_triangles, 6, 6))
-        grads = np.ascontiguousarray(t.grads)  # the same summation order as a full table
-        local[:, :3, :3] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
-        local[:, 3:, 3:] = np.einsum(
-            "eq,eqix,eqjx->eij", t.wj, t.rt_vals, t.rt_vals
-        ) + np.einsum("eq,ei,ej->eij", t.wj * k, self.rt_divs, self.rt_divs)
+        for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
+            grads = np.ascontiguousarray(t.grads)  # the same summation order as a full table
+            local[block, :3, :3] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
+            local[block, 3:, 3:] = np.einsum(
+                "eq,eqix,eqjx->eij", t.wj, t.rt_vals, t.rt_vals
+            ) + np.einsum("eq,ei,ej->eij", t.wj * k, t.rt_divs, t.rt_divs)
         return self._scatter_matrix(local)
 
 

@@ -32,7 +32,7 @@ from .forms import FormAssembler
 class ProjectionResult:
     """Discrete projection coefficients, the step weight used, and the
     solve's achieved relative residual and refinement sweeps (the
-    extended-precision sweep included)."""
+    extended-precision sweep included when its solution is returned)."""
 
     u_coeffs: np.ndarray
     sigma_coeffs: np.ndarray
@@ -70,6 +70,7 @@ def elliptic_project(
     asm = FormAssembler(mesh, dofmap, coeffs, variant)
     matrix = asm.nonsymmetric_matrix(k)
     load = asm.nonsymmetric_load_from_fields(k, u, grad_u, sigma, div_sigma)
+    del asm  # the factorization needs none of the assembler's geometry
     handle = solver.CoerciveFactorHandle(matrix)
     handle.certify_pivots()
     report = handle.solve(load, tol=solver_tol)

@@ -7,12 +7,14 @@ the structural properties are the checks of ``parafosls.checks.CHECKS``,
 the same list that ``parafosls verify`` runs.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parafosls.analysis import decaying_sine_problem, observed_rates
+from parafosls.analysis import ERROR_QUANTITIES, decaying_sine_problem, observed_rates
 from parafosls.checks import CHECKS
 from parafosls.driver import ExperimentConfig, mesh_hierarchy, run_level
 from parafosls.evolution import check_stability_bound
@@ -26,6 +28,11 @@ RUN_SETUPS = {
     ("alternative", "h2"): 5,
     ("alternative", "h"): 6,
 }
+# The benchmark's two studies are two of these runs; their errors at
+# every level are recorded in the benchmark's reference.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+REFERENCE_STUDIES = {"h2-primary": ("primary", "h2"), "h-alternative": ("alternative", "h")}
+REFERENCE_RTOL = 1e-10
 
 
 def record(name, ok, detail=""):
@@ -135,3 +142,23 @@ def test_observation_div_flux_rate_under_l2_coupling(experiment_data):
         observed = rates["err_div_sigma"][-1]
         assert 0.7 <= observed <= 1.3, f"{variant}: div-flux rate {observed:.3f}"
         assert abs(observed - rates["err_sigma"][-1]) <= 0.3
+
+
+@pytest.mark.parametrize("study, run", REFERENCE_STUDIES.items())
+def test_studies_match_benchmark_reference(experiment_data, study, run):
+    """Every level's five errors equal the benchmark reference to 1e-10
+    relative, so a roundoff change that the benchmark would refuse fails
+    here first."""
+    expected = json.loads(REFERENCE.read_text())[study]
+    reports = experiment_data[run]["reports"]
+    assert sorted(expected, key=int) == [str(r.level) for r in reports]
+    worst = max(
+        abs(getattr(r, q) - e) / abs(e)
+        for r in reports
+        for q, e in zip(ERROR_QUANTITIES, expected[str(r.level)])
+    )
+    record(
+        f"{study} errors within {REFERENCE_RTOL:g} of the benchmark reference",
+        worst <= REFERENCE_RTOL,
+        f"worst relative deviation {worst:.2e}",
+    )

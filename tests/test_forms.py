@@ -1,10 +1,12 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parafosls import forms
 from parafosls.analysis import decaying_sine_problem
 from parafosls.evolution import TimePartition, backward_euler_run, l2_project_initial
 from parafosls.forms import (
@@ -12,16 +14,24 @@ from parafosls.forms import (
     Coefficients,
     FormAssembler,
     ProblemVariant,
+    SeparableSource,
     _spd_roots,
     assemble_p1_mass,
     assemble_p1_stiffness,
 )
+from parafosls.quadrature import triangle_rule
 from parafosls.solver import FactorHandle
+from parafosls.spaces import element_geometry, quadrature_points
 
 from oracles import _residuals, dense_coupling_matrix, dense_rhs, dense_total_matrix
 
 CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
 HEAT = Coefficients.constant()
+
+
+def rule_points(mesh, degree):
+    """The (nE, nQ, 2) points of the rule of that degree on every element."""
+    return quadrature_points(triangle_rule(degree), element_geometry(mesh)[0])
 
 
 def variable_coefficients():
@@ -174,7 +184,8 @@ def test_exact_residuals_match_oracle(mesh_chain, dofmaps, variant):
     m, dm = mesh_chain[1], dofmaps[1]
     coeffs = variable_coefficients()
     fields = decaying_sine_problem(variant).fields_at(0.05)
-    tables = FormAssembler(m, dm, coeffs, variant).data_tables
+    asm = FormAssembler(m, dm, coeffs, variant)
+    tables = forms._RuleTables(asm, triangle_rule(forms.DATA_DEGREE), slice(None))
     r, d = tables.exact_residuals(*fields)
     for e, q in np.ndindex(tables.x.shape):
         x, y = tables.x[e, q], tables.y[e, q]
@@ -253,10 +264,15 @@ def test_nonsymmetric_coercive_in_natural_norm(mesh_chain, dofmaps, rng):
 
 
 @pytest.mark.parametrize("k", [0.0, -0.1, np.nan, np.inf])
-def test_step_must_be_positive_and_finite(mesh_chain, dofmaps, k):
+def test_step_must_be_positive_and_finite(mesh_chain, dofmaps, k, monkeypatch):
     """Every form rejects a bad k before it builds any table."""
     m, dm = mesh_chain[0], dofmaps[0]
     asm = FormAssembler(m, dm, CONVECTION, "primary")
+
+    def no_tables(*args):
+        raise AssertionError("element tables built before k was checked")
+
+    monkeypatch.setattr(forms, "_RuleTables", no_tables)
     zeros = np.zeros(dm.n_u), np.zeros(dm.n_sigma)
     fields = decaying_sine_problem("primary").fields_at(0.0)
     calls = (
@@ -267,7 +283,7 @@ def test_step_must_be_positive_and_finite(mesh_chain, dofmaps, k):
     for call in calls:
         with pytest.raises(ValueError, match=f"k must be positive and finite, got {k}"):
             call(k)
-    assert "matrix_tables" not in vars(asm) and "data_tables" not in vars(asm)
+    assert "_data_points" not in vars(asm)
 
 
 def test_rhs_zero_data(mesh_chain, dofmaps):
@@ -314,7 +330,7 @@ def test_load_vector_matches_dense_oracle_level2(
 
 def test_source_of_wrong_shape_named(mesh_chain, dofmaps):
     asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, "primary")
-    expected = str(asm.data_tables.x.shape)
+    expected = str(rule_points(mesh_chain[1], forms.DATA_DEGREE).shape[:2])
     with pytest.raises(ValueError, match=r"source f .*shape \(5,\).*" + re.escape(expected)):
         asm.load_vector(0.1, f=lambda x, y: np.zeros(5))
 
@@ -347,9 +363,10 @@ def test_indefinite_diffusion_rejected(mesh_chain, dofmaps):
         FormAssembler(mesh_chain[0], dofmaps[0], bad, "primary").total_matrix(0.1)
 
 
-def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps):
-    tables = FormAssembler(mesh_chain[1], dofmaps[1], HEAT, "primary").matrix_tables
-    x0, y0 = tables.x[5, 2], tables.y[5, 2]
+def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps, monkeypatch):
+    """The point is named whichever block holds it (element 5 lies in
+    the second block of four elements)."""
+    x0, y0 = rule_points(mesh_chain[1], forms.MATRIX_DEGREE)[5, 2]
 
     def A(x, y):
         out = _rotated_diffusion(0.0, np.ones_like(x), np.ones_like(x))
@@ -358,8 +375,10 @@ def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps):
 
     asm = FormAssembler(mesh_chain[1], dofmaps[1], _diffusion_only(A), "primary")
     point = re.escape(f"({x0:.6g}, {y0:.6g})")
-    with pytest.raises(CoefficientError, match=point + r": lambda_min = -0\.5$"):
-        asm.total_matrix(0.1)
+    for block_elements in (forms.BLOCK_ELEMENTS, 4):
+        monkeypatch.setattr(forms, "BLOCK_ELEMENTS", block_elements)
+        with pytest.raises(CoefficientError, match=point + r": lambda_min = -0\.5$"):
+            asm.total_matrix(0.1)
 
 
 def test_diffusion_singular_to_roundoff_rejected(mesh_chain, dofmaps):
@@ -472,3 +491,73 @@ def test_natural_gram_is_spd(mesh_chain, dofmaps):
     ).natural_gram(0.05).toarray()
     assert np.allclose(gram, gram.T)
     np.linalg.cholesky(gram)
+
+
+def every_form(asm, variant):
+    """Every form of the assembler at one k, for the block-size test."""
+    k = 0.03
+    dm = asm.dofmap
+    rng = np.random.default_rng(7)
+    u, sigma, w = (rng.standard_normal(n) for n in (dm.n_u, dm.n_sigma, dm.n_u))
+
+    def f(x, y):
+        return np.sin(np.pi * x) * np.cos(y)
+
+    def w_field(x, y):
+        return np.cos(2.0 * x) * y
+
+    separable = SeparableSource(np.exp, lambda x, y: np.cos(x + y)).at(0.3)
+    out = {
+        "total": asm.total_matrix(k),
+        "nonsymmetric": asm.nonsymmetric_matrix(k),
+        "gram": asm.natural_gram(k),
+        "functional": asm.lsq_functional(k, u, sigma, g=f, w=w),
+        "functional, no data": asm.lsq_functional(k, u, None, w=w_field),
+        "field load": asm.nonsymmetric_load_from_fields(
+            k, *decaying_sine_problem(variant).fields_at(0.1)
+        ),
+    }
+    for f_name, source in (("plain", f), ("separable", separable), ("none", None)):
+        for w_name, datum in (("vector", w), ("callable", w_field), ("none", None)):
+            out[f"load f {f_name}, w {w_name}"] = asm.load_vector(k, f=source, w=datum)
+    return out
+
+
+def assert_bitwise_equal(a, b):
+    if hasattr(a, "indptr"):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+    else:
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", list(ProblemVariant))
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("block_elements", [7, 1000])
+def test_block_size_changes_no_bit(
+    mesh_chain, dofmaps, variant, level, block_elements, monkeypatch
+):
+    """Blocks of any size, a partial last one included, give the arrays
+    of one whole-mesh block bitwise, and no table outlives its call."""
+    m, dm = mesh_chain[level], dofmaps[level]
+    monkeypatch.setattr(forms, "BLOCK_ELEMENTS", m.num_triangles)
+    whole = every_form(FormAssembler(m, dm, variable_coefficients(), variant), variant)
+
+    monkeypatch.setattr(forms, "BLOCK_ELEMENTS", block_elements)
+    tables = []
+    build = forms._RuleTables.__init__
+
+    def tracked(self, *args):
+        build(self, *args)
+        tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(forms._RuleTables, "__init__", tracked)
+    asm = FormAssembler(m, dm, variable_coefficients(), variant)
+    fresh = dict(vars(asm))
+    blocked = every_form(asm, variant)
+
+    for name, value in whole.items():
+        assert_bitwise_equal(blocked[name], value)
+    assert len(tables) > 0 and all(ref() is None for ref in tables)
+    rebound = {name for name, value in vars(asm).items() if fresh.get(name) is not value}
+    assert rebound == {"_load_ops", "_source_image", "_data_points"}
