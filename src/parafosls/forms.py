@@ -39,7 +39,10 @@ The element tables (basis values, residuals r and d of the basis
 functions, weights) are built for one block of ``BLOCK_ELEMENTS``
 elements at a time inside each form call, and none is kept between
 calls. Every element term is computed from its own element's table
-entries, so the block size changes no bit of any assembled array.
+entries, so the block size changes no bit of any assembled array. The
+quadrature sums of the matrices and of the field load run through two
+written-out kernels that do np.einsum's products and sums in einsum's
+order, so each form is bitwise what its einsum expression gives.
 """
 
 import enum
@@ -223,9 +226,60 @@ def _slot_matvec(m, v):
     """
     m = m[:, :, None]
     out = np.empty(np.broadcast_shapes(m.shape[:3], v.shape[:3]) + (2,))
-    out[..., 0] = m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1]
-    out[..., 1] = m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]
+    for x in range(2):  # out_x = m_x0 v_0 + m_x1 v_1, with no temporary for the sum
+        np.multiply(m[..., x, 0], v[..., 0], out=out[..., x])
+        out[..., x] += m[..., x, 1] * v[..., 1]
     return out
+
+
+def _element_last(a):
+    """A contiguous copy of an (nE, ...) array with the element axis moved last."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _quad_matrix(w, a, b, slots=None):
+    """sum_q w_q a_qi . b_qj: the einsum "eq,eqi,eqj->eij", or
+    "eq,eqix,eqjx->eij" when the tables carry a trailing flux axis.
+
+    w is (nE, nQ), a (nE, nQ, n[, 2]) and b (nE, nQ, m[, 2]). The
+    result is (nE, n, m), or (nE,) + slots with the first n rows and m
+    columns filled and the rest exactly zero. The arithmetic is
+    einsum's, so the result is bitwise equal: per point the products
+    (w a_i) b_j, the two flux components added first, and the points
+    accumulated in order from zero. The work runs on element-last
+    copies, so every operation's inner loop spans the block's elements.
+    """
+    same = b is a
+    w, a = _element_last(w), _element_last(a)
+    b = a if same else _element_last(b)
+    n, m, n_e = a.shape[1], b.shape[1], a.shape[-1]
+    out = np.zeros((slots or (n, m)) + (n_e,))
+    acc = out[:n, :m]
+    wa = np.empty(a.shape[1:])
+    prod = np.empty((n, m, n_e))
+    second = np.empty_like(prod)
+    for q in range(a.shape[0]):
+        np.multiply(w[q], a[q], out=wa)
+        if a.ndim == 3:
+            np.multiply(wa[:, None], b[q], out=prod)
+        else:
+            np.multiply(wa[:, None, 0], b[q, :, 0], out=prod)
+            np.multiply(wa[:, None, 1], b[q, :, 1], out=second)
+            prod += second
+        acc += prod
+    return np.moveaxis(out, -1, 0)
+
+
+def _quad_vector(w, c, a, slots=None):
+    """sum_q w_q c_q . a_qi: the einsum "eq,eq,eqi->ei", or
+    "eq,eqx,eqix->ei" when c and a carry a trailing flux axis.
+
+    w is (nE, nQ), c (nE, nQ[, 2]) and a (nE, nQ, n[, 2]). The result
+    is (nE, n), or (nE, slots) with the first n filled and the rest
+    exactly zero. It is ``_quad_matrix`` with c as a table of one slot, so the
+    products are (w c) a_i, bitwise the einsum's.
+    """
+    return _quad_matrix(w, c[:, :, None], a, slots and (1, slots))[:, 0]
 
 
 def _signed_sum(terms):
@@ -259,7 +313,9 @@ class _RuleTables:
     loads never hold them.
 
     The coefficient checks run per block: a ``CoefficientError`` names
-    the worst offending point of the first block that has one.
+    the worst offending point of the first block that has one. Each
+    coefficient is checked finite where it is evaluated: beta, div beta
+    and gamma with the tables, A with its roots.
     """
 
     def __init__(self, asm, rule, block):
@@ -277,9 +333,10 @@ class _RuleTables:
         self.rt_divs = asm.rt_divs[block]
 
         self.lam = lam
-        self.beta = self._vector_at_points(asm.coeffs.beta)  # (nE, nQ, 2)
-        self.gamma = np.broadcast_to(asm.coeffs.gamma(self.x, self.y), (n_e, n_q))
-        div_beta = np.broadcast_to(asm.coeffs.div_beta(self.x, self.y), (n_e, n_q))
+        beta = self._coefficient(asm.coeffs.beta, "beta", (2,))
+        self.beta = np.moveaxis(beta, 0, -1)  # (nE, nQ, 2)
+        self.gamma = self._coefficient(asm.coeffs.gamma, "gamma")
+        div_beta = self._coefficient(asm.coeffs.div_beta, "div_beta")
         margin = 0.5 * div_beta + self.gamma
         if np.any(margin < 0.0):
             worst = int(np.argmin(margin))
@@ -294,6 +351,7 @@ class _RuleTables:
         # scalar value of each local basis function, zero for RT0 slots
         self.u_tab = np.zeros((n_e, n_q, 6))
         self.u_tab[:, :, :3] = lam[None, :, :]
+        self.u_p1 = self.u_tab[:, :, :3]  # the slots where U is not zero
 
         self.r_tab = np.empty((n_e, n_q, 6))
         self.r_tab[:, :, :3] = self.scalar_residual(u=lam, grad=self.grads)
@@ -302,7 +360,7 @@ class _RuleTables:
     @cached_property
     def a_roots(self):
         """(A^{1/2}, A^{-1/2}) at the points, each (nE, nQ, 2, 2); checks A."""
-        a_vals = np.broadcast_to(self._diffusion(self.x, self.y), (2, 2) + self.x.shape)
+        a_vals = self._coefficient(self._diffusion, "A", (2, 2))
         return tuple(
             np.moveaxis(root, (0, 1), (-2, -1))
             for root in _spd_roots(a_vals, self._point)
@@ -324,6 +382,23 @@ class _RuleTables:
     def _point(self, flat_index):
         """The quadrature point of a flat (element, point) index, formatted."""
         return f"({self.x.flat[flat_index]:.6g}, {self.y.flat[flat_index]:.6g})"
+
+    def _coefficient(self, fn, name, components=()):
+        """A coefficient callable at the points, components + (nE, nQ).
+
+        Raises ``CoefficientError`` naming the coefficient and the first
+        point where a value is not finite.
+        """
+        values = np.broadcast_to(fn(self.x, self.y), components + self.x.shape)
+        finite = np.isfinite(values).reshape(-1, self.x.size).all(axis=0)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            value = ", ".join(f"{v:.6g}" for v in values.reshape(-1, self.x.size)[:, first])
+            raise CoefficientError(
+                f"coefficient {name} is not finite at point {self._point(first)}: "
+                f"value {value}"
+            )
+        return values
 
     def _vector_at_points(self, fn):
         """A vector field callable at the quadrature points, (nE, nQ, 2)."""
@@ -458,12 +533,13 @@ class FormAssembler:
         k = _step(k)
         local = np.empty((self.mesh.num_triangles, 6, 6))
         for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
+            u = t.u_p1
             local[block] = (
-                np.einsum("eq,eqi,eqj->eij", t.wj / k, t.u_tab, t.u_tab)
-                + np.einsum("eq,eqi,eqj->eij", t.wj, t.r_tab, t.u_tab)
-                + np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
-                + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
-                + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
+                _quad_matrix(t.wj / k, u, u, (6, 6))
+                + _quad_matrix(t.wj, t.r_tab, u, (6, 6))
+                + _quad_matrix(t.wj, u, t.r_tab, (6, 6))
+                + _quad_matrix(t.wj * k, t.r_tab, t.r_tab)
+                + _quad_matrix(t.wj, t.g_tab, t.g_tab)
             )
         return self._scatter_matrix(local)
 
@@ -473,9 +549,9 @@ class FormAssembler:
         local = np.empty((self.mesh.num_triangles, 6, 6))
         for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
             local[block] = (
-                np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
-                + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
-                + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
+                _quad_matrix(t.wj, t.u_p1, t.r_tab, (6, 6))
+                + _quad_matrix(t.wj * k, t.r_tab, t.r_tab)
+                + _quad_matrix(t.wj, t.g_tab, t.g_tab)
             )
         return self._scatter_matrix(local)
 
@@ -573,6 +649,14 @@ class FormAssembler:
 
     def lsq_functional(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
         """Value of the least-squares functional at a discrete pair."""
+        return float(np.sum(self._lsq_terms(k, u_coeffs, sigma_coeffs, g, w)))
+
+    def lsq_indicators(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
+        """(nE,) element contributions of ``lsq_functional``, which sum to it."""
+        return np.sum(self._lsq_terms(k, u_coeffs, sigma_coeffs, g, w), axis=1)
+
+    def _lsq_terms(self, k, u_coeffs, sigma_coeffs, g, w):
+        """(nE, nQ) weighted integrand of the functional at the data points."""
         k = _step(k)
         rule = triangle_rule(DATA_DEGREE)
         local = self._gather_local(u_coeffs, sigma_coeffs)
@@ -587,7 +671,7 @@ class FormAssembler:
             terms[block] = t.wj * (
                 k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals)
             )
-        return float(np.sum(terms))
+        return terms
 
     def nonsymmetric_load_from_fields(self, k, u, grad_u, sigma, div_sigma):
         """Load b(exact pair, basis_i) for the elliptic projection."""
@@ -596,9 +680,9 @@ class FormAssembler:
         for block, t in self._blocks(triangle_rule(DATA_DEGREE)):
             r_ex, g_ex = t.exact_residuals(u, grad_u, sigma, div_sigma)
             local[block] = (
-                np.einsum("eq,eq,eqi->ei", t.wj, r_ex, t.u_tab)
-                + np.einsum("eq,eq,eqi->ei", t.wj * k, r_ex, t.r_tab)
-                + np.einsum("eq,eqx,eqix->ei", t.wj, g_ex, t.g_tab)
+                _quad_vector(t.wj, r_ex, t.u_p1, 6)
+                + _quad_vector(t.wj * k, r_ex, t.r_tab)
+                + _quad_vector(t.wj, g_ex, t.g_tab)
             )
         return scatter_vector(local, self.local_dofs, self.dofmap.total)
 
@@ -607,11 +691,10 @@ class FormAssembler:
         k = _step(k)
         local = np.zeros((self.mesh.num_triangles, 6, 6))
         for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
-            grads = np.ascontiguousarray(t.grads)  # the same summation order as a full table
-            local[block, :3, :3] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
-            local[block, 3:, 3:] = np.einsum(
-                "eq,eqix,eqjx->eij", t.wj, t.rt_vals, t.rt_vals
-            ) + np.einsum("eq,ei,ej->eij", t.wj * k, t.rt_divs, t.rt_divs)
+            local[block, :3, :3] = _quad_matrix(t.wj, t.grads, t.grads)
+            local[block, 3:, 3:] = _quad_matrix(t.wj, t.rt_vals, t.rt_vals) + np.einsum(
+                "eq,ei,ej->eij", t.wj * k, t.rt_divs, t.rt_divs
+            )
         return self._scatter_matrix(local)
 
 

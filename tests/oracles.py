@@ -1,15 +1,18 @@
 """Independent slow-path oracles for the assembly tests.
 
-Everything here is written as plain per-element, per-point Python
-loops on top of the pointwise basis evaluator, deliberately avoiding
-the vectorized table machinery of the package's assembler, so the two
-paths only share the quadrature rules and the basis definition.
+Everything here but ``einsum_forms`` is written as plain per-element,
+per-point Python loops on top of the pointwise basis evaluator,
+deliberately avoiding the vectorized table machinery of the package's
+assembler, so the two paths only share the quadrature rules and the
+basis definition. ``einsum_forms`` pins the summation order instead: it
+shares the tables and differs only in the contractions.
 """
 
 import numpy as np
 
+from parafosls import forms
 from parafosls.quadrature import triangle_rule
-from parafosls.spaces import eval_local_basis
+from parafosls.spaces import eval_local_basis, scatter_vector
 
 
 def _pointwise(fn, x, y):
@@ -135,3 +138,47 @@ def dense_rhs(mesh, dofmap, coeffs, k, variant, f=None, w=None, degree=6):
                 ri, _ = _residuals(coeffs, variant, xq[0], xq[1], *fld)
                 out[dofs[i]] += wq * data * (fld[0] / k + ri)
     return out
+
+
+def einsum_forms(asm, k, fields):
+    """The four quadrature forms of an assembler, one np.einsum per term.
+
+    Unlike the loop oracles above, this one reads the package's element
+    tables (one whole-mesh block per rule) and scatters through the
+    assembler; it differs from the assembler only in the contractions,
+    so the two agree bitwise. The natural-norm gram gets a full P1
+    gradient table, because einsum sums a broadcast view in another order.
+    """
+    t = forms._RuleTables(asm, triangle_rule(forms.MATRIX_DEGREE), slice(None))
+    d = forms._RuleTables(asm, triangle_rule(forms.DATA_DEGREE), slice(None))
+    r_ex, g_ex = d.exact_residuals(*fields)
+    grads = np.ascontiguousarray(t.grads)
+    gram = np.zeros((asm.mesh.num_triangles, 6, 6))
+    gram[:, :3, :3] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
+    gram[:, 3:, 3:] = (
+        np.einsum("eq,eqix,eqjx->eij", t.wj, t.rt_vals, t.rt_vals)
+        + np.einsum("eq,ei,ej->eij", t.wj * k, t.rt_divs, t.rt_divs)
+    )
+    total = (
+        np.einsum("eq,eqi,eqj->eij", t.wj / k, t.u_tab, t.u_tab)
+        + np.einsum("eq,eqi,eqj->eij", t.wj, t.r_tab, t.u_tab)
+        + np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
+        + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
+        + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
+    )
+    nonsymmetric = (
+        np.einsum("eq,eqi,eqj->eij", t.wj, t.u_tab, t.r_tab)
+        + np.einsum("eq,eqi,eqj->eij", t.wj * k, t.r_tab, t.r_tab)
+        + np.einsum("eq,eqix,eqjx->eij", t.wj, t.g_tab, t.g_tab)
+    )
+    field_load = (
+        np.einsum("eq,eq,eqi->ei", d.wj, r_ex, d.u_tab)
+        + np.einsum("eq,eq,eqi->ei", d.wj * k, r_ex, d.r_tab)
+        + np.einsum("eq,eqx,eqix->ei", d.wj, g_ex, d.g_tab)
+    )
+    return {
+        "total": asm._scatter_matrix(total),
+        "nonsymmetric": asm._scatter_matrix(nonsymmetric),
+        "gram": asm._scatter_matrix(gram),
+        "field load": scatter_vector(field_load, asm.local_dofs, asm.dofmap.total),
+    }

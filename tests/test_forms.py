@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -23,7 +25,13 @@ from parafosls.quadrature import triangle_rule
 from parafosls.solver import FactorHandle
 from parafosls.spaces import element_geometry, quadrature_points
 
-from oracles import _residuals, dense_coupling_matrix, dense_rhs, dense_total_matrix
+from oracles import (
+    _residuals,
+    dense_coupling_matrix,
+    dense_rhs,
+    dense_total_matrix,
+    einsum_forms,
+)
 
 CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
 HEAT = Coefficients.constant()
@@ -278,6 +286,7 @@ def test_step_must_be_positive_and_finite(mesh_chain, dofmaps, k, monkeypatch):
     calls = (
         asm.total_matrix, asm.nonsymmetric_matrix, asm.natural_gram, asm.load_vector,
         lambda k: asm.lsq_functional(k, *zeros),
+        lambda k: asm.lsq_indicators(k, *zeros),
         lambda k: asm.nonsymmetric_load_from_fields(k, *fields),
     )
     for call in calls:
@@ -513,6 +522,7 @@ def every_form(asm, variant):
         "gram": asm.natural_gram(k),
         "functional": asm.lsq_functional(k, u, sigma, g=f, w=w),
         "functional, no data": asm.lsq_functional(k, u, None, w=w_field),
+        "indicators": asm.lsq_indicators(k, u, sigma, g=f, w=w),
         "field load": asm.nonsymmetric_load_from_fields(
             k, *decaying_sine_problem(variant).fields_at(0.1)
         ),
@@ -561,3 +571,135 @@ def test_block_size_changes_no_bit(
     assert len(tables) > 0 and all(ref() is None for ref in tables)
     rebound = {name for name, value in vars(asm).items() if fresh.get(name) is not value}
     assert rebound == {"_load_ops", "_source_image", "_data_points"}
+
+
+def _einsum_operands(rng, n_e, n_q, flux):
+    """Random w (a transposed view), a, and a slot-strided b of a block."""
+    tail = (2,) if flux else ()
+    w = rng.random((n_q, n_e)).T
+    a = rng.standard_normal((n_e, n_q, 6) + tail)
+    b = rng.standard_normal((n_e, n_q, 12) + tail)[:, :, ::2]
+    return w, a, b
+
+
+def _same_bits(x, y):
+    """Bitwise equality, which np.array_equal is not for signed zeros."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _padded(a):
+    """a on the first three of six slots, zero on the rest."""
+    out = np.zeros(a.shape[:2] + (6,) + a.shape[3:])
+    out[:, :, :3] = a
+    return out
+
+
+@pytest.mark.parametrize("n_e", [1, 7, 1024])
+@pytest.mark.parametrize("n_q", [6, 12])
+@pytest.mark.parametrize("flux", [False, True])
+def test_quad_matrix_equals_einsum(n_e, n_q, flux):
+    w, a, b = _einsum_operands(np.random.default_rng(n_e + n_q), n_e, n_q, flux)
+    spec = "eq,eqix,eqjx->eij" if flux else "eq,eqi,eqj->eij"
+    u = a[:, :, :3]
+    for args, slots in (((w, a, b), None), ((w, b, b), None), ((w, u, u), (6, 6)),
+                        ((w, u, b), (6, 6)), ((w, b, u), (6, 6))):
+        full = [arg if arg is not u else _padded(u) for arg in args]
+        assert _same_bits(forms._quad_matrix(*args, slots), np.einsum(spec, *full))
+    if flux:  # a table broadcast over the points, as the P1 gradients
+        grads = np.broadcast_to(a[:, :1, :3], (n_e, n_q, 3, 2))
+        full = np.ascontiguousarray(grads)
+        assert _same_bits(
+            forms._quad_matrix(w, grads, grads), np.einsum(spec, w, full, full)
+        )
+
+
+@pytest.mark.parametrize("n_e", [1, 7, 1024])
+@pytest.mark.parametrize("n_q", [6, 12])
+@pytest.mark.parametrize("flux", [False, True])
+def test_quad_vector_equals_einsum(n_e, n_q, flux):
+    rng = np.random.default_rng(n_e * n_q)
+    w, a, b = _einsum_operands(rng, n_e, n_q, flux)
+    if flux:  # strided views, as the exact residuals
+        c = np.moveaxis(rng.standard_normal((2, n_e, n_q)), 0, -1)
+    else:
+        c = rng.standard_normal((n_q, n_e)).T
+    spec = "eq,eqx,eqix->ei" if flux else "eq,eq,eqi->ei"
+    assert _same_bits(forms._quad_vector(w, c, a), np.einsum(spec, w, c, a))
+    assert _same_bits(forms._quad_vector(w, c, b), np.einsum(spec, w, c, b))
+    u = a[:, :, :3]
+    assert _same_bits(forms._quad_vector(w, c, u, 6), np.einsum(spec, w, c, _padded(u)))
+
+
+@pytest.mark.parametrize("variant", list(ProblemVariant))
+@pytest.mark.parametrize("k", [1e-6, 0.1])
+def test_forms_equal_einsum_oracle(mesh_chain, dofmaps, variant, k):
+    """The quadrature kernels sum in einsum's order: every contracted form
+    equals the one-einsum-per-term oracle bitwise."""
+    m, dm = mesh_chain[3], dofmaps[3]
+    asm = FormAssembler(m, dm, variable_coefficients(), variant)
+    fields = decaying_sine_problem(variant).fields_at(0.1)
+    oracle = einsum_forms(asm, k, fields)
+    assert_bitwise_equal(asm.total_matrix(k), oracle["total"])
+    assert_bitwise_equal(asm.nonsymmetric_matrix(k), oracle["nonsymmetric"])
+    assert_bitwise_equal(asm.natural_gram(k), oracle["gram"])
+    assert_bitwise_equal(asm.nonsymmetric_load_from_fields(k, *fields), oracle["field load"])
+
+
+def _poisoned(coeffs, name, point, value):
+    """coeffs with every component of the named coefficient set to value at one point."""
+    field = getattr(coeffs, name)
+
+    def fn(x, y):
+        out = np.array(field(x, y), dtype=float)
+        out[..., (x == point[0]) & (y == point[1])] = value
+        return out
+
+    return dataclasses.replace(coeffs, **{name: fn})
+
+
+@pytest.mark.parametrize(
+    "name, value", [("A", np.nan), ("beta", np.nan), ("div_beta", np.inf), ("gamma", np.nan)]
+)
+def test_non_finite_coefficient_named(mesh_chain, dofmaps, name, value):
+    """A non-finite coefficient fails where it is evaluated, naming itself
+    and the point, before any arithmetic could warn about it."""
+    m, dm = mesh_chain[2], dofmaps[2]
+    x0, y0 = rule_points(m, forms.MATRIX_DEGREE)[5, 2]
+    coeffs = _poisoned(variable_coefficients(), name, (x0, y0), value)
+    asm = FormAssembler(m, dm, coeffs, "primary")
+    point = re.escape(f"({x0:.6g}, {y0:.6g})")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoefficientError, match=f"coefficient {name} is not finite at point {point}"):
+            asm.total_matrix(0.1)
+
+
+@pytest.mark.parametrize("name", ["beta", "gamma"])
+def test_non_finite_coefficient_named_by_load(mesh_chain, dofmaps, name):
+    m, dm = mesh_chain[2], dofmaps[2]
+    points = rule_points(m, forms.DATA_DEGREE)
+    coeffs = _poisoned(variable_coefficients(), name, points[9, 4], np.nan)
+    coeffs = _poisoned(coeffs, name, points[30, 1], -np.inf)
+    asm = FormAssembler(m, dm, coeffs, "alternative")
+    point = re.escape("({:.6g}, {:.6g})".format(*points[9, 4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoefficientError, match=f"{name} is not finite at point {point}: value nan"):
+            asm.load_vector(0.1, f=None, w=np.ones(dm.n_u))
+
+
+@pytest.mark.parametrize("variant", list(ProblemVariant))
+def test_lsq_indicators_sum_to_functional(mesh_chain, dofmaps, variant, rng):
+    m, dm = mesh_chain[2], dofmaps[2]
+    asm = FormAssembler(m, dm, variable_coefficients(), variant)
+    u, sigma, w = (rng.standard_normal(n) for n in (dm.n_u, dm.n_sigma, dm.n_u))
+
+    def g(x, y):
+        return np.sin(np.pi * x) * y
+
+    total = asm.lsq_functional(0.05, u, sigma, g=g, w=w)
+    indicators = asm.lsq_indicators(0.05, u, sigma, g=g, w=w)
+    assert indicators.shape == (m.num_triangles,)
+    assert np.all(indicators >= 0.0)
+    assert abs(indicators.sum() - total) <= 1e-12 * total
