@@ -49,7 +49,6 @@ from .solver import (
     FactorHandle,
     NotCoerciveError,
     NotSPDError,
-    SPDFactorHandle,
     SolveReport,
     SolverError,
     solve_spd,

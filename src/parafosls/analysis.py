@@ -15,7 +15,6 @@ import numpy as np
 from .forms import DATA_DEGREE, Coefficients, ProblemVariant, SeparableSource
 from .quadrature import triangle_rule
 from .spaces import (
-    element_geometry,
     p1_vertex_values,
     quadrature_points,
     quadrature_weights,
@@ -161,19 +160,19 @@ def field_error_norms(
     coefficient vectors (sigma may be None, meaning zero).
     """
     rule = triangle_rule(DATA_DEGREE)
-    verts, areas, p1_grads, rt_coef, rt_divs = element_geometry(mesh)
-    wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
+    geo = mesh.geometry
+    wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
     x, y = pts[..., 0], pts[..., 1]
 
     local_u = p1_vertex_values(u_coeffs, mesh, dofmap)  # (nE, 3)
     u_h = np.einsum("qi,ei->eq", rule.points, local_u)
-    grad_h = np.einsum("ei,eix->ex", local_u, p1_grads)  # constant per element
+    grad_h = np.einsum("ei,eix->ex", local_u, geo.p1_grads)  # constant per element
 
     if sigma_coeffs is not None:
         local_s = np.asarray(sigma_coeffs, dtype=float)[mesh.triangle_edges]
-        rt_vals = rt0_values(rt_coef, verts, pts)
+        rt_vals = rt0_values(geo.rt_coef, geo.verts, pts)
         sig_h = np.einsum("ei,eqix->eqx", local_s, rt_vals)
-        div_h = np.einsum("ei,ei->e", local_s, rt_divs)
+        div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
     else:
         sig_h = np.zeros_like(pts)
         div_h = np.zeros(mesh.num_triangles)

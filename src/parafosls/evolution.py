@@ -26,7 +26,7 @@ from .forms import (
     assemble_p1_stiffness,
 )
 from .quadrature import triangle_rule
-from .spaces import element_geometry, quadrature_points, quadrature_weights
+from .spaces import quadrature_points, quadrature_weights
 
 _PARTITION_TOL = 1e-12
 # Steps within this relative distance count as one step size and share
@@ -162,7 +162,7 @@ def backward_euler_run(
     last = len(steps)
     for n, k in enumerate(steps, start=1):
         if handle is None or not _same_step(k, current_k):
-            handle = solver.SPDFactorHandle(assembler.total_matrix(k))
+            handle = solver.FactorHandle(assembler.total_matrix(k))
             current_k = k
         t_n = times[n]
         source = f.at(t_n) if separable else lambda x, y: f(t_n, x, y)
@@ -217,7 +217,7 @@ def galerkin_be_reference(
     current_k = None
     for n, k in enumerate(partition.steps, start=1):
         if handle is None or not _same_step(k, current_k):
-            handle = solver.SPDFactorHandle(mass / k + stiffness)
+            handle = solver.FactorHandle(mass / k + stiffness)
             current_k = k
         rhs = mass @ trajectory[-1] / current_k + source_load(times[n])
         trajectory.append(handle.solve(rhs, tol=solver_tol).solution)
@@ -235,8 +235,8 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
     """
     mass = assemble_p1_mass(mesh, dofmap)
     rule = triangle_rule(DATA_DEGREE)
-    verts, areas, _, _, _ = element_geometry(mesh)
-    wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
+    geo = mesh.geometry
+    wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
     x, y = pts[..., 0], pts[..., 1]
 
     def u_norm(c):

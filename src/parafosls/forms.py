@@ -54,7 +54,6 @@ import numpy as np
 
 from .quadrature import triangle_rule
 from .spaces import (
-    element_geometry,
     p1_vertex_values,
     quadrature_points,
     quadrature_weights,
@@ -320,17 +319,18 @@ class _RuleTables:
 
     def __init__(self, asm, rule, block):
         lam = rule.points  # (nQ, 3)
+        geo = asm.mesh.geometry
         self.variant = asm.variant
-        self._verts = asm.verts[block]
-        self.wj = quadrature_weights(rule, asm.areas[block])  # (nE, nQ)
+        self._verts = geo.verts[block]
+        self.wj = quadrature_weights(rule, geo.areas[block])  # (nE, nQ)
         self._pts = quadrature_points(rule, self._verts)  # (nE, nQ, 2)
         self.x = self._pts[..., 0]
         self.y = self._pts[..., 1]
         n_e, n_q = self.x.shape
         # held by value: a reference to the assembler would be a cycle
         self._diffusion = asm.coeffs.A
-        self._rt_coef = asm.rt_coef[block]
-        self.rt_divs = asm.rt_divs[block]
+        self._rt_coef = geo.rt_coef[block]
+        self.rt_divs = geo.rt_divs[block]
 
         self.lam = lam
         beta = self._coefficient(asm.coeffs.beta, "beta", (2,))
@@ -346,7 +346,7 @@ class _RuleTables:
             )
 
         # P1 gradients (slots 0-2) at the quadrature points
-        self.grads = np.broadcast_to(asm.p1_grads[block, None], (n_e, n_q, 3, 2))
+        self.grads = np.broadcast_to(geo.p1_grads[block, None], (n_e, n_q, 3, 2))
 
         # scalar value of each local basis function, zero for RT0 slots
         self.u_tab = np.zeros((n_e, n_q, 6))
@@ -466,10 +466,11 @@ class FormAssembler:
 
     Each form builds the tables it reads one block of BLOCK_ELEMENTS
     elements at a time, fills its whole-mesh array of element terms
-    block by block and scatters it in one call. No table outlives the
-    call; the assembler keeps only the data points, which a plain
-    callable source is evaluated at in every step, and the load
-    operators of the last step.
+    block by block and scatters it in one call. The tables read the
+    element geometry that the mesh computes once (``Mesh.geometry``).
+    No table outlives the call; the assembler keeps only the data
+    points, which a plain callable source is evaluated at in every step,
+    and the load operators of the last step.
     """
 
     def __init__(self, mesh, dofmap, coeffs, variant):
@@ -477,15 +478,6 @@ class FormAssembler:
         self.dofmap = dofmap
         self.coeffs = coeffs
         self.variant = ProblemVariant(variant)
-
-        (
-            self.verts,
-            self.areas,
-            self.p1_grads,
-            self.rt_coef,
-            self.rt_divs,
-        ) = element_geometry(mesh)
-
         # local slot -> global dof, -1 for boundary u slots
         self.local_dofs = np.concatenate(
             [
@@ -511,19 +503,25 @@ class FormAssembler:
     @cached_property
     def _data_points(self):
         """The data points (nE, nQ, 2), kept for sources evaluated per step."""
-        return quadrature_points(triangle_rule(DATA_DEGREE), self.verts)
+        return quadrature_points(triangle_rule(DATA_DEGREE), self.mesh.geometry.verts)
 
     def _scatter_matrix(self, local):
-        """Sum (nE, 6, m) element matrices into a global CSR matrix.
+        """Sum element matrices into a global CSR matrix.
 
-        Columns are the first m local slots: m = 6 gives a square matrix
-        on the product space, m = 3 one acting on u-coefficients.
+        ``local`` is (nE, 6, m), with columns the first m local slots:
+        m = 6 gives a square matrix on the product space, m = 3 one
+        acting on u-coefficients. A (nE, 2, 3, 3) ``local`` holds the
+        u-u and the sigma-sigma block of each element only, and the
+        matrix stores no u-sigma entry.
         """
         if not np.isfinite(local).all():
             raise ValueError("non-finite element matrix entries")
         n = self.dofmap.total
-        n_cols = n if local.shape[2] == 6 else self.dofmap.n_u
         ld = self.local_dofs
+        if local.ndim == 4:
+            ld = ld.reshape(-1, 2, 3)  # u slots, sigma slots
+            return scatter_matrix(local, ld[..., None], ld[..., None, :], (n, n))
+        n_cols = n if local.shape[2] == 6 else self.dofmap.n_u
         return scatter_matrix(
             local, ld[:, :, None], ld[:, None, : local.shape[2]], (n, n_cols)
         )
@@ -554,15 +552,6 @@ class FormAssembler:
                 + _quad_matrix(t.wj, t.g_tab, t.g_tab)
             )
         return self._scatter_matrix(local)
-
-    def _u_at_quadrature(self, rule, w):
-        """Values of the previous-step datum w at the data points of rule."""
-        if w is None:
-            return np.zeros((self.mesh.num_triangles, rule.weights.size))
-        if callable(w):
-            return self._at_data_points(w, "previous-step datum w")
-        local = p1_vertex_values(w, self.mesh, self.dofmap)
-        return np.einsum("qi,ei->eq", rule.points, local)
 
     def _load_operators(self, k):
         """Sparse operators of the load functional for step k.
@@ -617,9 +606,9 @@ class FormAssembler:
         """Load of F(v; f, w) = <k f + w, v/k + r(v)>.
 
         f is a callable (x, y) -> array (data at the current time
-        level) or None; w is a u-coefficient vector, a callable, or
-        None. The first call with a given k builds the sparse load
-        operators, so each later call with that k costs one data
+        level) or None; w, the previous iterate, is a u-coefficient
+        vector or None. The first call with a given k builds the sparse
+        load operators, so each later call with that k costs one data
         evaluation and two sparse products. For a ``ScaledField``
         theta g the load of g at step k is computed once and kept, and
         a later call with the same g costs a scaling and one product.
@@ -632,9 +621,7 @@ class FormAssembler:
             load = np.zeros(self.dofmap.total)
             if f is not None:
                 load += k * (to_tests @ self._at_data_points(f, "source f").ravel())
-        if callable(w):
-            load += to_tests @ self._at_data_points(w, "previous-step datum w").ravel()
-        elif w is not None:
+        if w is not None:
             load += from_u @ np.asarray(w, dtype=float)
         return load
 
@@ -648,7 +635,11 @@ class FormAssembler:
         return local
 
     def lsq_functional(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
-        """Value of the least-squares functional at a discrete pair."""
+        """Value of the least-squares functional at a discrete pair.
+
+        g is a data callable or None; w, the previous iterate, is a
+        u-coefficient vector or None.
+        """
         return float(np.sum(self._lsq_terms(k, u_coeffs, sigma_coeffs, g, w)))
 
     def lsq_indicators(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
@@ -660,7 +651,10 @@ class FormAssembler:
         k = _step(k)
         rule = triangle_rule(DATA_DEGREE)
         local = self._gather_local(u_coeffs, sigma_coeffs)
-        w_vals = self._u_at_quadrature(rule, w)
+        if w is None:
+            w = np.zeros(self.dofmap.n_u)
+        w_local = p1_vertex_values(w, self.mesh, self.dofmap)
+        w_vals = np.einsum("qi,ei->eq", rule.points, w_local)
         data = np.zeros_like(w_vals) if g is None else self._at_data_points(g, "data g")
         terms = np.empty(w_vals.shape)
         for block, t in self._blocks(rule):
@@ -689,10 +683,10 @@ class FormAssembler:
     def natural_gram(self, k):
         """Gram matrix of ||grad u||^2 + ||sigma||^2 + k ||div sigma||^2."""
         k = _step(k)
-        local = np.zeros((self.mesh.num_triangles, 6, 6))
+        local = np.empty((self.mesh.num_triangles, 2, 3, 3))  # u-u, sigma-sigma
         for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
-            local[block, :3, :3] = _quad_matrix(t.wj, t.grads, t.grads)
-            local[block, 3:, 3:] = _quad_matrix(t.wj, t.rt_vals, t.rt_vals) + np.einsum(
+            local[block, 0] = _quad_matrix(t.wj, t.grads, t.grads)
+            local[block, 1] = _quad_matrix(t.wj, t.rt_vals, t.rt_vals) + np.einsum(
                 "eq,ei,ej->eij", t.wj * k, t.rt_divs, t.rt_divs
             )
         return self._scatter_matrix(local)
@@ -705,8 +699,7 @@ class FormAssembler:
 def assemble_p1_mass(mesh, dofmap):
     """Mass matrix <u, v> on the interior-vertex P1 space."""
     rule = triangle_rule(MATRIX_DEGREE)
-    _, areas, _, _, _ = element_geometry(mesh)
-    wj = quadrature_weights(rule, areas)
+    wj = quadrature_weights(rule, mesh.geometry.areas)
     local = np.einsum("eq,qi,qj->eij", wj, rule.points, rule.points)
     dofs = dofmap.u_dof_of_vertex[mesh.triangles]
     return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)
@@ -715,8 +708,8 @@ def assemble_p1_mass(mesh, dofmap):
 def assemble_p1_load(mesh, dofmap, fn):
     """Load vector <f, v> on the interior-vertex P1 space."""
     rule = triangle_rule(DATA_DEGREE)
-    verts, areas, _, _, _ = element_geometry(mesh)
-    wj, pts = quadrature_weights(rule, areas), quadrature_points(rule, verts)
+    geo = mesh.geometry
+    wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
     vals = np.broadcast_to(fn(pts[..., 0], pts[..., 1]), pts.shape[:2])
     local = np.einsum("eq,eq,qi->ei", wj, vals, rule.points)
     return scatter_vector(local, dofmap.u_dof_of_vertex[mesh.triangles], dofmap.n_u)
@@ -724,8 +717,8 @@ def assemble_p1_load(mesh, dofmap, fn):
 
 def assemble_p1_stiffness(mesh, dofmap):
     """Stiffness matrix <grad u, grad v> on the interior-vertex P1 space."""
-    _, areas, grads, _, _ = element_geometry(mesh)
-    wj = quadrature_weights(triangle_rule(MATRIX_DEGREE), areas)
-    local = np.einsum("eq,eix,ejx->eij", wj, grads, grads)
+    geo = mesh.geometry
+    wj = quadrature_weights(triangle_rule(MATRIX_DEGREE), geo.areas)
+    local = np.einsum("eq,eix,ejx->eij", wj, geo.p1_grads, geo.p1_grads)
     dofs = dofmap.u_dof_of_vertex[mesh.triangles]
     return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)

@@ -5,10 +5,14 @@ Omega = (0,1)^2 (four corner vertices plus the center) and refined
 uniformly by midpoint quadrisection: every triangle is split into four
 sons by connecting its edge midpoints, which halves every element
 diameter. Edges carry a global orientation (from the lower to the
-higher vertex index) that downstream H(div) elements rely on.
+higher vertex index) that downstream H(div) elements rely on. Each mesh
+computes, once and on first use, the per-element geometry that assembly
+and integration read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +21,47 @@ BARYCENTRIC_TOL = 1e-12
 
 class PointOutsideDomainError(ValueError):
     """Raised when a query point lies outside the meshed domain."""
+
+
+class ElementGeometry(NamedTuple):
+    """Per-element quantities shared by assembly and integration.
+
+    verts : (T, 3, 2) vertex coordinates per triangle
+    areas : (T,) positive triangle areas
+    p1_grads : (T, 3, 2) constant P1 basis gradients
+    rt_coef : (T, 3) RT0 factors s_i |e_i| / (2|T|)
+    rt_divs : (T, 3) constant RT0 divergences s_i |e_i| / |T|
+    """
+
+    verts: np.ndarray
+    areas: np.ndarray
+    p1_grads: np.ndarray
+    rt_coef: np.ndarray
+    rt_divs: np.ndarray
+
+
+def _perp(v):
+    """Rotate by +90 degrees: (x, y) -> (-y, x)."""
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def _signed_areas(p):
+    """Signed areas of the (T, 3, 2) triangles p, positive for CCW ordering."""
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _edge_lengths(p):
+    """(T, 3) lengths of the edges of the triangles p, edge i opposite vertex i."""
+    return np.stack(
+        [
+            np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
+            np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
+            np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
+        ],
+        axis=1,
+    )
 
 
 @dataclass(frozen=True)
@@ -65,27 +110,40 @@ class Mesh:
 
     def triangle_areas(self):
         """Signed areas of all triangles (positive for CCW ordering)."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices[self.triangles])
 
     def triangle_diameters(self):
         """Longest edge length of each triangle."""
-        p = self.vertices[self.triangles]
-        lengths = np.stack(
-            [
-                np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
-                np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
-            ],
-            axis=1,
-        )
-        return lengths.max(axis=1)
+        return _edge_lengths(self.vertices[self.triangles]).max(axis=1)
 
     def mesh_width(self):
         """Largest element diameter h."""
         return float(self.triangle_diameters().max())
+
+    @cached_property
+    def geometry(self):
+        """The ``ElementGeometry`` of the mesh, computed on first use.
+
+        It lives as long as the mesh, and its arrays are read-only,
+        since every caller shares them.
+        """
+        verts = self.vertices[self.triangles]
+        areas = _signed_areas(verts)
+        p1_grads = np.stack(
+            [
+                _perp(verts[:, 2] - verts[:, 1]),
+                _perp(verts[:, 0] - verts[:, 2]),
+                _perp(verts[:, 1] - verts[:, 0]),
+            ],
+            axis=1,
+        ) / (2.0 * areas[:, None, None])
+        scale = self.triangle_edge_signs * _edge_lengths(verts)
+        rt_coef = scale / (2.0 * areas[:, None])
+        rt_divs = scale / areas[:, None]
+        geometry = ElementGeometry(verts, areas, p1_grads, rt_coef, rt_divs)
+        for array in geometry:
+            array.flags.writeable = False
+        return geometry
 
 
 def _connect(vertices, triangles, level):
@@ -93,10 +151,7 @@ def _connect(vertices, triangles, level):
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
 
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = _signed_areas(vertices[triangles])
     if np.any(areas <= 0.0):
         bad = int(np.argmin(areas))
         raise ValueError(f"triangle {bad} is not counter-clockwise (area {areas[bad]})")

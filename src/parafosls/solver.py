@@ -1,15 +1,15 @@
 """Sparse direct solvers with a residual contract.
 
-A FactorHandle factorizes with SuperLU and polishes each solution with
-iterative refinement until the requested relative residual is met.
-Operators whose symmetric part is positive definite are factorized in
-SuperLU's symmetric mode: coercive ones by CoerciveFactorHandle, whose
-solves end with one refinement sweep on a residual accumulated in
-extended precision, and symmetric positive definite ones by
-SPDFactorHandle and solve_spd. Both certify their pivots on request.
-Direct solves are deterministic, so identical inputs give bitwise
-identical outputs, and one factorization can be reused across the many
-right-hand sides of a constant-step time loop.
+A FactorHandle factorizes a symmetric positive definite operator with
+SuperLU in symmetric mode and polishes each solution with iterative
+refinement until the requested relative residual is met; solve_spd
+factorizes and solves once. A CoerciveFactorHandle factorizes an
+operator whose symmetric part is positive definite the same way, and
+its solves end with one refinement sweep on a residual accumulated in
+extended precision. Both certify their pivots on request. Direct solves
+are deterministic, so identical inputs give bitwise identical outputs,
+and one factorization can be reused across the many right-hand sides of
+a constant-step time loop.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,13 @@ import scipy.sparse.linalg as spla
 
 DEFAULT_TOL = 1e-10
 _MAX_REFINEMENTS = 10
+# SuperLU's symmetric mode: minimum degree order on the pattern of A' + A,
+# pivots taken from the diagonal
+_SYMMETRIC_MODE = dict(
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0,
+    options=dict(SymmetricMode=True),
+)
 
 
 class SolverError(RuntimeError):
@@ -53,14 +60,23 @@ class SolveReport:
 
 
 class FactorHandle:
-    """Reusable sparse LU factorization of one operator.
+    """Reusable factorization of a symmetric positive definite operator.
+
+    SuperLU runs in symmetric mode: minimum degree ordering on the
+    structure of A' + A and pivots taken from the diagonal. This keeps
+    the symmetric sparsity pattern; on the least-squares forms it leaves
+    less than half the fill of the default column ordering. The pivots
+    are those of an LDL' factorization of the symmetrically permuted
+    matrix, all positive exactly when the matrix is positive definite;
+    ``certify_pivots`` checks this. Solves refine in double precision;
+    the residual contract of ``solve`` guards the result.
 
     The handle keeps the operator in CSR form for the residuals; SuperLU
     gets a CSC copy, which the handle does not keep.
     """
 
-    _SPLU_OPTIONS = {}
     _EXTENDED_SWEEP = False
+    _PIVOT_ERROR = NotSPDError, "non-positive curvature"
 
     def __init__(self, matrix):
         matrix = sp.csr_matrix(matrix)
@@ -68,7 +84,7 @@ class FactorHandle:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
         self.matrix = matrix
         try:
-            self.lu = spla.splu(matrix.tocsc(), **self._SPLU_OPTIONS)
+            self.lu = spla.splu(matrix.tocsc(), **_SYMMETRIC_MODE)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
 
@@ -116,6 +132,25 @@ class FactorHandle:
             return SolveReport(x, rel, report.iterations + 1)
         return report
 
+    def certify_pivots(self):
+        """Raise unless the factorization pivoted on the diagonal with
+        positive pivots.
+
+        The row and column permutations must agree, and the smallest
+        diagonal entry of U, whose unknown the error names, must be
+        positive.
+        """
+        error, what = self._PIVOT_ERROR
+        lu = self.lu
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise error(f"{what}: symmetric-mode pivoting left the diagonal")
+        pivots = lu.U.diagonal()
+        j = int(np.argmin(pivots))
+        if not pivots[j] > 0.0:
+            # pivot j belongs to the unknown that the ordering moved to slot j
+            index = int(np.flatnonzero(lu.perm_c == j)[0])
+            raise error(f"{what}: smallest pivot {pivots[j]:.3e} at index {index}")
+
 
 def extended_residual(matrix, x, b):
     """b - matrix @ x accumulated in long double, for a CSR matrix.
@@ -138,14 +173,11 @@ class CoerciveFactorHandle(FactorHandle):
     """Reusable factorization of an operator whose symmetric part is
     positive definite.
 
-    SuperLU runs in symmetric mode: minimum degree ordering on the
-    structure of A' + A and pivots taken from the diagonal. This keeps
-    the symmetric sparsity pattern; on the least-squares forms it leaves
-    less than half the fill of the default column ordering. Diagonal
-    pivots are safe because every Schur complement of a coercive matrix
-    is coercive again, so each pivot is positive; ``certify_pivots``
-    checks this. Once a solve meets the residual contract it takes one
-    more refinement sweep on a residual accumulated in long double
+    It shares the symmetric-mode factorization: diagonal pivots are safe
+    because every Schur complement of a coercive matrix is coercive
+    again, so each pivot is positive, which ``certify_pivots`` checks.
+    Once a solve meets the residual contract it takes one more
+    refinement sweep on a residual accumulated in long double
     (``extended_residual``), which removes the error that a
     double-precision residual leaves in the solution. When the tolerance
     is near roundoff, the double-precision residual of the swept
@@ -153,47 +185,8 @@ class CoerciveFactorHandle(FactorHandle):
     that met it.
     """
 
-    _SPLU_OPTIONS = dict(
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
     _EXTENDED_SWEEP = True
     _PIVOT_ERROR = NotCoerciveError, "not coercive"
-
-    def certify_pivots(self):
-        """Raise unless the factorization pivoted on the diagonal with
-        positive pivots.
-
-        The row and column permutations must agree, and the smallest
-        diagonal entry of U, whose unknown the error names, must be
-        positive.
-        """
-        error, what = self._PIVOT_ERROR
-        lu = self.lu
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise error(f"{what}: symmetric-mode pivoting left the diagonal")
-        pivots = lu.U.diagonal()
-        j = int(np.argmin(pivots))
-        if not pivots[j] > 0.0:
-            # pivot j belongs to the unknown that the ordering moved to slot j
-            index = int(np.flatnonzero(lu.perm_c == j)[0])
-            raise error(f"{what}: smallest pivot {pivots[j]:.3e} at index {index}")
-
-
-class SPDFactorHandle(CoerciveFactorHandle):
-    """Reusable factorization of a symmetric positive definite operator.
-
-    A symmetric positive definite operator is coercive, so it shares the
-    symmetric-mode factorization and the pivot certificate, which here
-    is exact: the pivots are those of an LDL' factorization of the
-    symmetrically permuted matrix, all positive exactly when the matrix
-    is positive definite. Its solves take no extended-precision sweep;
-    the residual contract of ``solve`` guards the result.
-    """
-
-    _EXTENDED_SWEEP = False
-    _PIVOT_ERROR = NotSPDError, "non-positive curvature"
 
 
 def solve_spd(matrix, b, tol=DEFAULT_TOL):
@@ -203,6 +196,6 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL):
     certified from the pivots before the solve, and NotSPDError is
     raised otherwise.
     """
-    handle = SPDFactorHandle(matrix)
+    handle = FactorHandle(matrix)
     handle.certify_pivots()
     return handle.solve(b, tol=tol)

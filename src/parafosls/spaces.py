@@ -7,9 +7,10 @@ per edge, the constant normal component with respect to the global
 edge orientation). Both spaces share one global index range: u-DOFs
 first, then sigma-DOFs.
 
-The module also holds the vectorized geometry all assemblers share:
-quadrature weights and points, RT0 values, the P1_0 vertex gather and
-the scatters to global arrays, which drop the -1 boundary indices.
+The module also holds the vectorized pieces all assemblers share,
+computed from the mesh's element geometry: quadrature weights and
+points, RT0 values, the P1_0 vertex gather and the scatters to global
+arrays, which drop the -1 boundary indices.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import locate_point
+from .mesh import _perp, locate_point
 
 
 @dataclass(frozen=True)
@@ -67,48 +68,6 @@ def build_dof_map(mesh):
         n_u=n_u,
         n_sigma=mesh.num_edges,
     )
-
-
-def _perp(v):
-    """Rotate by +90 degrees: (x, y) -> (-y, x)."""
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
-
-
-def element_geometry(mesh):
-    """Vectorized per-element quantities used by assembly and integration.
-
-    Returns
-    -------
-    verts : (T, 3, 2) vertex coordinates per triangle
-    areas : (T,) positive triangle areas
-    p1_grads : (T, 3, 2) constant P1 basis gradients
-    rt_coef : (T, 3) RT0 factors s_i |e_i| / (2|T|)
-    rt_divs : (T, 3) constant RT0 divergences s_i |e_i| / |T|
-    """
-    verts = mesh.vertices[mesh.triangles]
-    d1 = verts[:, 1] - verts[:, 0]
-    d2 = verts[:, 2] - verts[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    p1_grads = np.stack(
-        [
-            _perp(verts[:, 2] - verts[:, 1]),
-            _perp(verts[:, 0] - verts[:, 2]),
-            _perp(verts[:, 1] - verts[:, 0]),
-        ],
-        axis=1,
-    ) / (2.0 * areas[:, None, None])
-    edge_lens = np.stack(
-        [
-            np.linalg.norm(verts[:, 1] - verts[:, 2], axis=1),
-            np.linalg.norm(verts[:, 2] - verts[:, 0], axis=1),
-            np.linalg.norm(verts[:, 0] - verts[:, 1], axis=1),
-        ],
-        axis=1,
-    )
-    scale = mesh.triangle_edge_signs * edge_lens
-    rt_coef = scale / (2.0 * areas[:, None])
-    rt_divs = scale / areas[:, None]
-    return verts, areas, p1_grads, rt_coef, rt_divs
 
 
 def quadrature_weights(rule, areas):

@@ -126,12 +126,9 @@ def dense_rhs(mesh, dofmap, coeffs, k, variant, f=None, w=None, degree=6):
             if f is not None:
                 data += k * float(_pointwise(f, xq[0], xq[1]))
             if w is not None:
-                if callable(w):
-                    data += float(_pointwise(w, xq[0], xq[1]))
-                else:
-                    for i in range(3):
-                        if dofs[i] >= 0:
-                            data += w[dofs[i]] * basis.p1_values[i]
+                for i in range(3):
+                    if dofs[i] >= 0:
+                        data += w[dofs[i]] * basis.p1_values[i]
             for i, fld in enumerate(fields):
                 if dofs[i] < 0:
                     continue
@@ -147,15 +144,16 @@ def einsum_forms(asm, k, fields):
     tables (one whole-mesh block per rule) and scatters through the
     assembler; it differs from the assembler only in the contractions,
     so the two agree bitwise. The natural-norm gram gets a full P1
-    gradient table, because einsum sums a broadcast view in another order.
+    gradient table, because einsum sums a broadcast view in another order,
+    and holds only its u-u and sigma-sigma blocks, as the assembler's.
     """
     t = forms._RuleTables(asm, triangle_rule(forms.MATRIX_DEGREE), slice(None))
     d = forms._RuleTables(asm, triangle_rule(forms.DATA_DEGREE), slice(None))
     r_ex, g_ex = d.exact_residuals(*fields)
     grads = np.ascontiguousarray(t.grads)
-    gram = np.zeros((asm.mesh.num_triangles, 6, 6))
-    gram[:, :3, :3] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
-    gram[:, 3:, 3:] = (
+    gram = np.empty((asm.mesh.num_triangles, 2, 3, 3))
+    gram[:, 0] = np.einsum("eq,eqix,eqjx->eij", t.wj, grads, grads)
+    gram[:, 1] = (
         np.einsum("eq,eqix,eqjx->eij", t.wj, t.rt_vals, t.rt_vals)
         + np.einsum("eq,ei,ej->eij", t.wj * k, t.rt_divs, t.rt_divs)
     )

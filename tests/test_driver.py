@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from parafosls import checks, driver
+from parafosls.analysis import decaying_sine_problem
 from parafosls.checks import conformity_jumps
 from parafosls.driver import ExperimentConfig, default_max_level, main, run_experiment
-from parafosls.forms import ProblemVariant
+from parafosls.evolution import check_stability_bound
+from parafosls.forms import Coefficients, FormAssembler, ProblemVariant
+from parafosls.mesh import Mesh
 
 
 def tiny_config(**overrides):
@@ -15,6 +18,28 @@ def tiny_config(**overrides):
     )
     settings.update(overrides)
     return ExperimentConfig(**settings)
+
+
+def test_element_geometry_computed_once_per_mesh(monkeypatch):
+    """A study level and its stability check share the mesh's one element
+    geometry, and an assembler keeps no copy or view of it."""
+    builds = []
+    compute = Mesh.geometry.func
+
+    def counting(mesh):
+        builds.append(mesh.level)
+        return compute(mesh)
+
+    monkeypatch.setattr(Mesh.geometry, "func", counting)
+    config = tiny_config()
+    mesh = driver.mesh_hierarchy(2)[2]
+    _, states, mesh, dofmap, partition = driver.run_level(config, 2, mesh)
+    f = decaying_sine_problem(config.variant).f
+    check_stability_bound(states, f, partition, mesh, dofmap)
+    assert builds == [2]
+    asm = FormAssembler(mesh, dofmap, Coefficients.constant(), config.variant)
+    arrays = [v for v in vars(asm).values() if isinstance(v, np.ndarray)]
+    assert not any(np.shares_memory(a, g) for a in arrays for g in mesh.geometry)
 
 
 def test_step_size_couplings():

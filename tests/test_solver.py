@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from parafosls.evolution import TimePartition, backward_euler_run, l2_project_initial
 from parafosls.forms import Coefficients, FormAssembler
@@ -13,7 +14,6 @@ from parafosls.solver import (
     NotCoerciveError,
     NotSPDError,
     SolverError,
-    SPDFactorHandle,
     extended_residual,
     solve_spd,
 )
@@ -37,7 +37,7 @@ def test_small_spd_system():
 def test_small_nonsymmetric_system():
     # [[1,1],[0,1]] x = (2,1) -> x = (1,1) by back substitution
     matrix = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    report = FactorHandle(matrix).solve(np.array([2.0, 1.0]))
+    report = CoerciveFactorHandle(matrix).solve(np.array([2.0, 1.0]))
     assert np.allclose(report.solution, [1.0, 1.0], atol=1e-14)
 
 
@@ -57,7 +57,7 @@ def test_projection_system_matches_dense_oracle(mesh_chain, dofmaps, rng):
     asm = FormAssembler(mesh_chain[1], dofmaps[1], coeffs, "primary")
     matrix = asm.nonsymmetric_matrix(0.01)
     b = rng.standard_normal(dofmaps[1].total)
-    x = FactorHandle(matrix).solve(b).solution
+    x = CoerciveFactorHandle(matrix).solve(b).solution
     oracle = np.linalg.solve(matrix.toarray(), b)
     assert np.allclose(x, oracle, rtol=1e-10, atol=1e-12)
 
@@ -95,15 +95,16 @@ def test_symmetric_mode_matches_general_lu(mesh_chain, dofmaps, variant, rng):
     matrix = FormAssembler(
         mesh_chain[3], dofmaps[3], coeffs, variant
     ).total_matrix(0.01)
-    handle = SPDFactorHandle(matrix)
+    handle = FactorHandle(matrix)
+    general = spla.splu(matrix.tocsc())
     for b in rng.standard_normal((3, dofmaps[3].total)):
         x = handle.solve(b).solution
-        reference = FactorHandle(matrix).solve(b).solution
+        reference = general.solve(b)
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_non_finite_rhs_rejected_before_solving():
-    handle = SPDFactorHandle(sp.identity(3, format="csr"))
+    handle = FactorHandle(sp.identity(3, format="csr"))
     handle.lu = None  # any triangular solve or refinement sweep would fail differently
     with pytest.raises(SolverError, match="non-finite right-hand side: 1 of 3"):
         handle.solve(np.array([1.0, np.nan, 0.0]))
@@ -169,7 +170,7 @@ def test_reused_factor_reproduces_per_step_solving(mesh_chain, dofmaps):
     times = partition.times
     for n in range(1, n_steps + 1):
         rhs = asm.load_vector(k, f=lambda x, y: problem.f(times[n], x, y), w=u_prev)
-        sol = SPDFactorHandle(matrix).solve(rhs).solution
+        sol = FactorHandle(matrix).solve(rhs).solution
         u_prev = sol[: dm.n_u]
         diff = np.abs(states[n].u_coeffs - u_prev).max()
         worst = max(worst, diff / max(np.abs(u_prev).max(), 1e-30))
@@ -251,7 +252,7 @@ def test_spd_solve_takes_no_extended_sweep(mesh_chain, dofmaps, rng, tol):
         mesh_chain[2], dofmaps[2], Coefficients.constant(beta=(1.0, 1.0)), "primary"
     ).total_matrix(1e-3)
     b = rng.standard_normal(dofmaps[2].total)
-    handle = SPDFactorHandle(matrix)
+    handle = FactorHandle(matrix)
     report = handle.solve(b, tol=tol)
     x, rel, sweeps = refined_in_double(handle, b, tol)
     assert np.array_equal(report.solution, x)
@@ -282,7 +283,7 @@ def test_extended_sweep_near_roundoff_keeps_float_solution(mesh_chain, dofmaps, 
         mesh_chain[2], dofmaps[2], Coefficients.constant(beta=(1.0, 1.0)), "primary"
     ).total_matrix(1e-3)
     b = rng.standard_normal(dofmaps[2].total)
-    spd = SPDFactorHandle(matrix).solve(b, tol=1e-16)
+    spd = FactorHandle(matrix).solve(b, tol=1e-16)
     coercive = CoerciveFactorHandle(matrix).solve(b, tol=1e-16)
     assert np.array_equal(coercive.solution, spd.solution)
     assert (coercive.relative_residual, coercive.iterations) == (

@@ -10,8 +10,8 @@ script's directory. Run from anywhere:
 Covered, for both splittings:
   - at each of ``--levels``, problem and variable coefficients and
     k in {1e-6, 1e-3, 0.1}: the total, non-symmetric and natural-norm
-    matrices, the load vector (plain and separable source, vector and
-    callable w), the functional value, the field load of the elliptic
+    matrices, the load vector (plain and separable source, each with a
+    vector w), the functional value, the field load of the elliptic
     projection, and both sparse load operators;
   - the convergence studies (primary with the h2 coupling, alternative
     with the h coupling): every state of levels 0-3;
@@ -86,14 +86,11 @@ def form_arrays(asm, problem, k):
     def source(x, y):
         return f(PROJECTION_TIME, x, y)
 
-    def w_field(x, y):
-        return np.cos(2.0 * x) * y
-
     yield "total", asm.total_matrix(k)
     yield "nonsymmetric", asm.nonsymmetric_matrix(k)
     yield "gram", asm.natural_gram(k)
     yield "load plain f, vector w", asm.load_vector(k, f=source, w=w)
-    yield "load separable f, callable w", asm.load_vector(k, f=separable, w=w_field)
+    yield "load separable f, vector w", asm.load_vector(k, f=separable, w=w)
     to_tests, from_u = asm._load_operators(k)
     yield "to_tests", to_tests
     yield "from_u", from_u
