@@ -15,9 +15,11 @@ import numpy as np
 from .forms import DATA_DEGREE, Coefficients, ProblemVariant, SeparableSource
 from .quadrature import triangle_rule
 from .spaces import (
+    field_values,
     p1_vertex_values,
     quadrature_points,
     quadrature_weights,
+    rt0_edge_values,
     rt0_values,
 )
 
@@ -157,19 +159,20 @@ def field_error_norms(
 
     Returns (err_u, err_grad_u, err_sigma, err_div_sigma). The analytic
     fields are (x, y) callables; the discrete pair is given by its
-    coefficient vectors (sigma may be None, meaning zero).
+    coefficient vectors (sigma may be None, meaning zero). A field of
+    the wrong shape or with a value that is not finite, and a vector of
+    the wrong length, raise ValueError naming it.
     """
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
     wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
-    x, y = pts[..., 0], pts[..., 1]
 
-    local_u = p1_vertex_values(u_coeffs, mesh, dofmap)  # (nE, 3)
+    local_u = p1_vertex_values(u_coeffs, mesh, dofmap, "u_coeffs")  # (nE, 3)
     u_h = np.einsum("qi,ei->eq", rule.points, local_u)
     grad_h = np.einsum("ei,eix->ex", local_u, geo.p1_grads)  # constant per element
 
     if sigma_coeffs is not None:
-        local_s = np.asarray(sigma_coeffs, dtype=float)[mesh.triangle_edges]
+        local_s = rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs")
         rt_vals = rt0_values(geo.rt_coef, geo.verts, pts)
         sig_h = np.einsum("ei,eqix->eqx", local_s, rt_vals)
         div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
@@ -177,10 +180,10 @@ def field_error_norms(
         sig_h = np.zeros_like(pts)
         div_h = np.zeros(mesh.num_triangles)
 
-    u_ex = np.broadcast_to(u(x, y), x.shape)
-    grad_ex = np.moveaxis(np.broadcast_to(grad_u(x, y), (2,) + x.shape), 0, -1)
-    sig_ex = np.moveaxis(np.broadcast_to(sigma(x, y), (2,) + x.shape), 0, -1)
-    div_ex = np.broadcast_to(div_sigma(x, y), x.shape)
+    u_ex = field_values(u, pts, "u")
+    grad_ex = np.moveaxis(field_values(grad_u, pts, "grad_u", (2,)), 0, -1)
+    sig_ex = np.moveaxis(field_values(sigma, pts, "sigma", (2,)), 0, -1)
+    div_ex = field_values(div_sigma, pts, "div_sigma")
 
     err_u = np.sum(wj * (u_ex - u_h) ** 2)
     grad_diff = grad_ex - grad_h[:, None, :]

@@ -54,11 +54,15 @@ def _tolerance(text):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings of one convergence experiment."""
+    """Settings of one convergence experiment.
+
+    ``max_level`` defaults to 5 for the h2 coupling and 6 for h: at
+    desk scale, quartering the step is costlier per level.
+    """
 
     variant: ProblemVariant = ProblemVariant.PRIMARY
     coupling: str = COUPLING_H2
-    max_level: int = 5
+    max_level: int = None
     final_time: float = 0.1
     k0: float = 0.1
     solver_tol: float = solver.DEFAULT_TOL
@@ -69,6 +73,8 @@ class ExperimentConfig:
         object.__setattr__(self, "variant", ProblemVariant(self.variant))
         if self.coupling not in (COUPLING_H, COUPLING_H2):
             raise ValueError(f"unknown coupling {self.coupling!r} (use 'h' or 'h2')")
+        if self.max_level is None:
+            object.__setattr__(self, "max_level", 5 if self.coupling == COUPLING_H2 else 6)
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
         for name in ("final_time", "k0", "solver_tol"):
@@ -88,11 +94,6 @@ class ExperimentConfig:
                 f"level-{level} step {k}"
             )
         return TimePartition.uniform(self.final_time, n)
-
-
-def default_max_level(coupling):
-    """Desk-scale defaults: quartering the step is costlier per level."""
-    return 5 if coupling == COUPLING_H2 else 6
 
 
 def mesh_hierarchy(max_level):
@@ -211,12 +212,22 @@ def _read_config_file(path):
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
-_CONFIG_KEYS = (
-    "variant", "coupling", "max_level", "final_time", "k0", "tol", "out", "plot_data"
-)
+# config key (also the flag's dest) -> (ExperimentConfig field, converter)
+_CONFIG_KEYS = {
+    "variant": ("variant", str),
+    "coupling": ("coupling", str),
+    "max_level": ("max_level", int),
+    "final_time": ("final_time", float),
+    "k0": ("k0", float),
+    "tol": ("solver_tol", float),
+    "out": ("output_path", str),
+    "plot_data": ("plot_data", lambda s: s.lower() in _BOOL_TRUE),
+}
 
 
 def _merge_config(args):
+    """The experiment settings: a flag wins over the config file, and
+    ExperimentConfig supplies every value that neither sets."""
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
     if unknown:
@@ -224,28 +235,14 @@ def _merge_config(args):
             f"unknown config key {unknown[0]!r} in {args.config} "
             f"(accepted: {', '.join(_CONFIG_KEYS)})"
         )
-
-    def pick(flag_value, key, convert, default):
+    settings = {}
+    for key, (field, convert) in _CONFIG_KEYS.items():
+        flag_value = getattr(args, key)
         if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return convert(file_values[key])
-        return default
-
-    coupling = pick(args.coupling, "coupling", str, COUPLING_H2)
-    return ExperimentConfig(
-        variant=pick(args.variant, "variant", str, ProblemVariant.PRIMARY.value),
-        coupling=coupling,
-        max_level=pick(args.max_level, "max_level", int, default_max_level(coupling)),
-        final_time=pick(args.final_time, "final_time", float, 0.1),
-        k0=pick(args.k0, "k0", float, 0.1),
-        solver_tol=pick(args.tol, "tol", float, solver.DEFAULT_TOL),
-        output_path=pick(args.out, "out", str, None),
-        plot_data=pick(
-            args.plot_data or None, "plot_data",
-            lambda s: s.lower() in _BOOL_TRUE, False,
-        ),
-    )
+            settings[field] = flag_value
+        elif key in file_values:
+            settings[field] = convert(file_values[key])
+    return ExperimentConfig(**settings)
 
 
 def build_parser():
@@ -265,7 +262,7 @@ def build_parser():
     run_p.add_argument("--tol", type=float)
     run_p.add_argument("--out")
     run_p.add_argument("--config", help="key=value settings file; flags win")
-    run_p.add_argument("--plot-data", action="store_true", dest="plot_data")
+    run_p.add_argument("--plot-data", action="store_true", default=None, dest="plot_data")
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
     verify_p.add_argument("--tol", type=_tolerance, default=solver.DEFAULT_TOL)

@@ -26,7 +26,7 @@ from .forms import (
     assemble_p1_stiffness,
 )
 from .quadrature import triangle_rule
-from .spaces import quadrature_points, quadrature_weights
+from .spaces import field_values, quadrature_points, quadrature_weights
 
 _PARTITION_TOL = 1e-12
 # Steps within this relative distance count as one step size and share
@@ -84,10 +84,6 @@ class TimePartition:
         return float(self.steps.sum())
 
     @property
-    def constant(self):
-        return bool(np.all(_same_step(self.steps, self.steps[0])))
-
-    @property
     def times(self):
         return np.concatenate([[0.0], np.cumsum(self.steps)])
 
@@ -100,7 +96,7 @@ def _same_step(k, reference):
 def l2_project_initial(u0, mesh, dofmap, solver_tol=solver.DEFAULT_TOL):
     """L2-orthogonal projection of u0 onto the interior-vertex P1 space."""
     mass = assemble_p1_mass(mesh, dofmap)
-    load = assemble_p1_load(mesh, dofmap, u0)
+    load = assemble_p1_load(mesh, dofmap, u0, "u0")
     return solver.solve_spd(mass, load, tol=solver_tol).solution
 
 
@@ -113,7 +109,6 @@ def backward_euler_run(
     variant=None,
     initial=None,
     solver_tol=solver.DEFAULT_TOL,
-    keep_sigma_every=0,
 ):
     """Run the least-squares backward Euler scheme over a partition.
 
@@ -127,13 +122,11 @@ def backward_euler_run(
         size.
     initial : (n_u,) array or None
         Scalar initial coefficients; zero if None.
-    keep_sigma_every : int
-        Keep the flux coefficients of every m-th state in addition to
-        the final one (0 keeps only the final).
 
     Returns
     -------
     list of SystemState, one per time level including the initial one.
+    Only the final state keeps its flux coefficients.
     """
     f = getattr(problem, "f", problem)
     separable = isinstance(f, SeparableSource)
@@ -174,11 +167,10 @@ def backward_euler_run(
         sol = report.solution
         u_n = iterates[n - 1]
         u_n[:] = sol[:n_u]
-        keep = n == last or (keep_sigma_every > 0 and n % keep_sigma_every == 0)
         states.append(
             SystemState(
                 u_coeffs=u_n,
-                sigma_coeffs=sol[n_u:].copy() if keep else None,
+                sigma_coeffs=sol[n_u:].copy() if n == last else None,
                 time=float(t_n),
             )
         )
@@ -197,7 +189,7 @@ def galerkin_be_reference(
     ``SeparableSource`` theta g has <g, v> assembled once per run.
     """
     if isinstance(f, SeparableSource):
-        g_load = assemble_p1_load(mesh, dofmap, f.g)
+        g_load = assemble_p1_load(mesh, dofmap, f.g, "source f")
 
         def source_load(t):
             return f.theta(t) * g_load
@@ -205,7 +197,7 @@ def galerkin_be_reference(
     else:
 
         def source_load(t):
-            return assemble_p1_load(mesh, dofmap, lambda x, y: f(t, x, y))
+            return assemble_p1_load(mesh, dofmap, lambda x, y: f(t, x, y), "source f")
 
     mass = assemble_p1_mass(mesh, dofmap)
     stiffness = assemble_p1_stiffness(mesh, dofmap)
@@ -229,21 +221,21 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
 
     The n-th iterate must satisfy
     ||u^n|| <= sum_{j<=n} k_j ||f^j|| + ||u^0||, up to a relative
-    slack. Returns (lhs, rhs) arrays over n = 1..N; raises on
-    violation. For a ``SeparableSource`` theta g,
-    ||f^j|| = |theta(t_j)| ||g|| with ||g|| integrated once.
+    slack. Returns (lhs, rhs) arrays over n = 1..N; raises
+    AssertionError on violation, a NaN norm included. For a
+    ``SeparableSource`` theta g, ||f^j|| = |theta(t_j)| ||g|| with
+    ||g|| integrated once.
     """
     mass = assemble_p1_mass(mesh, dofmap)
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
     wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
-    x, y = pts[..., 0], pts[..., 1]
 
     def u_norm(c):
         return float(np.sqrt(max(c @ (mass @ c), 0.0)))
 
     def l2_norm(fn):
-        vals = np.broadcast_to(fn(x, y), x.shape)
+        vals = field_values(fn, pts, "source f")
         return float(np.sqrt(np.sum(wj * vals**2)))
 
     if isinstance(f, SeparableSource):
@@ -264,7 +256,7 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
     for n, k in enumerate(partition.steps, start=1):
         rhs_running += k * source_norm(times[n])
         lhs = u_norm(states[n].u_coeffs)
-        if lhs > rhs_running * (1.0 + slack):
+        if not lhs <= rhs_running * (1.0 + slack):
             raise AssertionError(
                 f"stability bound violated at step {n}: "
                 f"{lhs} > {rhs_running}"

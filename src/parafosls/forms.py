@@ -30,7 +30,9 @@ roundoff and can be tested as such.
 
 All coefficient and data callables are vectorized over coordinate
 arrays: scalar fields map (x, y) to an array of the same shape, vector
-fields prepend an axis of length 2, matrix fields prepend (2, 2).
+fields prepend an axis of length 2, matrix fields prepend (2, 2). Each
+is evaluated through ``spaces.field_values``, which names the field
+when its result has the wrong shape or a value that is not finite.
 A source of the form f(t, x, y) = theta(t) g(x, y) can be given as a
 ``SeparableSource``: its load is then one cached image of g per step k,
 scaled by theta at each time level.
@@ -54,9 +56,11 @@ import numpy as np
 
 from .quadrature import triangle_rule
 from .spaces import (
+    field_values,
     p1_vertex_values,
     quadrature_points,
     quadrature_weights,
+    rt0_edge_values,
     rt0_values,
     scatter_matrix,
     scatter_vector,
@@ -77,38 +81,13 @@ class ProblemVariant(enum.Enum):
     ALTERNATIVE = "alternative"
 
 
-def _as_scalar_field(value):
-    value = float(value)
-
-    def fn(x, y):
-        return np.full(np.broadcast(x, y).shape, value)
-
-    return fn
-
-
-def _as_vector_field(vec):
-    vec = np.asarray(vec, dtype=float)
+def _constant_field(value):
+    """The field of a constant scalar, vector or matrix: value.shape + the points' shape."""
+    value = np.asarray(value, dtype=float)
 
     def fn(x, y):
         shape = np.broadcast(x, y).shape
-        out = np.empty((2,) + shape)
-        out[0] = vec[0]
-        out[1] = vec[1]
-        return out
-
-    return fn
-
-
-def _as_matrix_field(mat):
-    mat = np.asarray(mat, dtype=float)
-
-    def fn(x, y):
-        shape = np.broadcast(x, y).shape
-        out = np.empty((2, 2) + shape)
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = mat[i, j]
-        return out
+        return value.reshape(value.shape + (1,) * len(shape)) * np.ones(shape)
 
     return fn
 
@@ -170,10 +149,10 @@ class Coefficients:
     def constant(cls, A=((1.0, 0.0), (0.0, 1.0)), beta=(0.0, 0.0), gamma=0.0):
         """Constant coefficients; div beta is zero."""
         return cls(
-            A=_as_matrix_field(A),
-            beta=_as_vector_field(beta),
-            div_beta=_as_scalar_field(0.0),
-            gamma=_as_scalar_field(gamma),
+            A=_constant_field(A),
+            beta=_constant_field(beta),
+            div_beta=_constant_field(0.0),
+            gamma=_constant_field(gamma),
         )
 
 
@@ -384,26 +363,9 @@ class _RuleTables:
         return f"({self.x.flat[flat_index]:.6g}, {self.y.flat[flat_index]:.6g})"
 
     def _coefficient(self, fn, name, components=()):
-        """A coefficient callable at the points, components + (nE, nQ).
-
-        Raises ``CoefficientError`` naming the coefficient and the first
-        point where a value is not finite.
-        """
-        values = np.broadcast_to(fn(self.x, self.y), components + self.x.shape)
-        finite = np.isfinite(values).reshape(-1, self.x.size).all(axis=0)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            value = ", ".join(f"{v:.6g}" for v in values.reshape(-1, self.x.size)[:, first])
-            raise CoefficientError(
-                f"coefficient {name} is not finite at point {self._point(first)}: "
-                f"value {value}"
-            )
-        return values
-
-    def _vector_at_points(self, fn):
-        """A vector field callable at the quadrature points, (nE, nQ, 2)."""
-        return np.moveaxis(
-            np.broadcast_to(fn(self.x, self.y), (2,) + self.x.shape), 0, -1
+        """A coefficient at the points, components + (nE, nQ); see ``field_values``."""
+        return field_values(
+            fn, self._pts, f"coefficient {name}", components, CoefficientError
         )
 
     def scalar_residual(self, u=None, grad=None, div=None):
@@ -442,17 +404,12 @@ class _RuleTables:
 
     def exact_residuals(self, u, grad_u, sigma, div_sigma):
         """r (nE, nQ) and d (nE, nQ, 2) of an exact field given by vectorized callables."""
-        shape = self.x.shape
-        u_vals = np.broadcast_to(u(self.x, self.y), shape)[..., None]
-        grad = self._vector_at_points(grad_u)[:, :, None]
-        r = self.scalar_residual(
-            u=u_vals,
-            grad=grad,
-            div=np.broadcast_to(div_sigma(self.x, self.y), shape)[..., None],
-        )
-        d = self.flux_residual(
-            u=u_vals, grad=grad, sigma=self._vector_at_points(sigma)[:, :, None]
-        )
+        u_vals = field_values(u, self._pts, "u")[..., None]
+        grad = np.moveaxis(field_values(grad_u, self._pts, "grad_u", (2,)), 0, -1)
+        div = field_values(div_sigma, self._pts, "div_sigma")[..., None]
+        sig = np.moveaxis(field_values(sigma, self._pts, "sigma", (2,)), 0, -1)
+        r = self.scalar_residual(u=u_vals, grad=grad[:, :, None], div=div)
+        d = self.flux_residual(u=u_vals, grad=grad[:, :, None], sigma=sig[:, :, None])
         return r[..., 0], d[:, :, 0]
 
 
@@ -582,23 +539,10 @@ class FormAssembler:
             self._load_ops = (k, (to_tests, from_u))
         return self._load_ops[1]
 
-    def _at_data_points(self, fn, name):
-        """Values of a data callable at the data points."""
-        x, y = self._data_points[..., 0], self._data_points[..., 1]
-        values = np.asarray(fn(x, y), dtype=float)
-        try:
-            return np.broadcast_to(values, x.shape)
-        except ValueError:
-            raise ValueError(
-                f"{name} returned an array of shape {values.shape}; expected "
-                f"shape {x.shape} (elements x data points) or one that "
-                "broadcasts to it"
-            ) from None
-
     def _image_of(self, k, to_tests, g):
         """k to_tests g, the load of the field g, kept for the last g at this k."""
         if self._source_image is None or self._source_image[0] is not g:
-            image = k * (to_tests @ self._at_data_points(g, "source f").ravel())
+            image = k * (to_tests @ field_values(g, self._data_points, "source f").ravel())
             self._source_image = (g, image)
         return self._source_image[1]
 
@@ -620,18 +564,18 @@ class FormAssembler:
         else:
             load = np.zeros(self.dofmap.total)
             if f is not None:
-                load += k * (to_tests @ self._at_data_points(f, "source f").ravel())
+                load += k * (to_tests @ field_values(f, self._data_points, "source f").ravel())
         if w is not None:
             load += from_u @ np.asarray(w, dtype=float)
         return load
 
     def _gather_local(self, u_coeffs, sigma_coeffs):
         local = np.zeros((self.mesh.num_triangles, 6))
-        local[:, :3] = p1_vertex_values(u_coeffs, self.mesh, self.dofmap)
+        local[:, :3] = p1_vertex_values(u_coeffs, self.mesh, self.dofmap, "u_coeffs")
         if sigma_coeffs is not None:
-            local[:, 3:] = np.asarray(sigma_coeffs, dtype=float)[
-                self.mesh.triangle_edges
-            ]
+            local[:, 3:] = rt0_edge_values(
+                sigma_coeffs, self.mesh, self.dofmap, "sigma_coeffs"
+            )
         return local
 
     def lsq_functional(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
@@ -653,9 +597,12 @@ class FormAssembler:
         local = self._gather_local(u_coeffs, sigma_coeffs)
         if w is None:
             w = np.zeros(self.dofmap.n_u)
-        w_local = p1_vertex_values(w, self.mesh, self.dofmap)
+        w_local = p1_vertex_values(w, self.mesh, self.dofmap, "w")
         w_vals = np.einsum("qi,ei->eq", rule.points, w_local)
-        data = np.zeros_like(w_vals) if g is None else self._at_data_points(g, "data g")
+        data = (
+            np.zeros_like(w_vals) if g is None
+            else field_values(g, self._data_points, "data g")
+        )
         terms = np.empty(w_vals.shape)
         for block, t in self._blocks(rule):
             u_vals = np.einsum("eqi,ei->eq", t.u_tab, local[block])
@@ -705,12 +652,12 @@ def assemble_p1_mass(mesh, dofmap):
     return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)
 
 
-def assemble_p1_load(mesh, dofmap, fn):
-    """Load vector <f, v> on the interior-vertex P1 space."""
+def assemble_p1_load(mesh, dofmap, fn, name):
+    """Load vector <f, v> on the interior-vertex P1 space of the field fn called name."""
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
     wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
-    vals = np.broadcast_to(fn(pts[..., 0], pts[..., 1]), pts.shape[:2])
+    vals = field_values(fn, pts, name)
     local = np.einsum("eq,eq,qi->ei", wj, vals, rule.points)
     return scatter_vector(local, dofmap.u_dof_of_vertex[mesh.triangles], dofmap.n_u)
 

@@ -9,8 +9,11 @@ first, then sigma-DOFs.
 
 The module also holds the vectorized pieces all assemblers share,
 computed from the mesh's element geometry: quadrature weights and
-points, RT0 values, the P1_0 vertex gather and the scatters to global
-arrays, which drop the -1 boundary indices.
+points, RT0 values, the P1_0 vertex and RT0 edge gathers, which check
+the length of the coefficient vector, and the scatters to global
+arrays, which drop the -1 boundary indices. ``field_values`` is the one
+place where a caller's (x, y) field is evaluated: it checks the shape
+and the finiteness of the result and names the field when either fails.
 """
 
 from dataclasses import dataclass
@@ -105,10 +108,55 @@ def rt0_values(rt_coef, verts, points):
     return out
 
 
-def p1_vertex_values(u_coeffs, mesh, dofmap):
-    """(T, 3) vertex values of a P1_0 coefficient vector, zero on the boundary."""
-    padded = np.append(np.asarray(u_coeffs, dtype=float), 0.0)  # index -1 reads the 0
+def field_values(fn, points, name, components=(), error=ValueError):
+    """A caller's vectorized field at (..., 2) points, components + points.shape[:-1].
+
+    fn is called once as fn(x, y) on the coordinate arrays, and its
+    result is broadcast to the shape above. Raises ``error`` naming the
+    field when the result does not broadcast, or when a value is not
+    finite; the second message gives the first such point and the
+    field's value there.
+    """
+    x, y = points[..., 0], points[..., 1]
+    shape = components + x.shape
+    values = np.asarray(fn(x, y), dtype=float)
+    try:
+        values = np.broadcast_to(values, shape)
+    except ValueError:
+        raise error(
+            f"{name} returned an array of shape {values.shape}; expected "
+            f"shape {shape} or one that broadcasts to it"
+        ) from None
+    finite = np.isfinite(values).reshape(-1, x.size).all(axis=0)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        value = ", ".join(f"{v:.6g}" for v in values.reshape(-1, x.size)[:, first])
+        raise error(
+            f"{name} is not finite at point "
+            f"({x.flat[first]:.6g}, {y.flat[first]:.6g}): value {value}"
+        )
+    return values
+
+
+def _coefficient_vector(coeffs, size, name):
+    """coeffs as a float vector; raises ValueError naming it unless its length is size."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (size,):
+        raise ValueError(f"{name} must have length {size}, got shape {coeffs.shape}")
+    return coeffs
+
+
+def p1_vertex_values(u_coeffs, mesh, dofmap, name):
+    """(T, 3) vertex values of the P1_0 vector called name, zero on the boundary."""
+    u_coeffs = _coefficient_vector(u_coeffs, dofmap.n_u, name)
+    padded = np.append(u_coeffs, 0.0)  # index -1 reads the 0
     return padded[dofmap.u_dof_of_vertex[mesh.triangles]]
+
+
+def rt0_edge_values(sigma_coeffs, mesh, dofmap, name):
+    """(T, 3) edge values of the RT0 vector called name, edge i opposite vertex i."""
+    sigma_coeffs = _coefficient_vector(sigma_coeffs, dofmap.n_sigma, name)
+    return sigma_coeffs[mesh.triangle_edges]
 
 
 def scatter_matrix(local, rows, cols, shape):

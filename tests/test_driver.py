@@ -6,7 +6,7 @@ import pytest
 from parafosls import checks, driver
 from parafosls.analysis import decaying_sine_problem
 from parafosls.checks import conformity_jumps
-from parafosls.driver import ExperimentConfig, default_max_level, main, run_experiment
+from parafosls.driver import ExperimentConfig, build_parser, main, run_experiment
 from parafosls.evolution import check_stability_bound
 from parafosls.forms import Coefficients, FormAssembler, ProblemVariant
 from parafosls.mesh import Mesh
@@ -95,8 +95,14 @@ def test_config_validation():
 
 
 def test_default_max_levels():
-    assert default_max_level("h2") == 5
-    assert default_max_level("h") == 6
+    """The dataclass and the CLI share one default per coupling."""
+    assert ExperimentConfig().max_level == 5
+    assert ExperimentConfig(coupling="h2").max_level == 5
+    assert ExperimentConfig(coupling="h").max_level == 6
+    assert ExperimentConfig(coupling="h", max_level=2).max_level == 2
+    for coupling in ("h2", "h"):
+        args = build_parser().parse_args(["run", "--coupling", coupling])
+        assert driver._merge_config(args) == ExperimentConfig(coupling=coupling)
 
 
 def test_run_experiment_reports(tmp_path):

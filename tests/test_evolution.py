@@ -34,16 +34,14 @@ def test_partition_validation():
     with pytest.raises(ValueError, match="time step 1 = nan"):
         TimePartition.uniform(np.nan, 4)
     part = TimePartition.from_steps([0.04, 0.03, 0.03], final_time=0.1)
-    assert not part.constant
     assert np.isclose(part.final_time, 0.1)
-    assert TimePartition.uniform(0.1, 4).constant
 
 
 def test_steps_equal_up_to_roundoff_share_one_factorization(
     mesh_chain, dofmaps, monkeypatch
 ):
     part = TimePartition(steps=np.diff(np.linspace(0.0, 0.1, 65)))
-    assert part.constant
+    assert len(np.unique(part.steps)) > 1
     factorizations = []
     factorize = solver.FactorHandle.__init__
 
@@ -63,7 +61,7 @@ def test_steps_equal_up_to_roundoff_share_one_factorization(
 
 
 def test_nan_source_fails_fast_with_named_cause(mesh_chain, dofmaps):
-    with pytest.raises(solver.SolverError, match="time step 1 failed: non-finite right-hand side"):
+    with pytest.raises(ValueError, match=r"source f is not finite at point \(.*\): value nan"):
         backward_euler_run(
             lambda t, x, y: np.full(np.broadcast(x, y).shape, np.nan),
             TimePartition.uniform(0.1, 2),
@@ -276,18 +274,6 @@ def test_sigma_storage_policy(mesh_chain, dofmaps):
     assert all(s.sigma_coeffs is None for s in states[1:-1])
     assert states[-1].sigma_coeffs is not None
 
-    sampled = backward_euler_run(
-        problem,
-        TimePartition.uniform(0.1, 4),
-        m,
-        dm,
-        initial=initial,
-        keep_sigma_every=2,
-    )
-    assert sampled[2].sigma_coeffs is not None
-    assert sampled[1].sigma_coeffs is None
-    assert sampled[4].sigma_coeffs is not None
-
 
 def test_initial_length_validated(mesh_chain, dofmaps):
     with pytest.raises(ValueError, match="length"):
@@ -389,6 +375,19 @@ def test_stability_bound_separable_matches_plain(mesh_chain, dofmaps, variant):
     plain = check_stability_bound(states, lambda t, x, y: problem.f(t, x, y), part, m, dm)
     for a, b in zip(separable, plain):
         assert relative_difference(a, b) <= 1e-12
+
+
+def test_stability_bound_fails_on_nan_state(mesh_chain, dofmaps):
+    m, dm = mesh_chain[1], dofmaps[1]
+    part = TimePartition.uniform(0.1, 3)
+
+    def ones(t, x, y):
+        return np.ones(np.broadcast(x, y).shape)
+
+    states = backward_euler_run(ones, part, m, dm, coeffs=HEAT, variant="primary")
+    states[2].u_coeffs[0] = np.nan
+    with pytest.raises(AssertionError, match="stability bound violated at step 2: nan"):
+        check_stability_bound(states, ones, part, m, dm)
 
 
 def test_galerkin_separable_matches_plain(mesh_chain, dofmaps):

@@ -1,8 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
+from parafosls.analysis import decaying_sine_problem, field_error_norms
 from parafosls.checks import conformity_jumps
-from parafosls.evolution import SystemState
+from parafosls.evolution import (
+    SystemState,
+    TimePartition,
+    backward_euler_run,
+    check_stability_bound,
+    galerkin_be_reference,
+    l2_project_initial,
+)
+from parafosls.forms import CoefficientError, Coefficients, FormAssembler, SeparableSource
+from parafosls.projection import elliptic_project
 from parafosls.spaces import (
     build_dof_map,
     eval_discrete_function,
@@ -164,3 +176,117 @@ def test_conformity_of_both_spaces(mesh_chain, dofmaps):
     jump_u, jump_flux = conformity_jumps(mesh_chain[2], dofmaps[2], seed=3)
     assert jump_u <= 1e-12
     assert jump_flux <= 1e-12
+
+
+PROBLEM = decaying_sine_problem("primary")
+EXACT = dict(zip(("u", "grad_u", "sigma", "div_sigma"), PROBLEM.fields_at(0.1)))
+COMPONENTS = {"u": (), "grad_u": (2,), "sigma": (2,), "div_sigma": ()}
+PARTITION = TimePartition.uniform(0.1, 2)
+HEAT = Coefficients.constant()
+
+
+def _bad_field(kind, components):
+    """A vectorized field that returns a wrong shape, or NaN at its last point."""
+
+    def fn(x, y):
+        if kind == "shape":
+            return np.ones((3,) + np.shape(x))
+        out = np.ones(components + np.shape(x))
+        out.reshape(components + (-1,))[..., -1] = np.nan
+        return out
+
+    return fn
+
+
+def _in_time(fn):
+    return lambda t, x, y: fn(x, y)
+
+
+def _exact_with(name, fn):
+    return [fn if field == name else EXACT[field] for field in EXACT]
+
+
+def _zero_states(dm):
+    return [SystemState(np.zeros(dm.n_u), None, t) for t in PARTITION.times]
+
+
+def _with_coefficient(name, fn):
+    fields = {"A": HEAT.A, "beta": HEAT.beta, "div_beta": HEAT.div_beta, "gamma": HEAT.gamma}
+    fields[name] = fn
+    return Coefficients(**fields)
+
+
+# (entry point, field it names, the field's components, the kinds of fault
+# whose message the package did not name before, call(mesh, dofmap, field))
+FIELD_SITES = [
+    ("l2_project_initial", "u0", (), ("shape", "nan"),
+     lambda m, dm, fn: l2_project_initial(fn, m, dm)),
+    ("galerkin_be_reference", "source f", (), ("shape", "nan"),
+     lambda m, dm, fn: galerkin_be_reference(_in_time(fn), PARTITION, m, dm)),
+    ("check_stability_bound", "source f", (), ("shape", "nan"),
+     lambda m, dm, fn: check_stability_bound(_zero_states(dm), _in_time(fn), PARTITION, m, dm)),
+    ("separable run", "source f", (), ("nan",),
+     lambda m, dm, fn: backward_euler_run(
+         SeparableSource(lambda t: 1.0, fn), PARTITION, m, dm, coeffs=HEAT, variant="primary")),
+    ("load_vector", "source f", (), ("nan",),
+     lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").load_vector(0.1, f=fn)),
+    ("lsq_functional", "data g", (), ("nan",),
+     lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").lsq_functional(
+         0.1, np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=fn)),
+]
+for _name in EXACT:
+    FIELD_SITES += [
+        (f"elliptic_project {_name}", _name, COMPONENTS[_name], ("shape", "nan"),
+         lambda m, dm, fn, name=_name: elliptic_project(
+             *_exact_with(name, fn), m, dm, PROBLEM.coeffs, 0.1, "primary")),
+        (f"field_error_norms {_name}", _name, COMPONENTS[_name], ("shape", "nan"),
+         lambda m, dm, fn, name=_name: field_error_norms(
+             *_exact_with(name, fn), np.zeros(dm.n_u), np.zeros(dm.n_sigma), m, dm)),
+    ]
+for _name, _components in (("A", (2, 2)), ("beta", (2,)), ("div_beta", ()), ("gamma", ())):
+    FIELD_SITES.append(
+        (f"coefficient {_name}", f"coefficient {_name}", _components, ("shape",),
+         lambda m, dm, fn, name=_name: FormAssembler(
+             m, dm, _with_coefficient(name, fn), "primary").total_matrix(0.1)))
+
+
+@pytest.mark.parametrize(
+    "field, components, kind, call",
+    [
+        pytest.param(field, components, kind, call, id=f"{entry}-{kind}")
+        for entry, field, components, kinds, call in FIELD_SITES
+        for kind in kinds
+    ],
+)
+def test_malformed_field_is_named(mesh_chain, dofmaps, field, components, kind, call):
+    """Every caller-supplied field fails where it is evaluated, with a
+    message that starts with the field's name, before any solve."""
+    expected = CoefficientError if field.startswith("coefficient") else ValueError
+    fault = "returned an array of shape" if kind == "shape" else r"is not finite at point \("
+    with pytest.raises(expected, match="^" + re.escape(field) + " " + fault) as info:
+        call(mesh_chain[1], dofmaps[1], _bad_field(kind, components))
+    assert info.type is expected
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        ("field_error_norms", "u_coeffs"),
+        ("field_error_norms", "sigma_coeffs"),
+        ("lsq_functional", "u_coeffs"),
+        ("lsq_functional", "sigma_coeffs"),
+        ("lsq_functional", "w"),
+    ],
+)
+def test_coefficient_vector_of_wrong_length_is_named(mesh_chain, dofmaps, entry, name):
+    m, dm = mesh_chain[1], dofmaps[1]
+    vectors = {"u_coeffs": np.zeros(dm.n_u), "sigma_coeffs": np.zeros(dm.n_sigma)}
+    if entry == "lsq_functional":
+        vectors["w"] = np.zeros(dm.n_u)
+    size = vectors[name].size
+    vectors[name] = np.zeros(size + 1)
+    with pytest.raises(ValueError, match=f"^{name} must have length {size}, got shape"):
+        if entry == "field_error_norms":
+            field_error_norms(*EXACT.values(), vectors["u_coeffs"], vectors["sigma_coeffs"], m, dm)
+        else:
+            FormAssembler(m, dm, HEAT, "primary").lsq_functional(0.1, **vectors)

@@ -14,12 +14,15 @@ Covered, for both splittings:
     vector w), the functional value, the field load of the elliptic
     projection, and both sparse load operators;
   - the convergence studies (primary with the h2 coupling, alternative
-    with the h coupling): every state of levels 0-3;
-  - elliptic projections at levels 2-4 for the same three k.
+    with the h coupling): every state of levels 0-3 and the five
+    final-time error quantities of each level;
+  - elliptic projections at levels 2-4 for the same three k, with the
+    five error quantities of each.
 """
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -28,7 +31,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from parafosls import driver  # noqa: E402
-from parafosls.analysis import decaying_sine_problem  # noqa: E402
+from parafosls.analysis import (  # noqa: E402
+    ERROR_QUANTITIES,
+    decaying_sine_problem,
+    field_error_norms,
+)
 from parafosls.forms import Coefficients, FormAssembler, ProblemVariant, SeparableSource  # noqa: E402
 from parafosls.projection import elliptic_project  # noqa: E402
 from parafosls.spaces import build_dof_map  # noqa: E402
@@ -118,12 +125,14 @@ def study_digests():
     for variant, coupling in (("primary", "h2"), ("alternative", "h")):
         config = driver.ExperimentConfig(variant=variant, coupling=coupling)
         for level in range(STUDY_LEVELS + 1):
-            states = driver.run_level(config, level, meshes[level])[1]
+            report, states = driver.run_level(config, level, meshes[level])[:2]
             for n, state in enumerate(states):
                 tag = f"study {variant} {coupling} level {level} state {n}"
                 yield f"{tag} u", state.u_coeffs
                 if state.sigma_coeffs is not None:
                     yield f"{tag} sigma", state.sigma_coeffs
+            errors = [getattr(report, q) for q in ERROR_QUANTITIES]
+            yield f"study {variant} {coupling} level {level} errors", errors
 
 
 def projection_digests():
@@ -139,6 +148,10 @@ def projection_digests():
                 tag = f"projection level {level} {variant.value} k={k:g}"
                 yield f"{tag} u", result.u_coeffs
                 yield f"{tag} sigma", result.sigma_coeffs
+                eu, eg, es, ed = field_error_norms(
+                    *fields, result.u_coeffs, result.sigma_coeffs, mesh, dofmap
+                )
+                yield f"{tag} errors", [eu, eg, es, ed, math.sqrt(eg**2 + es**2 + k * ed**2)]
 
 
 def main(argv=None):
