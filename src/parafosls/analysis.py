@@ -202,8 +202,8 @@ def field_error_norms(
 def compute_errors(final_state, problem, mesh, dofmap, k, final_time):
     """Error report for the final state of a run.
 
-    The natural norm combines the gradient, flux and (step-weighted)
-    divergence errors: sqrt(err_grad^2 + err_sigma^2 + k err_div^2).
+    ``final_state`` is a ``SystemState`` or a ``ProjectionResult``. The
+    natural norm is sqrt(err_grad^2 + err_sigma^2 + k err_div^2).
     """
     fields = problem.fields_at(final_time)
     err_u, err_grad, err_sig, err_div = field_error_norms(

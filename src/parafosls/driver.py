@@ -26,9 +26,10 @@ from .analysis import (
     decaying_sine_problem,
     observed_rates,
 )
+from .checks import run_verification_suite
 from .evolution import TimePartition, backward_euler_run, l2_project_initial
 from .forms import ProblemVariant
-from .mesh import refine_uniform, unit_square_initial_mesh
+from .mesh import mesh_hierarchy
 from .spaces import build_dof_map
 
 COUPLING_H = "h"
@@ -94,14 +95,6 @@ class ExperimentConfig:
                 f"level-{level} step {k}"
             )
         return TimePartition.uniform(self.final_time, n)
-
-
-def mesh_hierarchy(max_level):
-    """Meshes for levels 0..max_level."""
-    meshes = [unit_square_initial_mesh()]
-    for _ in range(max_level):
-        meshes.append(refine_uniform(meshes[-1]))
-    return meshes
 
 
 def run_level(config, level, mesh):
@@ -273,9 +266,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "verify":
-        # imported here: the checks module builds on this one
-        from .checks import run_verification_suite
-
         results = run_verification_suite(solver_tol=args.tol, seed=args.seed)
         return 0 if all(r.passed for r in results) else 1
 

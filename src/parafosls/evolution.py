@@ -8,7 +8,7 @@ step size and scaled by theta(t_n) at each step; any other source is
 evaluated afresh at every step. The standard Galerkin backward Euler
 scheme on the scalar space is provided as an independent reference: for
 zero convection and reaction with unit diffusion the least-squares
-u-component must reproduce it.
+u-component must reproduce it; it evaluates f(t, x, y) at every step.
 """
 
 from dataclasses import dataclass, field
@@ -26,13 +26,13 @@ from .forms import (
     assemble_p1_stiffness,
 )
 from .quadrature import triangle_rule
-from .spaces import field_values, quadrature_points, quadrature_weights
+from .spaces import _coefficient_vector, field_values, quadrature_points, quadrature_weights
 
-_PARTITION_TOL = 1e-12
 # Steps within this relative distance count as one step size and share
 # one factorization; the difference they make to a solution is far below
 # the solver's residual contract.
 _STEP_RTOL = 1e-12
+_STABILITY_SLACK = 1e-10  # relative roundoff room of the per-step stability bound
 
 
 @dataclass
@@ -69,15 +69,6 @@ class TimePartition:
         if num_steps < 1:
             raise ValueError("need at least one step")
         return cls(steps=np.full(num_steps, final_time / num_steps))
-
-    @classmethod
-    def from_steps(cls, steps, final_time=None):
-        part = cls(steps=np.asarray(steps, dtype=float))
-        if final_time is not None and not abs(part.final_time - final_time) <= _PARTITION_TOL:
-            raise ValueError(
-                f"steps sum to {part.final_time}, expected {final_time}"
-            )
-        return part
 
     @property
     def final_time(self):
@@ -121,7 +112,8 @@ def backward_euler_run(
         ``SeparableSource`` has its field g integrated once per step
         size.
     initial : (n_u,) array or None
-        Scalar initial coefficients; zero if None.
+        Scalar initial coefficients; zero if None. A wrong length or a
+        non-finite entry raises ValueError naming ``initial``.
 
     Returns
     -------
@@ -138,9 +130,7 @@ def backward_euler_run(
     n_u = dofmap.n_u
     if initial is None:
         initial = np.zeros(n_u)
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (n_u,):
-        raise ValueError(f"initial vector must have length {n_u}")
+    initial = _coefficient_vector(initial, n_u, "initial")
 
     states = [SystemState(u_coeffs=initial, sigma_coeffs=None, time=0.0)]
     # The scalar iterates live in one block allocated up front: a view of
@@ -185,25 +175,14 @@ def galerkin_be_reference(
 
     Solves (1/k)<u^n, v> + <grad u^n, grad v> = (1/k)<u^{n-1}, v>
     + <f^n, v> on the interior-vertex P1 space and returns the list of
-    coefficient vectors, including the initial one. A
-    ``SeparableSource`` theta g has <g, v> assembled once per run.
+    coefficient vectors, including the initial one. Every source is
+    evaluated as f(t_n, x, y); ``initial`` is checked as in the scheme.
     """
-    if isinstance(f, SeparableSource):
-        g_load = assemble_p1_load(mesh, dofmap, f.g, "source f")
-
-        def source_load(t):
-            return f.theta(t) * g_load
-
-    else:
-
-        def source_load(t):
-            return assemble_p1_load(mesh, dofmap, lambda x, y: f(t, x, y), "source f")
-
-    mass = assemble_p1_mass(mesh, dofmap)
-    stiffness = assemble_p1_stiffness(mesh, dofmap)
     if initial is None:
         initial = np.zeros(dofmap.n_u)
-    trajectory = [np.asarray(initial, dtype=float)]
+    trajectory = [_coefficient_vector(initial, dofmap.n_u, "initial")]
+    mass = assemble_p1_mass(mesh, dofmap)
+    stiffness = assemble_p1_stiffness(mesh, dofmap)
     times = partition.times
     handle = None
     current_k = None
@@ -211,12 +190,14 @@ def galerkin_be_reference(
         if handle is None or not _same_step(k, current_k):
             handle = solver.FactorHandle(mass / k + stiffness)
             current_k = k
-        rhs = mass @ trajectory[-1] / current_k + source_load(times[n])
+        t_n = times[n]
+        load = assemble_p1_load(mesh, dofmap, lambda x, y: f(t_n, x, y), "source f")
+        rhs = mass @ trajectory[-1] / current_k + load
         trajectory.append(handle.solve(rhs, tol=solver_tol).solution)
     return trajectory
 
 
-def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
+def check_stability_bound(states, f, partition, mesh, dofmap):
     """Verify the per-step a priori bound of the scalar iterates.
 
     The n-th iterate must satisfy
@@ -256,7 +237,7 @@ def check_stability_bound(states, f, partition, mesh, dofmap, slack=1e-10):
     for n, k in enumerate(partition.steps, start=1):
         rhs_running += k * source_norm(times[n])
         lhs = u_norm(states[n].u_coeffs)
-        if not lhs <= rhs_running * (1.0 + slack):
+        if not lhs <= rhs_running * (1.0 + _STABILITY_SLACK):
             raise AssertionError(
                 f"stability bound violated at step {n}: "
                 f"{lhs} > {rhs_running}"

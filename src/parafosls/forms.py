@@ -56,6 +56,7 @@ import numpy as np
 
 from .quadrature import triangle_rule
 from .spaces import (
+    _coefficient_vector,
     field_values,
     p1_vertex_values,
     quadrature_points,
@@ -551,11 +552,12 @@ class FormAssembler:
 
         f is a callable (x, y) -> array (data at the current time
         level) or None; w, the previous iterate, is a u-coefficient
-        vector or None. The first call with a given k builds the sparse
-        load operators, so each later call with that k costs one data
-        evaluation and two sparse products. For a ``ScaledField``
-        theta g the load of g at step k is computed once and kept, and
-        a later call with the same g costs a scaling and one product.
+        vector (checked for length and finiteness) or None. The first
+        call with a given k builds the sparse load operators, so each
+        later call with that k costs one data evaluation and two sparse
+        products. For a ``ScaledField`` theta g the load of g at step k
+        is computed once and kept, and a later call with the same g
+        costs a scaling and one product.
         """
         k = _step(k)
         to_tests, from_u = self._load_operators(k)
@@ -566,7 +568,7 @@ class FormAssembler:
             if f is not None:
                 load += k * (to_tests @ field_values(f, self._data_points, "source f").ravel())
         if w is not None:
-            load += from_u @ np.asarray(w, dtype=float)
+            load += from_u @ _coefficient_vector(w, self.dofmap.n_u, "w")
         return load
 
     def _gather_local(self, u_coeffs, sigma_coeffs):

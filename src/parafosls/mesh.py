@@ -225,6 +225,14 @@ def refine_uniform(mesh):
     return _connect(vertices, sons, level=mesh.level + 1)
 
 
+def mesh_hierarchy(max_level):
+    """Meshes for levels 0..max_level."""
+    meshes = [unit_square_initial_mesh()]
+    for _ in range(max_level):
+        meshes.append(refine_uniform(meshes[-1]))
+    return meshes
+
+
 def locate_point(mesh, x, tol=BARYCENTRIC_TOL):
     """Find a triangle containing ``x``.
 

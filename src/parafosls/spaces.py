@@ -10,8 +10,8 @@ first, then sigma-DOFs.
 The module also holds the vectorized pieces all assemblers share,
 computed from the mesh's element geometry: quadrature weights and
 points, RT0 values, the P1_0 vertex and RT0 edge gathers, which check
-the length of the coefficient vector, and the scatters to global
-arrays, which drop the -1 boundary indices. ``field_values`` is the one
+the length and finiteness of the coefficient vector, and the scatters to
+global arrays, which drop the -1 boundary indices. ``field_values`` is the one
 place where a caller's (x, y) field is evaluated: it checks the shape
 and the finiteness of the result and names the field when either fails.
 """
@@ -139,10 +139,14 @@ def field_values(fn, points, name, components=(), error=ValueError):
 
 
 def _coefficient_vector(coeffs, size, name):
-    """coeffs as a float vector; raises ValueError naming it unless its length is size."""
+    """coeffs as a float vector; raises ValueError naming it unless it has
+    length size and finite entries."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (size,):
         raise ValueError(f"{name} must have length {size}, got shape {coeffs.shape}")
+    if not np.isfinite(coeffs).all():
+        first = int(np.argmin(np.isfinite(coeffs)))
+        raise ValueError(f"{name} is not finite at entry {first}: value {coeffs[first]}")
     return coeffs
 
 
@@ -223,8 +227,12 @@ def eval_local_basis(mesh, triangle, barycentric):
 def eval_fields_on_triangle(u_coeffs, sigma_coeffs, mesh, dofmap, triangle, barycentric):
     """Discrete (u, grad u, sigma, div sigma) at a point of a given triangle.
 
-    Boundary vertices contribute zero to u (homogeneous Dirichlet).
+    Boundary vertices contribute zero to u (homogeneous Dirichlet). The
+    coefficient vectors are checked as by the gathers.
     """
+    u_coeffs = _coefficient_vector(u_coeffs, dofmap.n_u, "u_coeffs")
+    if sigma_coeffs is not None:
+        sigma_coeffs = _coefficient_vector(sigma_coeffs, dofmap.n_sigma, "sigma_coeffs")
     basis = eval_local_basis(mesh, triangle, barycentric)
     u_val = 0.0
     grad = np.zeros(2)

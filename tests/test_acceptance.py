@@ -15,13 +15,15 @@ import numpy as np
 import pytest
 
 from parafosls.analysis import ERROR_QUANTITIES, decaying_sine_problem, observed_rates
-from parafosls.checks import CHECKS
-from parafosls.driver import ExperimentConfig, mesh_hierarchy, run_level
+from parafosls.checks import CHECKS, L2_RATE_BAND, NATURAL_RATE_BAND, in_band
+from parafosls.driver import ExperimentConfig, run_level
 from parafosls.evolution import check_stability_bound
+from parafosls.mesh import mesh_hierarchy
 from parafosls.solver import DEFAULT_TOL
 
-L2_RATE_BAND = (1.7, 2.3)
-ENERGY_RATE_BAND = (0.8, 1.2)
+# Not a rate the analysis proves: the band in which the observed
+# divergence rate under the quartered-step coupling is recorded.
+DIV_FLUX_OBSERVATION_BAND = (0.7, 1.3)
 RUN_SETUPS = {
     ("primary", "h2"): 5,
     ("primary", "h"): 6,
@@ -61,16 +63,12 @@ def experiment_data():
     return data
 
 
-def in_band(value, band):
-    return band[0] <= value <= band[1]
-
-
 def check_h2_rates(run):
     rates = observed_rates(run["reports"])
     ok = (
         in_band(rates["err_u"][-1], L2_RATE_BAND)
-        and in_band(rates["err_grad_u"][-1], ENERGY_RATE_BAND)
-        and in_band(rates["err_sigma"][-1], ENERGY_RATE_BAND)
+        and in_band(rates["err_grad_u"][-1], NATURAL_RATE_BAND)
+        and in_band(rates["err_sigma"][-1], NATURAL_RATE_BAND)
     )
     detail = (
         f"err_u {rates['err_u'][-1]:.3f}, grad {rates['err_grad_u'][-1]:.3f}, "
@@ -82,7 +80,7 @@ def check_h2_rates(run):
 def check_h_rates(run):
     rates = observed_rates(run["reports"])
     finals = {q: rates[q][-1] for q in rates}
-    ok = all(in_band(v, ENERGY_RATE_BAND) for v in finals.values())
+    ok = all(in_band(v, NATURAL_RATE_BAND) for v in finals.values())
     detail = ", ".join(f"{q} {v:.3f}" for q, v in finals.items())
     return ok and run["seconds"] <= 180.0, detail + f", {run['seconds']:.0f}s"
 
@@ -115,7 +113,7 @@ def test_criterion_4_stability_every_step(experiment_data):
         for report, states, mesh, dofmap, partition in run["levels"]:
             try:
                 lhs, rhs = check_stability_bound(
-                    states, problem.f, partition, mesh, dofmap, slack=1e-10
+                    states, problem.f, partition, mesh, dofmap
                 )
             except AssertionError:
                 ok = False
@@ -140,7 +138,9 @@ def test_observation_div_flux_rate_under_l2_coupling(experiment_data):
     for variant in ("primary", "alternative"):
         rates = observed_rates(experiment_data[(variant, "h2")]["reports"])
         observed = rates["err_div_sigma"][-1]
-        assert 0.7 <= observed <= 1.3, f"{variant}: div-flux rate {observed:.3f}"
+        assert in_band(observed, DIV_FLUX_OBSERVATION_BAND), (
+            f"{variant}: div-flux rate {observed:.3f}"
+        )
         assert abs(observed - rates["err_sigma"][-1]) <= 0.3
 
 

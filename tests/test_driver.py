@@ -219,21 +219,29 @@ def test_cli_rejects_unknown_variant():
         main(["run", "--variant", "quaternary"])
 
 
-def test_verification_suite_passes(capsys):
-    results = checks.run_verification_suite()
-    out = capsys.readouterr().out
-    assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert [r.name for r in results] == [name for name, _ in checks.CHECKS]
-    assert out.count("PASS") == len(results)
-    assert "FAIL" not in out
+# A registry of stand-in checks: the suite's wiring is tested on it, and
+# every real check runs once, in test_acceptance.py::test_registry_check.
+STUB_CHECKS = (
+    ("first stub check", lambda seed, solver_tol: (True, "")),
+    ("second stub check", lambda seed, solver_tol: (True, f"seed {seed}, tol {solver_tol:g}")),
+)
+STUB_LINES = ["PASS  first stub check", "PASS  second stub check  [seed 3, tol 1e-09]"]
 
 
-def test_cli_verify_exit_code(capsys):
-    assert main(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(checks.CHECKS)
-    for line, (name, _) in zip(lines, checks.CHECKS):
-        assert line.startswith(f"PASS  {name}")
+def test_verification_suite_passes(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "CHECKS", STUB_CHECKS)
+    results = checks.run_verification_suite(solver_tol=1e-9, seed=3)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("first stub check", True, ""),
+        ("second stub check", True, "seed 3, tol 1e-09"),
+    ]
+    assert capsys.readouterr().out.splitlines() == STUB_LINES
+
+
+def test_cli_verify_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "CHECKS", STUB_CHECKS)
+    assert main(["verify", "--seed", "3", "--tol", "1e-9"]) == 0
+    assert capsys.readouterr().out.splitlines() == STUB_LINES
 
 
 def test_cli_verify_reports_a_failing_check(monkeypatch, capsys):

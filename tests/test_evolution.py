@@ -24,17 +24,14 @@ def u0_sine(x, y):
 def test_partition_validation():
     with pytest.raises(ValueError):
         TimePartition(steps=np.array([0.1, -0.05]))
-    with pytest.raises(ValueError):
-        TimePartition.from_steps([0.05, 0.04], final_time=0.1)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"time step 2 = {bad} is not positive"):
-            TimePartition.from_steps([0.05, bad])
-        with pytest.raises(ValueError):
-            TimePartition.from_steps([0.05, 0.05], final_time=bad)
+            TimePartition([0.05, bad])
     with pytest.raises(ValueError, match="time step 1 = nan"):
         TimePartition.uniform(np.nan, 4)
-    part = TimePartition.from_steps([0.04, 0.03, 0.03], final_time=0.1)
+    part = TimePartition([0.04, 0.03, 0.03])
     assert np.isclose(part.final_time, 0.1)
+    assert np.array_equal(part.times, np.cumsum([0.0, 0.04, 0.03, 0.03]))
 
 
 def test_steps_equal_up_to_roundoff_share_one_factorization(
@@ -162,23 +159,12 @@ def test_initial_projection_level0_ratio(mesh_chain, dofmaps):
     assert np.isclose(coeffs[0], load[0] / mass_diag[0], rtol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["primary", "alternative"])
-def test_stability_bound_on_benchmark(mesh_chain, dofmaps, variant):
-    m, dm = mesh_chain[2], dofmaps[2]
-    problem = decaying_sine_problem(variant)
-    part = TimePartition.uniform(0.1, 8)
-    initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
-    states = backward_euler_run(problem, part, m, dm, initial=initial)
-    lhs, rhs = check_stability_bound(states, problem.f, part, m, dm)
-    assert np.all(lhs <= rhs * (1 + 1e-10))
-
-
 def test_variable_step_run(mesh_chain, dofmaps, monkeypatch):
     """Each change of step makes one pass over the elements per rule:
     the matrix, then the load operators. Steps of one size make none."""
     m, dm = mesh_chain[1], dofmaps[1]
     problem = decaying_sine_problem("primary")
-    part = TimePartition.from_steps([0.04, 0.03, 0.03], final_time=0.1)
+    part = TimePartition([0.04, 0.03, 0.03])
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
     passes = []
     build = forms._RuleTables.__init__
@@ -288,10 +274,50 @@ def test_initial_length_validated(mesh_chain, dofmaps):
         )
 
 
+def _zero_source(t, x, y):
+    return np.zeros(np.broadcast(x, y).shape)
+
+
+# time loop -> call(mesh, dofmap, initial)
+TIME_LOOPS = {
+    "least-squares": lambda m, dm, initial: backward_euler_run(
+        _zero_source, TimePartition.uniform(0.1, 2), m, dm,
+        coeffs=HEAT, variant="primary", initial=initial,
+    ),
+    "galerkin": lambda m, dm, initial: galerkin_be_reference(
+        _zero_source, TimePartition.uniform(0.1, 2), m, dm, initial=initial
+    ),
+}
+
+
+@pytest.mark.parametrize("loop", TIME_LOOPS)
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("length", r"^initial must have length 5, got shape \(6,\)$"),
+        ("nan", "^initial is not finite at entry 2: value nan$"),
+    ],
+)
+def test_malformed_initial_is_named_before_any_step(
+    mesh_chain, dofmaps, monkeypatch, loop, kind, message
+):
+    factorizations = []
+    monkeypatch.setattr(
+        solver.FactorHandle, "__init__", lambda handle, matrix: factorizations.append(matrix)
+    )
+    n_u = dofmaps[1].n_u
+    initial = np.zeros(n_u + 1 if kind == "length" else n_u)
+    if kind == "nan":
+        initial[2] = np.nan
+    with pytest.raises(ValueError, match=message):
+        TIME_LOOPS[loop](mesh_chain[1], dofmaps[1], initial)
+    assert factorizations == []
+
+
 SEPARABLE_PARTITIONS = {
     "constant": TimePartition.uniform(0.1, 4),
-    "variable": TimePartition.from_steps([0.04, 0.03, 0.03]),
-    "alternating": TimePartition.from_steps([0.02, 0.03] * 4),
+    "variable": TimePartition([0.04, 0.03, 0.03]),
+    "alternating": TimePartition([0.02, 0.03] * 4),
 }
 
 
@@ -388,16 +414,3 @@ def test_stability_bound_fails_on_nan_state(mesh_chain, dofmaps):
     states[2].u_coeffs[0] = np.nan
     with pytest.raises(AssertionError, match="stability bound violated at step 2: nan"):
         check_stability_bound(states, ones, part, m, dm)
-
-
-def test_galerkin_separable_matches_plain(mesh_chain, dofmaps):
-    m, dm = mesh_chain[2], dofmaps[2]
-    source = SeparableSource(lambda t: 1.0 + t, u0_sine)
-    part = SEPARABLE_PARTITIONS["alternating"]
-    initial = l2_project_initial(u0_sine, m, dm)
-    separable = galerkin_be_reference(source, part, m, dm, initial=initial)
-    plain = galerkin_be_reference(
-        lambda t, x, y: source(t, x, y), part, m, dm, initial=initial
-    )
-    for a, b in zip(separable[1:], plain[1:]):
-        assert relative_difference(a, b) <= 1e-12

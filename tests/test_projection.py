@@ -1,5 +1,4 @@
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +6,13 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from parafosls import solver
-from parafosls.analysis import ERROR_QUANTITIES, decaying_sine_problem, field_error_norms
+from parafosls.analysis import (
+    ERROR_QUANTITIES,
+    compute_errors,
+    decaying_sine_problem,
+    observed_rates,
+)
+from parafosls.checks import L2_RATE_BAND, NATURAL_RATE_BAND, in_band
 from parafosls.evolution import SystemState
 from parafosls.forms import FormAssembler
 from parafosls.projection import elliptic_project
@@ -87,48 +92,41 @@ def test_defining_equation_residual(mesh_chain, dofmaps, variant):
     assert np.abs(lhs - rhs).max() <= 1e-9 * scale
 
 
-def projection_errors(problem, mesh, dofmap, k):
-    fields = problem.fields_at(0.1)
+def projection_report(problem, mesh, dofmap, k):
+    """The error report of the projection of the exact pair at t = 0.1."""
     res = elliptic_project(
-        *fields, mesh, dofmap, problem.coeffs, k, problem.variant
+        *problem.fields_at(0.1), mesh, dofmap, problem.coeffs, k, problem.variant
     )
-    eu, eg, es, ed = field_error_norms(
-        *fields, res.u_coeffs, res.sigma_coeffs, mesh, dofmap
+    return compute_errors(res, problem, mesh, dofmap, k, 0.1)
+
+
+def assert_projection_rates(problem, mesh_chain, dofmaps, k):
+    """First order in the natural norm, second order for the scalar in L2,
+    between levels 2, 3 and 4."""
+    rates = observed_rates(
+        [projection_report(problem, mesh_chain[L], dofmaps[L], k) for L in (2, 3, 4)]
     )
-    natural = math.sqrt(eg**2 + es**2 + k * ed**2)
-    return eu, natural
+    assert all(in_band(rate, L2_RATE_BAND) for rate in rates["err_u"])
+    assert all(in_band(rate, NATURAL_RATE_BAND) for rate in rates["natural_norm"])
 
 
 @pytest.mark.parametrize("k", [1e-1, 1e-3, 1e-5])
 def test_projection_rates(mesh_chain, dofmaps, k):
-    """First order in the natural norm, second order for the scalar in L2."""
-    problem = decaying_sine_problem("primary")
-    errors = [
-        projection_errors(problem, mesh_chain[L], dofmaps[L], k) for L in (2, 3, 4)
-    ]
-    for (eu_c, nat_c), (eu_f, nat_f) in zip(errors[:-1], errors[1:]):
-        assert 1.7 <= math.log2(eu_c / eu_f) <= 2.3
-        assert 0.8 <= math.log2(nat_c / nat_f) <= 1.2
+    assert_projection_rates(decaying_sine_problem("primary"), mesh_chain, dofmaps, k)
 
 
 def test_projection_rates_alternative_variant(mesh_chain, dofmaps):
-    problem = decaying_sine_problem("alternative")
-    errors = [
-        projection_errors(problem, mesh_chain[L], dofmaps[L], 1e-3) for L in (2, 3, 4)
-    ]
-    for (eu_c, nat_c), (eu_f, nat_f) in zip(errors[:-1], errors[1:]):
-        assert 1.7 <= math.log2(eu_c / eu_f) <= 2.3
-        assert 0.8 <= math.log2(nat_c / nat_f) <= 1.2
+    assert_projection_rates(decaying_sine_problem("alternative"), mesh_chain, dofmaps, 1e-3)
 
 
 def test_scalar_superconvergence_against_natural_norm(mesh_chain, dofmaps):
     """The scalar L2 error is one order better than the natural-norm error."""
     problem = decaying_sine_problem("primary")
-    k = 1e-3
-    pairs = [projection_errors(problem, mesh_chain[L], dofmaps[L], k) for L in (3, 4)]
-    (eu_c, nat_c), (eu_f, nat_f) = pairs
+    coarse, fine = (
+        projection_report(problem, mesh_chain[L], dofmaps[L], 1e-3) for L in (3, 4)
+    )
     # consistent with ||u - proj_u|| <= C h ||pair - proj||_k
-    assert eu_f / nat_f <= 0.6 * (eu_c / nat_c)
+    assert fine.err_u / fine.natural_norm <= 0.6 * (coarse.err_u / coarse.natural_norm)
 
 
 def test_result_records_inputs(mesh_chain, dofmaps):
@@ -187,17 +185,11 @@ def test_projection_errors_match_benchmark_reference(mesh_chain, dofmaps):
     most roundoff-sensitive point of its k grid, to its 1e-10 relative."""
     recorded = json.loads(REFERENCE.read_text())
     problem = decaying_sine_problem("primary")
-    fields = problem.fields_at(0.1)
     for index in (0, 18, 23):
         k = recorded["k_grid"][index]
         for level in (2, 3, 4, 5):
-            m, dm = mesh_chain[level], dofmaps[level]
-            res = elliptic_project(*fields, m, dm, problem.coeffs, k, problem.variant)
-            eu, eg, es, ed = field_error_norms(
-                *fields, res.u_coeffs, res.sigma_coeffs, m, dm
-            )
-            values = (eu, eg, es, ed, math.sqrt(eg**2 + es**2 + k * ed**2))
+            report = projection_report(problem, mesh_chain[level], dofmaps[level], k)
             expected = recorded["projection-ksweep"][str(index)][str(level)]
             assert len(expected) == len(ERROR_QUANTITIES)
-            for name, v, e in zip(ERROR_QUANTITIES, values, expected):
-                assert abs(v - e) <= 1e-10 * abs(e), (index, level, name)
+            for name, e in zip(ERROR_QUANTITIES, expected):
+                assert abs(getattr(report, name) - e) <= 1e-10 * abs(e), (index, level, name)

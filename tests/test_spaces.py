@@ -268,25 +268,53 @@ def test_malformed_field_is_named(mesh_chain, dofmaps, field, components, kind, 
     assert info.type is expected
 
 
-@pytest.mark.parametrize(
-    "entry, name",
-    [
-        ("field_error_norms", "u_coeffs"),
-        ("field_error_norms", "sigma_coeffs"),
-        ("lsq_functional", "u_coeffs"),
-        ("lsq_functional", "sigma_coeffs"),
-        ("lsq_functional", "w"),
-    ],
-)
+# entry point -> call(mesh, dofmap, vectors) with the vectors u_coeffs,
+# sigma_coeffs and w (a previous iterate) that it takes
+VECTOR_ENTRIES = {
+    "field_error_norms": lambda m, dm, v: field_error_norms(
+        *EXACT.values(), v["u_coeffs"], v["sigma_coeffs"], m, dm),
+    "lsq_functional": lambda m, dm, v: FormAssembler(m, dm, HEAT, "primary").lsq_functional(
+        0.1, v["u_coeffs"], v["sigma_coeffs"], w=v["w"]),
+    "load_vector": lambda m, dm, v: FormAssembler(m, dm, HEAT, "primary").load_vector(
+        0.1, w=v["w"]),
+    "eval_fields_on_triangle": lambda m, dm, v: eval_fields_on_triangle(
+        v["u_coeffs"], v["sigma_coeffs"], m, dm, 0, (0.2, 0.3, 0.5)),
+    "eval_discrete_function": lambda m, dm, v: eval_discrete_function(
+        SystemState(v["u_coeffs"], v["sigma_coeffs"], 0.0), m, dm, (0.3, 0.4)),
+}
+VECTOR_SITES = [
+    ("field_error_norms", "u_coeffs"),
+    ("field_error_norms", "sigma_coeffs"),
+    ("lsq_functional", "u_coeffs"),
+    ("lsq_functional", "sigma_coeffs"),
+    ("lsq_functional", "w"),
+    ("load_vector", "w"),
+    ("eval_fields_on_triangle", "u_coeffs"),
+    ("eval_fields_on_triangle", "sigma_coeffs"),
+    ("eval_discrete_function", "u_coeffs"),
+    ("eval_discrete_function", "sigma_coeffs"),
+]
+
+
+def _vectors(dm):
+    return dict(u_coeffs=np.zeros(dm.n_u), sigma_coeffs=np.zeros(dm.n_sigma), w=np.zeros(dm.n_u))
+
+
+@pytest.mark.parametrize("entry, name", VECTOR_SITES)
 def test_coefficient_vector_of_wrong_length_is_named(mesh_chain, dofmaps, entry, name):
     m, dm = mesh_chain[1], dofmaps[1]
-    vectors = {"u_coeffs": np.zeros(dm.n_u), "sigma_coeffs": np.zeros(dm.n_sigma)}
-    if entry == "lsq_functional":
-        vectors["w"] = np.zeros(dm.n_u)
+    vectors = _vectors(dm)
     size = vectors[name].size
     vectors[name] = np.zeros(size + 1)
     with pytest.raises(ValueError, match=f"^{name} must have length {size}, got shape"):
-        if entry == "field_error_norms":
-            field_error_norms(*EXACT.values(), vectors["u_coeffs"], vectors["sigma_coeffs"], m, dm)
-        else:
-            FormAssembler(m, dm, HEAT, "primary").lsq_functional(0.1, **vectors)
+        VECTOR_ENTRIES[entry](m, dm, vectors)
+
+
+@pytest.mark.parametrize("entry, name", VECTOR_SITES)
+def test_coefficient_vector_not_finite_is_named(mesh_chain, dofmaps, entry, name):
+    m, dm = mesh_chain[1], dofmaps[1]
+    vectors = _vectors(dm)
+    vectors[name][-1] = np.inf
+    index = vectors[name].size - 1
+    with pytest.raises(ValueError, match=f"^{name} is not finite at entry {index}: value inf"):
+        VECTOR_ENTRIES[entry](m, dm, vectors)
