@@ -21,6 +21,7 @@ from .analysis import (
 from .checks import run_verification_suite
 from .driver import ExperimentConfig, run_experiment
 from .evolution import (
+    SeparableSource,
     SystemState,
     TimePartition,
     backward_euler_run,
@@ -32,7 +33,6 @@ from .forms import (
     Coefficients,
     FormAssembler,
     ProblemVariant,
-    SeparableSource,
 )
 from .mesh import (
     Mesh,

@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import DATA_DEGREE, Coefficients, ProblemVariant, SeparableSource
+from .evolution import SeparableSource
+from .forms import DATA_DEGREE, Coefficients, ProblemVariant
 from .quadrature import triangle_rule
 from .spaces import (
     field_values,
@@ -38,7 +39,6 @@ class ManufacturedProblem:
     u: Callable
     du_dt: Callable
     grad_u: Callable
-    laplace_u: Callable
     sigma: Callable
     div_sigma: Callable
     f: Callable
@@ -123,7 +123,6 @@ def decaying_sine_problem(variant):
         u=u,
         du_dt=du_dt,
         grad_u=grad_u,
-        laplace_u=laplace_u,
         sigma=sigma,
         div_sigma=div_sigma,
         f=SeparableSource(theta, g),

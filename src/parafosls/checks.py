@@ -15,13 +15,14 @@ import numpy as np
 from . import solver
 from .analysis import compute_errors, decaying_sine_problem, observed_rates
 from .evolution import (
+    SeparableSource,
     TimePartition,
     backward_euler_run,
     check_stability_bound,
     galerkin_be_reference,
     l2_project_initial,
 )
-from .forms import Coefficients, FormAssembler, ProblemVariant, SeparableSource
+from .forms import Coefficients, FormAssembler, ProblemVariant
 from .mesh import mesh_hierarchy
 from .projection import elliptic_project
 from .quadrature import triangle_rule

@@ -53,6 +53,13 @@ def _tolerance(text):
     return value
 
 
+def _seed(text):
+    """argparse type of ``verify --seed``: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings of one convergence experiment.
@@ -80,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("max_level must be >= 0")
         for name in ("final_time", "k0", "solver_tol"):
             _check_positive_finite(name, getattr(self, name))
+        if self.plot_data and not self.output_path:
+            raise ValueError("plot_data needs output_path: the plot files are named after it")
 
     def step_size(self, level):
         """Time step at a level: k0 halves (h) or quarters (h2) per level."""
@@ -204,7 +213,8 @@ def _read_config_file(path):
     return values
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 # config key (also the flag's dest) -> (ExperimentConfig field, converter)
 _CONFIG_KEYS = {
     "variant": ("variant", str),
@@ -214,7 +224,7 @@ _CONFIG_KEYS = {
     "k0": ("k0", float),
     "tol": ("solver_tol", float),
     "out": ("output_path", str),
-    "plot_data": ("plot_data", lambda s: s.lower() in _BOOL_TRUE),
+    "plot_data": ("plot_data", lambda s: _BOOL_WORDS[s.lower()]),
 }
 
 
@@ -234,7 +244,12 @@ def _merge_config(args):
         if flag_value is not None:
             settings[field] = flag_value
         elif key in file_values:
-            settings[field] = convert(file_values[key])
+            try:
+                settings[field] = convert(file_values[key])
+            except (KeyError, ValueError):
+                raise ValueError(
+                    f"bad value {file_values[key]!r} for config key {key!r} in {args.config}"
+                ) from None
     return ExperimentConfig(**settings)
 
 
@@ -259,7 +274,7 @@ def build_parser():
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
     verify_p.add_argument("--tol", type=_tolerance, default=solver.DEFAULT_TOL)
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

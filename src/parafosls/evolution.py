@@ -1,18 +1,20 @@
 """Backward Euler time stepping for the least-squares scheme.
 
 Each step solves  total(u^n, v) = F(v; f^n, u^{n-1})  over the product
-space, where f^n is the source evaluated at the new time level. With a
-constant step the system matrix is factorized once and reused for the
-whole run. A ``SeparableSource`` theta(t) g(x, y) is integrated once per
-step size and scaled by theta(t_n) at each step; any other source is
-evaluated afresh at every step. The standard Galerkin backward Euler
+space, where f^n is the source at the new time level. The forms are
+spatial: time enters only here, through f^n and the previous iterate.
+With a constant step the system matrix is factorized once and reused
+for the whole run. For a ``SeparableSource`` theta(t) g(x, y) the loop
+keeps the load of g next to the factorization of each run of equal
+steps and adds theta(t_n) times it to each step's load; any other source
+is evaluated afresh at every step. The standard Galerkin backward Euler
 scheme on the scalar space is provided as an independent reference: for
 zero convection and reaction with unit diffusion the least-squares
 u-component must reproduce it; it evaluates f(t, x, y) at every step.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from . import solver
 from .forms import (
     DATA_DEGREE,
     FormAssembler,
-    SeparableSource,
     assemble_p1_load,
     assemble_p1_mass,
     assemble_p1_stiffness,
@@ -46,6 +47,30 @@ class SystemState:
     u_coeffs: np.ndarray
     sigma_coeffs: Optional[np.ndarray]
     time: float
+
+
+@dataclass(frozen=True)
+class SeparableSource:
+    """A source f(t, x, y) = theta(t) g(x, y) that exposes its two factors.
+
+    theta maps a time to a scalar, g is a vectorized (x, y) field. It is
+    called like any source; ``backward_euler_run`` integrates g once per
+    run of equal steps, and ``check_stability_bound`` once per call.
+    """
+
+    theta: Callable
+    g: Callable
+
+    def __call__(self, t, x, y):
+        return self.theta(t) * self.g(x, y)
+
+
+def _theta_at(source, t):
+    """theta(t) of a separable source as a float; raises ValueError unless finite."""
+    value = float(source.theta(t))
+    if not np.isfinite(value):
+        raise ValueError(f"source theta is not finite at t = {t:.6g}: value {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -109,8 +134,9 @@ def backward_euler_run(
         Either an object with attributes ``f`` (source, signature
         (t, x, y)), ``coeffs`` and ``variant``, or the source callable
         itself (then ``coeffs`` and ``variant`` are required). A
-        ``SeparableSource`` has its field g integrated once per step
-        size.
+        ``SeparableSource`` has its field g integrated once per run of
+        equal steps; a theta(t_n) that is not finite raises ValueError
+        before that step's solve.
     initial : (n_u,) array or None
         Scalar initial coefficients; zero if None. A wrong length or a
         non-finite entry raises ValueError naming ``initial``.
@@ -141,15 +167,22 @@ def backward_euler_run(
     assembler = FormAssembler(mesh, dofmap, coeffs, variant)
     handle = None
     current_k = None
+    image = None  # k to_tests g of a separable source, for the current step size
     u_prev = initial
     last = len(steps)
     for n, k in enumerate(steps, start=1):
         if handle is None or not _same_step(k, current_k):
             handle = solver.FactorHandle(assembler.total_matrix(k))
             current_k = k
+            image = None
         t_n = times[n]
-        source = f.at(t_n) if separable else lambda x, y: f(t_n, x, y)
-        rhs = assembler.load_vector(current_k, f=source, w=u_prev)
+        if separable:
+            scale = _theta_at(f, t_n)
+            rhs = assembler.load_vector(current_k, w=u_prev)  # builds the operators first
+            image = assembler.source_load(current_k, f.g) if image is None else image
+            rhs += scale * image
+        else:
+            rhs = assembler.load_vector(current_k, f=lambda x, y: f(t_n, x, y), w=u_prev)
         try:
             report = handle.solve(rhs, tol=solver_tol)
         except solver.SolverError as exc:
@@ -205,7 +238,8 @@ def check_stability_bound(states, f, partition, mesh, dofmap):
     slack. Returns (lhs, rhs) arrays over n = 1..N; raises
     AssertionError on violation, a NaN norm included. For a
     ``SeparableSource`` theta g, ||f^j|| = |theta(t_j)| ||g|| with
-    ||g|| integrated once.
+    ||g|| integrated once; a theta(t_j) that is not finite raises
+    ValueError.
     """
     mass = assemble_p1_mass(mesh, dofmap)
     rule = triangle_rule(DATA_DEGREE)
@@ -219,29 +253,18 @@ def check_stability_bound(states, f, partition, mesh, dofmap):
         vals = field_values(fn, pts, "source f")
         return float(np.sqrt(np.sum(wj * vals**2)))
 
+    times = partition.times[1:]
     if isinstance(f, SeparableSource):
         g_norm = l2_norm(f.g)
-
-        def source_norm(t):
-            return abs(float(f.theta(t))) * g_norm
-
+        source_norms = np.array([abs(_theta_at(f, t)) * g_norm for t in times])
     else:
-
-        def source_norm(t):
-            return l2_norm(lambda x, y: f(t, x, y))
-
-    times = partition.times
-    rhs_running = u_norm(states[0].u_coeffs)
-    lhs_values = []
-    rhs_values = []
-    for n, k in enumerate(partition.steps, start=1):
-        rhs_running += k * source_norm(times[n])
-        lhs = u_norm(states[n].u_coeffs)
-        if not lhs <= rhs_running * (1.0 + _STABILITY_SLACK):
-            raise AssertionError(
-                f"stability bound violated at step {n}: "
-                f"{lhs} > {rhs_running}"
-            )
-        lhs_values.append(lhs)
-        rhs_values.append(rhs_running)
-    return np.array(lhs_values), np.array(rhs_values)
+        source_norms = np.array([l2_norm(lambda x, y, t=t: f(t, x, y)) for t in times])
+    # a running sum from ||u^0|| in step order, as the bound reads
+    terms = np.concatenate([[u_norm(states[0].u_coeffs)], partition.steps * source_norms])
+    rhs = np.cumsum(terms)[1:]
+    lhs = np.array([u_norm(state.u_coeffs) for state in states[1:]])
+    bad = ~(lhs <= rhs * (1.0 + _STABILITY_SLACK))
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise AssertionError(f"stability bound violated at step {n + 1}: {lhs[n]} > {rhs[n]}")
+    return lhs, rhs

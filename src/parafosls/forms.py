@@ -33,9 +33,6 @@ arrays: scalar fields map (x, y) to an array of the same shape, vector
 fields prepend an axis of length 2, matrix fields prepend (2, 2). Each
 is evaluated through ``spaces.field_values``, which names the field
 when its result has the wrong shape or a value that is not finite.
-A source of the form f(t, x, y) = theta(t) g(x, y) can be given as a
-``SeparableSource``: its load is then one cached image of g per step k,
-scaled by theta at each time level.
 
 The element tables (basis values, residuals r and d of the basis
 functions, weights) are built for one block of ``BLOCK_ELEMENTS``
@@ -155,38 +152,6 @@ class Coefficients:
             div_beta=_constant_field(0.0),
             gamma=_constant_field(gamma),
         )
-
-
-@dataclass(frozen=True)
-class SeparableSource:
-    """A source f(t, x, y) = theta(t) g(x, y) that exposes its two factors.
-
-    theta maps a time to a scalar, g is a vectorized (x, y) field. It is
-    called like any source; ``at(t)`` freezes the time, and
-    ``FormAssembler.load_vector`` recognizes the result, so a run with
-    steps of one size evaluates g once.
-    """
-
-    theta: Callable
-    g: Callable
-
-    def __call__(self, t, x, y):
-        return self.theta(t) * self.g(x, y)
-
-    def at(self, t):
-        """The source at time t, the field theta(t) g."""
-        return ScaledField(float(self.theta(t)), self.g)
-
-
-@dataclass(frozen=True)
-class ScaledField:
-    """The (x, y) field scale * g(x, y): a separable source at one time."""
-
-    scale: float
-    g: Callable
-
-    def __call__(self, x, y):
-        return self.scale * self.g(x, y)
 
 
 def _step(k):
@@ -427,8 +392,8 @@ class FormAssembler:
     block by block and scatters it in one call. The tables read the
     element geometry that the mesh computes once (``Mesh.geometry``).
     No table outlives the call; the assembler keeps only the data
-    points, which a plain callable source is evaluated at in every step,
-    and the load operators of the last step.
+    points, which every source load evaluates its field at, and the load
+    operators of the last step.
     """
 
     def __init__(self, mesh, dofmap, coeffs, variant):
@@ -445,7 +410,6 @@ class FormAssembler:
             axis=1,
         )
         self._load_ops = None  # (k, operators): one pair at a time, ~20 MB at level 6
-        self._source_image = None  # (g, k to_tests g): the load of one field g at that k
 
     def _blocks(self, rule):
         """Yield (slice, _RuleTables) for consecutive blocks of elements.
@@ -518,11 +482,10 @@ class FormAssembler:
         functions (entries wj * (v/k + r(v)) scattered by
         ``local_dofs``); ``from_u`` = to_tests I, where I interpolates
         u-coefficients to the data points. The pair is kept until a
-        call with another k replaces it and drops the source image.
+        call with another k replaces it.
         """
         if self._load_ops is None or self._load_ops[0] != k:
             self._load_ops = None
-            self._source_image = None
             rule = triangle_rule(DATA_DEGREE)
             n_e, n_q = self.mesh.num_triangles, rule.weights.size
             weighted = np.empty((n_e, n_q, 6))
@@ -540,12 +503,14 @@ class FormAssembler:
             self._load_ops = (k, (to_tests, from_u))
         return self._load_ops[1]
 
-    def _image_of(self, k, to_tests, g):
-        """k to_tests g, the load of the field g, kept for the last g at this k."""
-        if self._source_image is None or self._source_image[0] is not g:
-            image = k * (to_tests @ field_values(g, self._data_points, "source f").ravel())
-            self._source_image = (g, image)
-        return self._source_image[1]
+    def _source_term(self, k, to_tests, f):
+        """k to_tests f: the load of the field f at the data points."""
+        return k * (to_tests @ field_values(f, self._data_points, "source f").ravel())
+
+    def source_load(self, k, f):
+        """Load of F(v; f, 0) = <k f, v/k + r(v)> of a field f, with no previous iterate."""
+        k = _step(k)
+        return self._source_term(k, self._load_operators(k)[0], f)
 
     def load_vector(self, k, f=None, w=None):
         """Load of F(v; f, w) = <k f + w, v/k + r(v)>.
@@ -555,20 +520,16 @@ class FormAssembler:
         vector (checked for length and finiteness) or None. The first
         call with a given k builds the sparse load operators, so each
         later call with that k costs one data evaluation and two sparse
-        products. For a ``ScaledField`` theta g the load of g at step k
-        is computed once and kept, and a later call with the same g
-        costs a scaling and one product.
+        products.
         """
         k = _step(k)
         to_tests, from_u = self._load_operators(k)
-        if isinstance(f, ScaledField):
-            load = np.multiply(self._image_of(k, to_tests, f.g), f.scale)
-        else:
+        if w is None:
             load = np.zeros(self.dofmap.total)
-            if f is not None:
-                load += k * (to_tests @ field_values(f, self._data_points, "source f").ravel())
-        if w is not None:
-            load += from_u @ _coefficient_vector(w, self.dofmap.n_u, "w")
+        else:
+            load = from_u @ _coefficient_vector(w, self.dofmap.n_u, "w")
+        if f is not None:
+            load += self._source_term(k, to_tests, f)
         return load
 
     def _gather_local(self, u_coeffs, sigma_coeffs):

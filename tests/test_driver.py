@@ -214,6 +214,43 @@ def test_cli_rejects_bad_tolerance(tmp_path, capsys, bad):
     )
 
 
+def test_plot_data_without_output_is_rejected(capsys):
+    with pytest.raises(ValueError, match="plot_data needs output_path"):
+        tiny_config(plot_data=True)
+    assert main(["run", "--plot-data", "--max-level", "0"]) == 1
+    assert "error: plot_data needs output_path" in capsys.readouterr().err
+
+
+def test_config_plot_data_accepts_only_listed_words(tmp_path, capsys):
+    config_file = tmp_path / "settings.cfg"
+    config_file.write_text(f"max_level = 0\nout = {tmp_path / 'o.csv'}\nplot_data = ture\n")
+    assert main(["run", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: bad value 'ture' for config key 'plot_data' in {config_file}" in err
+    config_file.write_text(f"max_level = 1\nout = {tmp_path / 'o.csv'}\nplot_data = Off\n")
+    assert main(["run", "--config", str(config_file)]) == 0
+    assert not list(tmp_path.glob("*.dat"))
+
+
+def test_config_value_that_does_not_convert_names_key_and_file(tmp_path, capsys):
+    config_file = tmp_path / "settings.cfg"
+    config_file.write_text("max_level = 1.5\n")
+    assert main(["run", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: bad value '1.5' for config key 'max_level' in {config_file}" in err
+
+
+@pytest.mark.parametrize("bad", ["-1", "1.5", "one"])
+def test_cli_verify_rejects_bad_seed(monkeypatch, capsys, bad):
+    monkeypatch.setattr(checks, "CHECKS", STUB_CHECKS)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--seed", bad])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --seed: seed must be a non-negative integer, got {bad!r}" in err
+
+
 def test_cli_rejects_unknown_variant():
     with pytest.raises(SystemExit):
         main(["run", "--variant", "quaternary"])

@@ -4,13 +4,14 @@ import pytest
 from parafosls import forms, solver
 from parafosls.analysis import decaying_sine_problem
 from parafosls.evolution import (
+    SeparableSource,
     TimePartition,
     backward_euler_run,
     check_stability_bound,
     galerkin_be_reference,
     l2_project_initial,
 )
-from parafosls.forms import Coefficients, SeparableSource, assemble_p1_mass
+from parafosls.forms import Coefficients, assemble_p1_mass
 from parafosls.quadrature import triangle_rule
 from parafosls.spaces import eval_local_basis
 
@@ -372,13 +373,42 @@ def test_separable_field_evaluated_once_per_run_of_equal_steps(
     assert len(calls) == evaluations
 
 
-def test_separable_nan_theta_fails_fast_with_named_cause(mesh_chain, dofmaps):
-    source = SeparableSource(lambda t: np.nan, lambda x, y: np.ones(np.broadcast(x, y).shape))
-    with pytest.raises(solver.SolverError, match="time step 1 failed: non-finite right-hand side"):
+def ones_field(x, y):
+    return np.ones(np.broadcast(x, y).shape)
+
+
+def nan_after(time):
+    """A theta that is 1 up to the given time and NaN after it."""
+    return lambda t: np.nan if t > time else 1.0
+
+
+def test_separable_nan_theta_fails_fast_with_named_cause(mesh_chain, dofmaps, monkeypatch):
+    solves = []
+    solve = solver.FactorHandle.solve
+
+    def counting(handle, *args, **kwargs):
+        solves.append(handle)
+        return solve(handle, *args, **kwargs)
+
+    monkeypatch.setattr(solver.FactorHandle, "solve", counting)
+    source = SeparableSource(nan_after(0.06), ones_field)
+    with pytest.raises(ValueError, match="^source theta is not finite at t = 0.1: value nan$"):
         backward_euler_run(
             source, TimePartition.uniform(0.1, 2), mesh_chain[1], dofmaps[1],
             coeffs=HEAT, variant="primary",
         )
+    assert len(solves) == 1  # step 2 fails before its solve
+
+
+def test_stability_bound_names_a_nan_theta(mesh_chain, dofmaps):
+    m, dm = mesh_chain[1], dofmaps[1]
+    part = TimePartition.uniform(0.1, 2)
+    states = backward_euler_run(
+        SeparableSource(lambda t: 1.0, ones_field), part, m, dm, coeffs=HEAT, variant="primary"
+    )
+    source = SeparableSource(nan_after(0.06), ones_field)
+    with pytest.raises(ValueError, match="^source theta is not finite at t = 0.1: value nan$"):
+        check_stability_bound(states, source, part, m, dm)
 
 
 def test_separable_field_of_wrong_shape_is_named(mesh_chain, dofmaps):
@@ -414,3 +444,47 @@ def test_stability_bound_fails_on_nan_state(mesh_chain, dofmaps):
     states[2].u_coeffs[0] = np.nan
     with pytest.raises(AssertionError, match="stability bound violated at step 2: nan"):
         check_stability_bound(states, ones, part, m, dm)
+
+
+def _recording(method, name, calls):
+    def record(self, *args, **kwargs):
+        calls.append(name)
+        return method(self, *args, **kwargs)
+
+    return record
+
+
+@pytest.mark.parametrize(
+    "partition", [SEPARABLE_PARTITIONS["constant"], SEPARABLE_PARTITIONS["variable"]],
+    ids=["constant", "variable"],
+)
+@pytest.mark.parametrize("separable", [True, False], ids=["separable", "plain"])
+def test_each_step_is_one_load_then_one_solve(
+    mesh_chain, dofmaps, monkeypatch, partition, separable
+):
+    """The call order that per-step timing pairs up: each step is one
+    load_vector call followed by one solve; each factorization comes
+    before the first load of its step size; a separable source's field is
+    loaded once per run of equal steps, after that first load, and a
+    plain source's never through source_load."""
+    calls = []
+    for cls, name in (
+        (solver.FactorHandle, "__init__"),
+        (forms.FormAssembler, "load_vector"),
+        (forms.FormAssembler, "source_load"),
+        (solver.FactorHandle, "solve"),
+    ):
+        monkeypatch.setattr(cls, name, _recording(getattr(cls, name), name, calls))
+    source = SeparableSource(np.exp, u0_sine)
+    if not separable:
+        source = source.__call__  # the same values as a plain callable
+    backward_euler_run(source, partition, mesh_chain[1], dofmaps[1], coeffs=HEAT, variant="primary")
+
+    expected = []
+    for n, k in enumerate(partition.steps):
+        new_size = n == 0 or k != partition.steps[n - 1]
+        expected += ["__init__"] if new_size else []
+        expected += ["load_vector"]
+        expected += ["source_load"] if separable and new_size else []
+        expected += ["solve"]
+    assert calls == expected

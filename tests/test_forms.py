@@ -16,7 +16,6 @@ from parafosls.forms import (
     Coefficients,
     FormAssembler,
     ProblemVariant,
-    SeparableSource,
     _spd_roots,
     assemble_p1_mass,
     assemble_p1_stiffness,
@@ -497,7 +496,6 @@ def every_form(asm, variant):
     def f(x, y):
         return np.sin(np.pi * x) * np.cos(y)
 
-    separable = SeparableSource(np.exp, lambda x, y: np.cos(x + y)).at(0.3)
     out = {
         "total": asm.total_matrix(k),
         "nonsymmetric": asm.nonsymmetric_matrix(k),
@@ -508,8 +506,9 @@ def every_form(asm, variant):
         "field load": asm.nonsymmetric_load_from_fields(
             k, *decaying_sine_problem(variant).fields_at(0.1)
         ),
+        "source load": asm.source_load(k, lambda x, y: np.cos(x + y)),
     }
-    for f_name, source in (("plain", f), ("separable", separable), ("none", None)):
+    for f_name, source in (("plain", f), ("none", None)):
         for w_name, datum in (("vector", w), ("none", None)):
             out[f"load f {f_name}, w {w_name}"] = asm.load_vector(k, f=source, w=datum)
     return out
@@ -552,7 +551,7 @@ def test_block_size_changes_no_bit(
         assert_bitwise_equal(blocked[name], value)
     assert len(tables) > 0 and all(ref() is None for ref in tables)
     rebound = {name for name, value in vars(asm).items() if fresh.get(name) is not value}
-    assert rebound == {"_load_ops", "_source_image", "_data_points"}
+    assert rebound == {"_load_ops", "_data_points"}
 
 
 def _einsum_operands(rng, n_e, n_q, flux):

@@ -6,6 +6,7 @@ import pytest
 from parafosls.analysis import decaying_sine_problem, field_error_norms
 from parafosls.checks import conformity_jumps
 from parafosls.evolution import (
+    SeparableSource,
     SystemState,
     TimePartition,
     backward_euler_run,
@@ -13,7 +14,7 @@ from parafosls.evolution import (
     galerkin_be_reference,
     l2_project_initial,
 )
-from parafosls.forms import CoefficientError, Coefficients, FormAssembler, SeparableSource
+from parafosls.forms import CoefficientError, Coefficients, FormAssembler
 from parafosls.projection import elliptic_project
 from parafosls.spaces import (
     build_dof_map,
@@ -230,6 +231,8 @@ FIELD_SITES = [
          SeparableSource(lambda t: 1.0, fn), PARTITION, m, dm, coeffs=HEAT, variant="primary")),
     ("load_vector", "source f", (), ("nan",),
      lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").load_vector(0.1, f=fn)),
+    ("source_load", "source f", (), ("shape", "nan"),
+     lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").source_load(0.1, fn)),
     ("lsq_functional", "data g", (), ("nan",),
      lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").lsq_functional(
          0.1, np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=fn)),

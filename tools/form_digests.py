@@ -11,8 +11,9 @@ Covered, for both splittings:
   - at each of ``--levels``, problem and variable coefficients and
     k in {1e-6, 1e-3, 0.1}: the total, non-symmetric and natural-norm
     matrices, the load vector (plain and separable source, each with a
-    vector w), the functional value, the field load of the elliptic
-    projection, and both sparse load operators;
+    vector w; the separable one built as the time loop builds it), the
+    functional value, the field load of the elliptic projection, and
+    both sparse load operators;
   - the convergence studies (primary with the h2 coupling, alternative
     with the h coupling): every state of levels 0-3 and the five
     final-time error quantities of each level;
@@ -36,7 +37,7 @@ from parafosls.analysis import (  # noqa: E402
     decaying_sine_problem,
     field_error_norms,
 )
-from parafosls.forms import Coefficients, FormAssembler, ProblemVariant, SeparableSource  # noqa: E402
+from parafosls.forms import Coefficients, FormAssembler, ProblemVariant  # noqa: E402
 from parafosls.projection import elliptic_project  # noqa: E402
 from parafosls.spaces import build_dof_map  # noqa: E402
 
@@ -88,16 +89,21 @@ def form_arrays(asm, problem, k):
     rng = np.random.default_rng(7)
     u, sigma, w = (rng.standard_normal(n) for n in (dm.n_u, dm.n_sigma, dm.n_u))
     f = problem.f
-    separable = f.at(PROJECTION_TIME) if isinstance(f, SeparableSource) else None
 
     def source(x, y):
         return f(PROJECTION_TIME, x, y)
+
+    def separable_load():
+        """The load of the separable source as the time loop builds it."""
+        load = asm.load_vector(k, w=w)
+        load += float(f.theta(PROJECTION_TIME)) * asm.source_load(k, f.g)
+        return load
 
     yield "total", asm.total_matrix(k)
     yield "nonsymmetric", asm.nonsymmetric_matrix(k)
     yield "gram", asm.natural_gram(k)
     yield "load plain f, vector w", asm.load_vector(k, f=source, w=w)
-    yield "load separable f, vector w", asm.load_vector(k, f=separable, w=w)
+    yield "load separable f, vector w", separable_load()
     to_tests, from_u = asm._load_operators(k)
     yield "to_tests", to_tests
     yield "from_u", from_u
