@@ -109,11 +109,11 @@ def _same_step(k, reference):
     return np.abs(k - reference) <= _STEP_RTOL * reference
 
 
-def l2_project_initial(u0, mesh, dofmap, solver_tol=solver.DEFAULT_TOL):
+def l2_project_initial(u0, mesh, dofmap):
     """L2-orthogonal projection of u0 onto the interior-vertex P1 space."""
     mass = assemble_p1_mass(mesh, dofmap)
     load = assemble_p1_load(mesh, dofmap, u0, "u0")
-    return solver.solve_spd(mass, load, tol=solver_tol).solution
+    return solver.solve_spd(mass, load).solution
 
 
 def backward_euler_run(
@@ -124,7 +124,6 @@ def backward_euler_run(
     coeffs=None,
     variant=None,
     initial=None,
-    solver_tol=solver.DEFAULT_TOL,
 ):
     """Run the least-squares backward Euler scheme over a partition.
 
@@ -184,7 +183,7 @@ def backward_euler_run(
         else:
             rhs = assembler.load_vector(current_k, f=lambda x, y: f(t_n, x, y), w=u_prev)
         try:
-            report = handle.solve(rhs, tol=solver_tol)
+            report = handle.solve(rhs)
         except solver.SolverError as exc:
             raise solver.SolverError(f"time step {n} failed: {exc}") from exc
         sol = report.solution
@@ -201,9 +200,7 @@ def backward_euler_run(
     return states
 
 
-def galerkin_be_reference(
-    f, partition, mesh, dofmap, initial=None, solver_tol=solver.DEFAULT_TOL
-):
+def galerkin_be_reference(f, partition, mesh, dofmap, initial=None):
     """Backward Euler for the standard Galerkin heat discretization.
 
     Solves (1/k)<u^n, v> + <grad u^n, grad v> = (1/k)<u^{n-1}, v>
@@ -226,7 +223,7 @@ def galerkin_be_reference(
         t_n = times[n]
         load = assemble_p1_load(mesh, dofmap, lambda x, y: f(t_n, x, y), "source f")
         rhs = mass @ trajectory[-1] / current_k + load
-        trajectory.append(handle.solve(rhs, tol=solver_tol).solution)
+        trajectory.append(handle.solve(rhs).solution)
     return trajectory
 
 

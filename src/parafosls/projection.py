@@ -51,7 +51,6 @@ def elliptic_project(
     coeffs,
     k,
     variant,
-    solver_tol=solver.DEFAULT_TOL,
 ):
     """Project an exact pair onto the discrete space via the spatial form.
 
@@ -73,7 +72,7 @@ def elliptic_project(
     del asm  # the factorization needs none of the assembler's arrays
     handle = solver.CoerciveFactorHandle(matrix)
     handle.certify_pivots()
-    report = handle.solve(load, tol=solver_tol)
+    report = handle.solve(load)
     n_u = dofmap.n_u
     return ProjectionResult(
         u_coeffs=report.solution[:n_u],

@@ -19,7 +19,6 @@ from parafosls.checks import CHECKS, L2_RATE_BAND, NATURAL_RATE_BAND, in_band
 from parafosls.driver import ExperimentConfig, run_level
 from parafosls.evolution import check_stability_bound
 from parafosls.mesh import mesh_hierarchy
-from parafosls.solver import DEFAULT_TOL
 
 # Not a rate the analysis proves: the band in which the observed
 # divergence rate under the quartered-step coupling is recorded.
@@ -128,7 +127,7 @@ def test_criterion_4_stability_every_step(experiment_data):
 
 @pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
 def test_registry_check(name, check):
-    record(name, *check(seed=0, solver_tol=DEFAULT_TOL))
+    record(name, *check(seed=0))
 
 
 def test_observation_div_flux_rate_under_l2_coupling(experiment_data):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from parafosls import checks, driver
+from parafosls import checks, driver, solver
 from parafosls.analysis import decaying_sine_problem
 from parafosls.checks import conformity_jumps
 from parafosls.driver import ExperimentConfig, build_parser, main, run_experiment
@@ -85,9 +85,11 @@ def test_config_validation():
         tiny_config(max_level=-1)
     with pytest.raises(ValueError):
         tiny_config(k0=-0.1)
-    with pytest.raises(ValueError, match="solver_tol must be positive and finite, got -1"):
-        tiny_config(solver_tol=-1.0)
-    for name in ("final_time", "k0", "solver_tol"):
+    for bad in (1.5, True, "2", -1):
+        message = f"max_level must be a non-negative integer, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            tiny_config(max_level=bad)
+    for name in ("final_time", "k0"):
         for bad in (float("nan"), float("inf")):
             message = f"{name} must be positive and finite, got {bad}"
             with pytest.raises(ValueError, match=message):
@@ -173,7 +175,7 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert len(lines) == 3  # header + levels 0..1, flag beats the file
 
 
-@pytest.mark.parametrize("line", ["max-levle = 1", "parallel = yes"])
+@pytest.mark.parametrize("line", ["max-levle = 1", "parallel = yes", "tol = 1e-9"])
 def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
     config_file = tmp_path / "settings.cfg"
     config_file.write_text(f"coupling = h\n{line}\n")
@@ -198,20 +200,20 @@ def test_cli_rejects_non_finite_k0(capsys):
     assert "error: k0 must be positive and finite, got nan" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["nan", "-1", "0"])
-def test_cli_rejects_bad_tolerance(tmp_path, capsys, bad):
-    assert main(["run", "--tol", bad]) == 1
-    assert "error: solver_tol must be positive and finite" in capsys.readouterr().err
-    config_file = tmp_path / "settings.cfg"
-    config_file.write_text(f"tol = {bad}\n")
-    assert main(["run", "--config", str(config_file)]) == 1
-    assert "error: solver_tol must be positive and finite" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_has_no_tolerance_option(capsys, command):
     with pytest.raises(SystemExit) as info:
-        main(["verify", "--tol", bad])
+        main([command, "--tol", "1e-9"])
     assert info.value.code == 2
-    assert "argument --tol: solver tolerance must be positive and finite" in (
-        capsys.readouterr().err
-    )
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+
+def test_single_level_run_writes_no_rates_file(tmp_path, capsys):
+    out = tmp_path / "m0.csv"
+    assert main(["run", "--coupling", "h", "--max-level", "0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m0.csv"]
+    assert len(out.read_text().splitlines()) == 2
+    assert "rates" not in capsys.readouterr().out
 
 
 def test_plot_data_without_output_is_rejected(capsys):
@@ -259,34 +261,48 @@ def test_cli_rejects_unknown_variant():
 # A registry of stand-in checks: the suite's wiring is tested on it, and
 # every real check runs once, in test_acceptance.py::test_registry_check.
 STUB_CHECKS = (
-    ("first stub check", lambda seed, solver_tol: (True, "")),
-    ("second stub check", lambda seed, solver_tol: (True, f"seed {seed}, tol {solver_tol:g}")),
+    ("first stub check", lambda seed: (True, "")),
+    ("second stub check", lambda seed: (True, f"seed {seed}")),
 )
-STUB_LINES = ["PASS  first stub check", "PASS  second stub check  [seed 3, tol 1e-09]"]
+STUB_LINES = ["PASS  first stub check", "PASS  second stub check  [seed 3]"]
 
 
 def test_verification_suite_passes(monkeypatch, capsys):
     monkeypatch.setattr(checks, "CHECKS", STUB_CHECKS)
-    results = checks.run_verification_suite(solver_tol=1e-9, seed=3)
+    results = checks.run_verification_suite(seed=3)
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("first stub check", True, ""),
-        ("second stub check", True, "seed 3, tol 1e-09"),
+        ("second stub check", True, "seed 3"),
     ]
     assert capsys.readouterr().out.splitlines() == STUB_LINES
 
 
 def test_cli_verify_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(checks, "CHECKS", STUB_CHECKS)
-    assert main(["verify", "--seed", "3", "--tol", "1e-9"]) == 0
+    assert main(["verify", "--seed", "3"]) == 0
     assert capsys.readouterr().out.splitlines() == STUB_LINES
 
 
 def test_cli_verify_reports_a_failing_check(monkeypatch, capsys):
-    failing = ("injected failure", lambda seed, solver_tol: (False, "detail of it"))
+    failing = ("injected failure", lambda seed: (False, "detail of it"))
     monkeypatch.setattr(checks, "CHECKS", (checks.CHECKS[0], failing))
     assert main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"PASS  {checks.CHECKS[0][0]}", "FAIL  injected failure  [detail of it]"]
+
+
+def test_cli_verify_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
+    def raising(seed):
+        raise solver.SolverError("residual 1.0e-14 above tolerance 1.0e-15")
+
+    registry = (STUB_CHECKS[0], ("raising stub check", raising), STUB_CHECKS[1])
+    monkeypatch.setattr(checks, "CHECKS", registry)
+    assert main(["verify", "--seed", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        STUB_LINES[0],
+        "FAIL  raising stub check  [SolverError: residual 1.0e-14 above tolerance 1.0e-15]",
+        STUB_LINES[1],
+    ]
 
 
 def test_flipped_rt0_sign_breaks_flux_conformity(mesh_chain, dofmaps):
