@@ -34,14 +34,7 @@ from .forms import (
     FormAssembler,
     ProblemVariant,
 )
-from .mesh import (
-    Mesh,
-    PointOutsideDomainError,
-    locate_point,
-    refine_uniform,
-    unit_square_initial_mesh,
-    write_mesh_text,
-)
+from .mesh import Mesh, refine_uniform, unit_square_initial_mesh
 from .projection import ProjectionResult, elliptic_project
 from .quadrature import QuadratureRule, triangle_rule
 from .solver import (
@@ -57,7 +50,6 @@ from .spaces import (
     DofMap,
     LocalBasisEval,
     build_dof_map,
-    eval_discrete_function,
     eval_local_basis,
 )
 

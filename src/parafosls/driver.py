@@ -19,6 +19,7 @@ meets the relative-residual contract of ``solver``.
 
 import argparse
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +43,9 @@ _CSV_HEADER = "level,h,k,dofs,err_u,err_grad_u,err_sigma,err_div_sigma,natural_n
 
 
 def _check_positive_finite(name, value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _seed(text):

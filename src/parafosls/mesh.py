@@ -5,9 +5,12 @@ Omega = (0,1)^2 (four corner vertices plus the center) and refined
 uniformly by midpoint quadrisection: every triangle is split into four
 sons by connecting its edge midpoints, which halves every element
 diameter. Edges carry a global orientation (from the lower to the
-higher vertex index) that downstream H(div) elements rely on. Each mesh
-computes, once and on first use, the per-element geometry that assembly
-and integration read.
+higher vertex index) that downstream H(div) elements rely on. Edges are
+numbered in increasing (low, high) vertex order; since the sigma-DOFs
+follow the edge numbers, that order fixes the flux numbering, every
+assembled matrix and the factorization's ordering. Each mesh computes,
+once and on first use, the per-element geometry that assembly and
+integration read.
 """
 
 from dataclasses import dataclass
@@ -15,13 +18,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-
-BARYCENTRIC_TOL = 1e-12
-
-
-class PointOutsideDomainError(ValueError):
-    """Raised when a query point lies outside the meshed domain."""
-
 
 class ElementGeometry(NamedTuple):
     """Per-element quantities shared by assembly and integration.
@@ -75,7 +71,8 @@ class Mesh:
     triangles : (T, 3) int array
         Vertex indices per triangle, counter-clockwise.
     edges : (E, 2) int array
-        Vertex index pairs, stored (low, high).
+        Vertex index pairs, stored (low, high) and sorted by (low, high);
+        that order fixes the sigma-DOF numbering.
     triangle_edges : (T, 3) int array
         Global edge index opposite each local vertex.
     triangle_edge_signs : (T, 3) int array
@@ -159,10 +156,13 @@ def _connect(vertices, triangles, level):
     # local edge i is opposite local vertex i
     tails = triangles[:, [1, 2, 0]]
     heads = triangles[:, [2, 0, 1]]
-    lows = np.minimum(tails, heads)
-    highs = np.maximum(tails, heads)
-    pairs = np.stack([lows.ravel(), highs.ravel()], axis=1)
-    edges, edge_of_pair = np.unique(pairs, axis=0, return_inverse=True)
+    # One int64 key per (low, high) pair: keys sort as the pairs sort
+    # lexicographically, so edges come out ordered by (low, high). The key
+    # stays below 2**63 for fewer than 3e9 vertices.
+    n_v = vertices.shape[0]
+    keys = np.minimum(tails, heads) * n_v + np.maximum(tails, heads)
+    edge_keys, edge_of_pair = np.unique(keys, return_inverse=True)
+    edges = np.stack(np.divmod(edge_keys, n_v), axis=1)
     triangle_edges = edge_of_pair.reshape(-1, 3)
     signs = np.where(tails < heads, 1, -1).astype(np.int64)
 
@@ -174,7 +174,7 @@ def _connect(vertices, triangles, level):
     boundary_vertex = np.zeros(vertices.shape[0], dtype=bool)
     boundary_vertex[edges[boundary_edge].ravel()] = True
 
-    n_v, n_e, n_t = vertices.shape[0], edges.shape[0], triangles.shape[0]
+    n_e, n_t = edges.shape[0], triangles.shape[0]
     if n_v - n_e + n_t != 1:
         raise ValueError(f"Euler relation violated: V-E+T = {n_v - n_e + n_t}")
 
@@ -231,50 +231,3 @@ def mesh_hierarchy(max_level):
     for _ in range(max_level):
         meshes.append(refine_uniform(meshes[-1]))
     return meshes
-
-
-def locate_point(mesh, x, tol=BARYCENTRIC_TOL):
-    """Find a triangle containing ``x``.
-
-    Returns
-    -------
-    (int, (3,) float array)
-        Index of the first containing triangle and the barycentric
-        coordinates of ``x`` in it.
-
-    Raises
-    ------
-    PointOutsideDomainError
-        If no triangle contains ``x`` within the tolerance.
-    """
-    x = np.asarray(x, dtype=float)
-    p = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-    d1 = p[:, 0] - p[:, 2]
-    d2 = p[:, 1] - p[:, 2]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    rx = x[0] - p[:, 2, 0]
-    ry = x[1] - p[:, 2, 1]
-    lam0 = (d2[:, 1] * rx - d2[:, 0] * ry) / det
-    lam1 = (-d1[:, 1] * rx + d1[:, 0] * ry) / det
-    lam2 = 1.0 - lam0 - lam1
-    inside = (lam0 >= -tol) & (lam1 >= -tol) & (lam2 >= -tol)
-    hits = np.flatnonzero(inside)
-    if hits.size == 0:
-        raise PointOutsideDomainError(f"point {tuple(x)} lies outside the mesh")
-    t = int(hits[0])
-    return t, np.array([lam0[t], lam1[t], lam2[t]])
-
-
-def write_mesh_text(mesh, path):
-    """Dump the mesh as plain text.
-
-    Format: one header line with the vertex count, one ``x y`` line per
-    vertex, then one ``i j k`` line (0-based vertex indices) per
-    triangle.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.num_vertices}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")

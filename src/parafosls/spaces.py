@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import _perp, locate_point
+from .mesh import _perp
 
 
 @dataclass(frozen=True)
@@ -248,18 +248,3 @@ def eval_fields_on_triangle(u_coeffs, sigma_coeffs, mesh, dofmap, triangle, bary
             sigma += sigma_coeffs[e] * basis.rt0_values[i]
             div += sigma_coeffs[e] * basis.rt0_divergences[i]
     return u_val, grad, sigma, div
-
-
-def eval_discrete_function(state, mesh, dofmap, x):
-    """Point evaluation of a discrete pair given by coefficient vectors.
-
-    ``state`` needs attributes ``u_coeffs`` and ``sigma_coeffs`` (the
-    latter may be None, in which case sigma and div sigma are zero).
-
-    Returns (u, grad u, sigma, div sigma) at x; raises if x is outside
-    the domain.
-    """
-    triangle, lam = locate_point(mesh, x)
-    return eval_fields_on_triangle(
-        state.u_coeffs, state.sigma_coeffs, mesh, dofmap, triangle, lam
-    )

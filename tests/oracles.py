@@ -1,18 +1,94 @@
-"""Independent slow-path oracles for the assembly tests.
+"""Independent slow-path oracles for the tests.
 
-Everything here but ``einsum_forms`` is written as plain per-element,
+The form oracles but ``einsum_forms`` are written as plain per-element,
 per-point Python loops on top of the pointwise basis evaluator,
 deliberately avoiding the vectorized table machinery of the package's
 assembler, so the two paths only share the quadrature rules and the
 basis definition. ``einsum_forms`` pins the summation order instead: it
 shares the tables and differs only in the contractions.
+
+``edge_connectivity`` numbers the edges of a triangle list from a sorted
+Python set, independently of the mesh module. ``locate_point`` and
+``eval_discrete_function`` evaluate a discrete pair at a point of the
+domain by a brute-force search over the triangles.
 """
 
 import numpy as np
 
 from parafosls import forms
 from parafosls.quadrature import triangle_rule
-from parafosls.spaces import eval_local_basis, scatter_vector
+from parafosls.spaces import eval_fields_on_triangle, eval_local_basis, scatter_vector
+
+BARYCENTRIC_TOL = 1e-12
+
+
+class PointOutsideDomainError(ValueError):
+    """Raised when a query point lies outside the meshed domain."""
+
+
+def edge_connectivity(triangles):
+    """(edges, triangle_edges, triangle_edge_signs) of a triangle list.
+
+    Edges are the sorted (low, high) vertex pairs; local edge i is
+    opposite local vertex i and has sign +1 if the triangle runs along it
+    from the lower to the higher vertex index.
+    """
+    sides = [
+        [(int(tri[(i + 1) % 3]), int(tri[(i + 2) % 3])) for i in range(3)]
+        for tri in triangles
+    ]
+    edges = sorted({(min(a, b), max(a, b)) for local in sides for a, b in local})
+    index = {edge: e for e, edge in enumerate(edges)}
+    triangle_edges = [[index[min(a, b), max(a, b)] for a, b in local] for local in sides]
+    signs = [[1 if a < b else -1 for a, b in local] for local in sides]
+    return np.array(edges), np.array(triangle_edges), np.array(signs)
+
+
+def locate_point(mesh, x, tol=BARYCENTRIC_TOL):
+    """Find a triangle containing ``x``.
+
+    Returns
+    -------
+    (int, (3,) float array)
+        Index of the first containing triangle and the barycentric
+        coordinates of ``x`` in it.
+
+    Raises
+    ------
+    PointOutsideDomainError
+        If no triangle contains ``x`` within the tolerance.
+    """
+    x = np.asarray(x, dtype=float)
+    p = mesh.vertices[mesh.triangles]  # (T, 3, 2)
+    d1 = p[:, 0] - p[:, 2]
+    d2 = p[:, 1] - p[:, 2]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    rx = x[0] - p[:, 2, 0]
+    ry = x[1] - p[:, 2, 1]
+    lam0 = (d2[:, 1] * rx - d2[:, 0] * ry) / det
+    lam1 = (-d1[:, 1] * rx + d1[:, 0] * ry) / det
+    lam2 = 1.0 - lam0 - lam1
+    inside = (lam0 >= -tol) & (lam1 >= -tol) & (lam2 >= -tol)
+    hits = np.flatnonzero(inside)
+    if hits.size == 0:
+        raise PointOutsideDomainError(f"point {tuple(x)} lies outside the mesh")
+    t = int(hits[0])
+    return t, np.array([lam0[t], lam1[t], lam2[t]])
+
+
+def eval_discrete_function(state, mesh, dofmap, x):
+    """Point evaluation of a discrete pair given by coefficient vectors.
+
+    ``state`` needs attributes ``u_coeffs`` and ``sigma_coeffs`` (the
+    latter may be None, in which case sigma and div sigma are zero).
+
+    Returns (u, grad u, sigma, div sigma) at x; raises if x is outside
+    the domain.
+    """
+    triangle, lam = locate_point(mesh, x)
+    return eval_fields_on_triangle(
+        state.u_coeffs, state.sigma_coeffs, mesh, dofmap, triangle, lam
+    )
 
 
 def _pointwise(fn, x, y):

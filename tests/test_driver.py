@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -90,9 +91,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match=message):
             tiny_config(max_level=bad)
     for name in ("final_time", "k0"):
-        for bad in (float("nan"), float("inf")):
-            message = f"{name} must be positive and finite, got {bad}"
-            with pytest.raises(ValueError, match=message):
+        for bad in (float("nan"), float("inf"), "0.1", None, True):
+            message = f"{name} must be positive and finite, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 tiny_config(**{name: bad})
 
 

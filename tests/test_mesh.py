@@ -1,13 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from parafosls.mesh import (
-    PointOutsideDomainError,
-    locate_point,
-    refine_uniform,
-    unit_square_initial_mesh,
-    write_mesh_text,
-)
+from parafosls.mesh import _connect, refine_uniform, unit_square_initial_mesh
+
+from oracles import PointOutsideDomainError, edge_connectivity, locate_point
 
 
 def test_initial_mesh_counts():
@@ -94,6 +92,46 @@ def test_interior_edges_have_opposite_signs(mesh_chain):
             assert ss[0] == -ss[1]
 
 
+@pytest.mark.parametrize("level", range(6))
+def test_edges_sorted_by_low_high(mesh_chain, level):
+    """Edges are strictly increasing in (low, high): that order numbers the sigma-DOFs."""
+    m = mesh_chain[level]
+    assert np.all(m.edges[:, 0] < m.edges[:, 1])
+    keys = m.edges[:, 0] * m.num_vertices + m.edges[:, 1]
+    assert np.all(np.diff(keys) > 0)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_connectivity_matches_oracle(mesh_chain, level):
+    m = mesh_chain[level]
+    edges, triangle_edges, signs = edge_connectivity(m.triangles)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.triangle_edges, triangle_edges)
+    assert np.array_equal(m.triangle_edge_signs, signs)
+
+
+def test_connect_rejects_clockwise_triangle():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    message = "triangle 0 is not counter-clockwise (area -0.5)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _connect(vertices, [[0, 2, 1]], level=0)
+
+
+def test_connect_rejects_edge_shared_by_three_triangles():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]]
+    triangles = [[0, 1, 2], [0, 1, 3], [1, 0, 4]]  # all counter-clockwise
+    message = "mesh is not conforming: edge shared by != 1 or 2 triangles"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _connect(vertices, triangles, level=0)
+
+
+def test_connect_rejects_euler_violation():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]
+    triangles = [[0, 1, 2], [3, 4, 5]]  # two disjoint triangles
+    with pytest.raises(ValueError, match=re.escape("Euler relation violated: V-E+T = 2")):
+        _connect(vertices, triangles, level=0)
+
+
 def test_locate_point_center_vertex():
     m = unit_square_initial_mesh()
     t, lam = locate_point(m, (0.5, 0.5))
@@ -123,16 +161,3 @@ def test_locate_point_centroid():
 def test_locate_point_outside(point):
     with pytest.raises(PointOutsideDomainError):
         locate_point(unit_square_initial_mesh(), point)
-
-
-def test_mesh_dump_format(tmp_path):
-    m = unit_square_initial_mesh()
-    path = tmp_path / "mesh.txt"
-    write_mesh_text(m, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "5"
-    coords = np.array([[float(v) for v in line.split()] for line in lines[1:6]])
-    assert np.allclose(coords, m.vertices)
-    tris = np.array([[int(v) for v in line.split()] for line in lines[6:10]])
-    assert np.array_equal(tris, m.triangles)
-    assert len(lines) == 1 + 5 + 4

@@ -18,8 +18,9 @@ from parafosls.forms import FormAssembler
 from parafosls.projection import elliptic_project
 from parafosls.solver import CoerciveFactorHandle
 
+from oracles import eval_discrete_function
+
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-from parafosls.spaces import eval_discrete_function
 
 
 def discrete_pair_as_callables(u_coeffs, sigma_coeffs, mesh, dofmap):

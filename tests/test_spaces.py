@@ -18,10 +18,11 @@ from parafosls.forms import CoefficientError, Coefficients, FormAssembler
 from parafosls.projection import elliptic_project
 from parafosls.spaces import (
     build_dof_map,
-    eval_discrete_function,
     eval_fields_on_triangle,
     eval_local_basis,
 )
+
+from oracles import eval_discrete_function
 
 
 def test_dof_counts_level0(mesh_chain, dofmaps):

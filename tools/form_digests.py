@@ -1,4 +1,4 @@
-"""SHA-256 digests of the assembled forms, the study states and the projections.
+"""SHA-256 digests of the meshes, the assembled forms, the study states and the projections.
 
 Prints one line ``<sha256>  <name>`` per array, so the output of two
 checkouts can be compared with ``diff``; equal digests mean bitwise-equal
@@ -7,7 +7,12 @@ script's directory. Run from anywhere:
 
     python3 tools/form_digests.py [--levels 3] > digests.txt
 
-Covered, for both splittings:
+Covered:
+  - every array of the meshes of levels 0-7: vertices, triangles,
+    edges, triangle_edges, triangle_edge_signs and both boundary masks,
+    so the edge and sigma-DOF numbering is pinned as well;
+
+and, for both splittings:
   - at each of ``--levels``, problem and variable coefficients and
     k in {1e-6, 1e-3, 0.1}: the total, non-symmetric and natural-norm
     matrices, the load vector (plain and separable source, each with a
@@ -42,18 +47,28 @@ from parafosls.projection import elliptic_project  # noqa: E402
 from parafosls.spaces import build_dof_map  # noqa: E402
 
 STEPS = (1e-6, 1e-3, 0.1)
+MESH_LEVELS = 7
+MESH_ARRAYS = (
+    "vertices", "triangles", "edges", "triangle_edges", "triangle_edge_signs",
+    "boundary_vertex", "boundary_edge",
+)
 STUDY_LEVELS = 3
 PROJECTION_LEVELS = (2, 3, 4)
 PROJECTION_TIME = 0.1
 
 
 def digest(value):
-    """SHA-256 of an array, a float or a sparse matrix (data, indices, indptr, shape)."""
+    """SHA-256 of an array, a float or a sparse matrix (data, indices, indptr, shape).
+
+    Integer and bool arrays are digested in their own dtype, everything
+    else as float.
+    """
     h = hashlib.sha256()
     if hasattr(value, "indptr"):
         parts = (value.data, value.indices, value.indptr, np.asarray(value.shape))
     else:
-        parts = (np.asarray(value, dtype=float),)
+        array = np.asarray(value)
+        parts = (array if array.dtype.kind in "biu" else array.astype(float),)
     for part in parts:
         h.update(str(part.dtype).encode())
         h.update(np.ascontiguousarray(part).tobytes())
@@ -112,6 +127,12 @@ def form_arrays(asm, problem, k):
     yield "field load", asm.nonsymmetric_load_from_fields(k, *fields)
 
 
+def mesh_digests():
+    for mesh in driver.mesh_hierarchy(MESH_LEVELS):
+        for name in MESH_ARRAYS:
+            yield f"mesh level {mesh.level} {name}", getattr(mesh, name)
+
+
 def forms_digests(levels):
     meshes = driver.mesh_hierarchy(max(levels))
     for level in levels:
@@ -168,7 +189,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     levels = sorted({int(text) for text in args.levels.split(",")})
-    for source in (forms_digests(levels), study_digests(), projection_digests()):
+    for source in (mesh_digests(), forms_digests(levels), study_digests(), projection_digests()):
         for name, value in source:
             print(f"{digest(value)}  {name}", flush=True)
 
