@@ -13,15 +13,18 @@ Two subcommands are exposed:
     parafosls run     one convergence experiment -> CSV (+ rate table)
     parafosls verify  the built-in verification suite -> pass/fail list
 
-Neither sets how accurately the linear systems are solved: every solve
-meets the relative-residual contract of ``solver``.
+Each ``run`` flag sets the ``ExperimentConfig`` field of its name, and
+the config holds every default. The numbers leave only as the error CSV
+(printed, and written to ``--out``) and its rates file. Neither
+subcommand sets how accurately the linear systems are solved: every
+solve meets the relative-residual contract of ``solver``.
 """
 
 import argparse
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .analysis import (
@@ -69,7 +72,6 @@ class ExperimentConfig:
     final_time: float = 0.1
     k0: float = 0.1
     output_path: str = None
-    plot_data: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "variant", ProblemVariant(self.variant))
@@ -82,8 +84,6 @@ class ExperimentConfig:
             raise ValueError(f"max_level must be a non-negative integer, got {level!r}")
         for name in ("final_time", "k0"):
             _check_positive_finite(name, getattr(self, name))
-        if self.plot_data and not self.output_path:
-            raise ValueError("plot_data needs output_path: the plot files are named after it")
 
     def step_size(self, level):
         """Time step at a level: k0 halves (h) or quarters (h2) per level."""
@@ -135,10 +135,6 @@ def _reports_csv(reports):
     return "\n".join(lines) + "\n"
 
 
-def write_reports_csv(reports, path):
-    Path(path).write_text(_reports_csv(reports))
-
-
 def write_rates_csv(reports, path):
     rates = observed_rates(reports)
     lines = ["quantity,level_from,level_to,rate"]
@@ -150,22 +146,15 @@ def write_rates_csv(reports, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_plot_data(reports, stem):
-    """Two-column `dofs error` files, one per quantity."""
-    paths = []
-    for q in ERROR_QUANTITIES:
-        path = Path(f"{stem}_{q}.dat")
-        lines = [f"{r.dofs} {format_float(getattr(r, q))}" for r in reports]
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
-
-
 def run_experiment(config):
-    """Run all levels of one experiment and emit the output files.
+    """Run all levels of one experiment and write the output files.
 
-    Returns the list of per-level error reports, levels in order.
+    Returns the list of per-level error reports, levels in order. An
+    output_path in a missing directory is rejected before level 0.
     """
+    out = Path(config.output_path) if config.output_path else None
+    if out is not None and not out.parent.is_dir():
+        raise ValueError(f"output_path {str(out)!r}: no directory {str(out.parent)!r}")
     reports = []
     try:
         meshes = mesh_hierarchy(config.max_level)
@@ -176,13 +165,10 @@ def run_experiment(config):
             f"experiment failed at level {len(reports)}: {exc}"
         ) from exc
 
-    if config.output_path:
-        out = Path(config.output_path)
-        write_reports_csv(reports, out)
+    if out is not None:
+        out.write_text(_reports_csv(reports))
         if len(reports) > 1:  # a single level has no rate
             write_rates_csv(reports, out.with_suffix(out.suffix + ".rates.csv"))
-        if config.plot_data:
-            write_plot_data(reports, str(out.with_suffix("")))
     return reports
 
 
@@ -190,57 +176,10 @@ def run_experiment(config):
 # command line
 
 
-def _read_config_file(path):
-    """Line-oriented key=value settings; '#' starts a comment."""
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key=value): {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    return values
-
-
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-# config key (also the flag's dest) -> (ExperimentConfig field, converter)
-_CONFIG_KEYS = {
-    "variant": ("variant", str),
-    "coupling": ("coupling", str),
-    "max_level": ("max_level", int),
-    "final_time": ("final_time", float),
-    "k0": ("k0", float),
-    "out": ("output_path", str),
-    "plot_data": ("plot_data", lambda s: _BOOL_WORDS[s.lower()]),
-}
-
-
-def _merge_config(args):
-    """The experiment settings: a flag wins over the config file, and
-    ExperimentConfig supplies every value that neither sets."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(
-            f"unknown config key {unknown[0]!r} in {args.config} "
-            f"(accepted: {', '.join(_CONFIG_KEYS)})"
-        )
-    settings = {}
-    for key, (field, convert) in _CONFIG_KEYS.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            settings[field] = flag_value
-        elif key in file_values:
-            try:
-                settings[field] = convert(file_values[key])
-            except (KeyError, ValueError):
-                raise ValueError(
-                    f"bad value {file_values[key]!r} for config key {key!r} in {args.config}"
-                ) from None
-    return ExperimentConfig(**settings)
+def _config_from_args(args):
+    """ExperimentConfig of the flags given; each flag's dest is its field."""
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 def build_parser():
@@ -257,9 +196,7 @@ def build_parser():
     run_p.add_argument("--max-level", type=int, dest="max_level")
     run_p.add_argument("--final-time", type=float, dest="final_time")
     run_p.add_argument("--k0", type=float)
-    run_p.add_argument("--out")
-    run_p.add_argument("--config", help="key=value settings file; flags win")
-    run_p.add_argument("--plot-data", action="store_true", default=None, dest="plot_data")
+    run_p.add_argument("--out", dest="output_path")
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
     verify_p.add_argument("--seed", type=_seed, default=0)
@@ -273,7 +210,7 @@ def main(argv=None):
         return 0 if all(r.passed for r in results) else 1
 
     try:
-        config = _merge_config(args)
+        config = _config_from_args(args)
         reports = run_experiment(config)
     except Exception as exc:  # surface the failing level/setting, exit nonzero
         print(f"error: {exc}", file=sys.stderr)

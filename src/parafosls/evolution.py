@@ -116,6 +116,14 @@ def l2_project_initial(u0, mesh, dofmap):
     return solver.solve_spd(mass, load).solution
 
 
+def _from_problem(problem, name, value):
+    """value, else problem.<name>; raises ValueError naming it when neither is set."""
+    value = getattr(problem, name, None) if value is None else value
+    if value is None:
+        raise ValueError(f"{name} is required: the problem given has no attribute {name!r}")
+    return value
+
+
 def backward_euler_run(
     problem,
     partition,
@@ -132,7 +140,8 @@ def backward_euler_run(
     problem : manufactured problem or callable
         Either an object with attributes ``f`` (source, signature
         (t, x, y)), ``coeffs`` and ``variant``, or the source callable
-        itself (then ``coeffs`` and ``variant`` are required). A
+        itself (then ``coeffs`` and ``variant`` are required, and a
+        missing one raises ValueError naming it before any assembly). A
         ``SeparableSource`` has its field g integrated once per run of
         equal steps; a theta(t_n) that is not finite raises ValueError
         before that step's solve.
@@ -147,8 +156,8 @@ def backward_euler_run(
     """
     f = getattr(problem, "f", problem)
     separable = isinstance(f, SeparableSource)
-    coeffs = coeffs if coeffs is not None else problem.coeffs
-    variant = variant if variant is not None else problem.variant
+    coeffs = _from_problem(problem, "coeffs", coeffs)
+    variant = _from_problem(problem, "variant", variant)
 
     steps = partition.steps
     times = partition.times

@@ -54,6 +54,7 @@ import numpy as np
 from .quadrature import triangle_rule
 from .spaces import (
     _coefficient_vector,
+    _triangle_u_dofs,
     field_values,
     p1_vertex_values,
     quadrature_points,
@@ -404,7 +405,7 @@ class FormAssembler:
         # local slot -> global dof, -1 for boundary u slots
         self.local_dofs = np.concatenate(
             [
-                dofmap.u_dof_of_vertex[mesh.triangles],
+                _triangle_u_dofs(mesh, dofmap),
                 dofmap.sigma_dof_of_edge[mesh.triangle_edges],
             ],
             axis=1,
@@ -611,7 +612,7 @@ def assemble_p1_mass(mesh, dofmap):
     rule = triangle_rule(MATRIX_DEGREE)
     wj = quadrature_weights(rule, mesh.geometry.areas)
     local = np.einsum("eq,qi,qj->eij", wj, rule.points, rule.points)
-    dofs = dofmap.u_dof_of_vertex[mesh.triangles]
+    dofs = _triangle_u_dofs(mesh, dofmap)
     return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)
 
 
@@ -622,7 +623,7 @@ def assemble_p1_load(mesh, dofmap, fn, name):
     wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
     vals = field_values(fn, pts, name)
     local = np.einsum("eq,eq,qi->ei", wj, vals, rule.points)
-    return scatter_vector(local, dofmap.u_dof_of_vertex[mesh.triangles], dofmap.n_u)
+    return scatter_vector(local, _triangle_u_dofs(mesh, dofmap), dofmap.n_u)
 
 
 def assemble_p1_stiffness(mesh, dofmap):
@@ -630,5 +631,5 @@ def assemble_p1_stiffness(mesh, dofmap):
     geo = mesh.geometry
     wj = quadrature_weights(triangle_rule(MATRIX_DEGREE), geo.areas)
     local = np.einsum("eq,eix,ejx->eij", wj, geo.p1_grads, geo.p1_grads)
-    dofs = dofmap.u_dof_of_vertex[mesh.triangles]
+    dofs = _triangle_u_dofs(mesh, dofmap)
     return scatter_matrix(local, dofs[:, :, None], dofs[:, None, :], (dofmap.n_u,) * 2)

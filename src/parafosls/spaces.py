@@ -150,16 +150,33 @@ def _coefficient_vector(coeffs, size, name):
     return coeffs
 
 
+def _triangle_u_dofs(mesh, dofmap):
+    """(T, 3) u-DOFs of each triangle's vertices, -1 on the boundary.
+
+    Raises ValueError naming dofmap unless it numbers this mesh's
+    vertices and edges: the map of another mesh would gather and scatter
+    wrong entries without an error.
+    """
+    u_dof = dofmap.u_dof_of_vertex
+    if u_dof.shape != (mesh.num_vertices,) or dofmap.n_sigma != mesh.num_edges:
+        raise ValueError(
+            f"dofmap does not match the mesh: it numbers {u_dof.size} vertices and "
+            f"{dofmap.n_sigma} edges, the mesh has {mesh.num_vertices} and {mesh.num_edges}"
+        )
+    return u_dof[mesh.triangles]
+
+
 def p1_vertex_values(u_coeffs, mesh, dofmap, name):
     """(T, 3) vertex values of the P1_0 vector called name, zero on the boundary."""
     u_coeffs = _coefficient_vector(u_coeffs, dofmap.n_u, name)
     padded = np.append(u_coeffs, 0.0)  # index -1 reads the 0
-    return padded[dofmap.u_dof_of_vertex[mesh.triangles]]
+    return padded[_triangle_u_dofs(mesh, dofmap)]
 
 
 def rt0_edge_values(sigma_coeffs, mesh, dofmap, name):
     """(T, 3) edge values of the RT0 vector called name, edge i opposite vertex i."""
     sigma_coeffs = _coefficient_vector(sigma_coeffs, dofmap.n_sigma, name)
+    _triangle_u_dofs(mesh, dofmap)  # raises for the dofmap of another mesh
     return sigma_coeffs[mesh.triangle_edges]
 
 
@@ -228,16 +245,17 @@ def eval_fields_on_triangle(u_coeffs, sigma_coeffs, mesh, dofmap, triangle, bary
     """Discrete (u, grad u, sigma, div sigma) at a point of a given triangle.
 
     Boundary vertices contribute zero to u (homogeneous Dirichlet). The
-    coefficient vectors are checked as by the gathers.
+    coefficient vectors and the (mesh, dofmap) pair are checked as by
+    the gathers.
     """
     u_coeffs = _coefficient_vector(u_coeffs, dofmap.n_u, "u_coeffs")
     if sigma_coeffs is not None:
         sigma_coeffs = _coefficient_vector(sigma_coeffs, dofmap.n_sigma, "sigma_coeffs")
+    u_dofs = _triangle_u_dofs(mesh, dofmap)[triangle]
     basis = eval_local_basis(mesh, triangle, barycentric)
     u_val = 0.0
     grad = np.zeros(2)
-    for i, v in enumerate(mesh.triangles[triangle]):
-        dof = dofmap.u_dof_of_vertex[v]
+    for i, dof in enumerate(u_dofs):
         if dof >= 0:
             u_val += u_coeffs[dof] * basis.p1_values[i]
             grad += u_coeffs[dof] * basis.p1_gradients[i]

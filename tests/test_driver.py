@@ -105,7 +105,7 @@ def test_default_max_levels():
     assert ExperimentConfig(coupling="h", max_level=2).max_level == 2
     for coupling in ("h2", "h"):
         args = build_parser().parse_args(["run", "--coupling", coupling])
-        assert driver._merge_config(args) == ExperimentConfig(coupling=coupling)
+        assert driver._config_from_args(args) == ExperimentConfig(coupling=coupling)
 
 
 def test_run_experiment_reports(tmp_path):
@@ -126,17 +126,6 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(tiny_config(output_path=str(out1)))
     run_experiment(tiny_config(output_path=str(out2)))
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_plot_data_files(tmp_path):
-    out = tmp_path / "study.csv"
-    run_experiment(tiny_config(output_path=str(out), plot_data=True, max_level=1))
-    for quantity in ("err_u", "err_grad_u", "err_sigma", "err_div_sigma", "natural_norm"):
-        data = (tmp_path / f"study_{quantity}.dat").read_text().splitlines()
-        assert len(data) == 2
-        dofs, error = data[0].split()
-        assert int(dofs) == 9
-        assert float(error) > 0
 
 
 def test_cli_run_roundtrip(tmp_path, capsys):
@@ -161,33 +150,6 @@ def test_cli_run_roundtrip(tmp_path, capsys):
     assert csv_block == out.read_text()
 
 
-def test_cli_config_file_and_flag_override(tmp_path):
-    config_file = tmp_path / "settings.cfg"
-    config_file.write_text(
-        "variant = alternative\n"
-        "coupling = h\n"
-        "max_level = 3   # overridden by the flag below\n"
-        "\n"
-        "out = %s\n" % (tmp_path / "file.csv")
-    )
-    code = main(["run", "--config", str(config_file), "--max-level", "1"])
-    assert code == 0
-    lines = (tmp_path / "file.csv").read_text().splitlines()
-    assert len(lines) == 3  # header + levels 0..1, flag beats the file
-
-
-@pytest.mark.parametrize("line", ["max-levle = 1", "parallel = yes", "tol = 1e-9"])
-def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
-    config_file = tmp_path / "settings.cfg"
-    config_file.write_text(f"coupling = h\n{line}\n")
-    code = main(["run", "--config", str(config_file)])
-    assert code == 1
-    err = capsys.readouterr().err
-    key = line.split(" =")[0].replace("-", "_")
-    assert f"error: unknown config key '{key}'" in err
-    assert "accepted: variant, coupling, max_level" in err
-
-
 def test_cli_rejects_bad_final_time(tmp_path, capsys):
     code = main(
         ["run", "--coupling", "h", "--max-level", "1", "--final-time", "0.13"]
@@ -201,12 +163,35 @@ def test_cli_rejects_non_finite_k0(capsys):
     assert "error: k0 must be positive and finite, got nan" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-def test_cli_has_no_tolerance_option(capsys, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--tol", "1e-9"],
+        ["verify", "--tol", "1e-9"],
+        ["run", "--config", "settings.cfg"],
+        ["run", "--plot-data"],
+        ["run", "--parallel"],
+    ],
+    ids=["run-tol", "verify-tol", "run-config", "run-plot-data", "run-parallel"],
+)
+def test_cli_has_no_removed_option(capsys, argv):
     with pytest.raises(SystemExit) as info:
-        main([command, "--tol", "1e-9"])
+        main(argv)
     assert info.value.code == 2
-    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
+def test_out_in_missing_directory_fails_before_level_0(tmp_path, monkeypatch, capsys):
+    levels = []
+    monkeypatch.setattr(driver, "run_level", lambda config, level, mesh: levels.append(level))
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["run", "--coupling", "h", "--max-level", "6", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: output_path '{out}': no directory '{out.parent}'" in err
+    assert levels == []
+    with pytest.raises(ValueError, match="^output_path "):
+        run_experiment(tiny_config(output_path=str(out)))
+    assert levels == []
 
 
 def test_single_level_run_writes_no_rates_file(tmp_path, capsys):
@@ -215,32 +200,6 @@ def test_single_level_run_writes_no_rates_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m0.csv"]
     assert len(out.read_text().splitlines()) == 2
     assert "rates" not in capsys.readouterr().out
-
-
-def test_plot_data_without_output_is_rejected(capsys):
-    with pytest.raises(ValueError, match="plot_data needs output_path"):
-        tiny_config(plot_data=True)
-    assert main(["run", "--plot-data", "--max-level", "0"]) == 1
-    assert "error: plot_data needs output_path" in capsys.readouterr().err
-
-
-def test_config_plot_data_accepts_only_listed_words(tmp_path, capsys):
-    config_file = tmp_path / "settings.cfg"
-    config_file.write_text(f"max_level = 0\nout = {tmp_path / 'o.csv'}\nplot_data = ture\n")
-    assert main(["run", "--config", str(config_file)]) == 1
-    err = capsys.readouterr().err
-    assert f"error: bad value 'ture' for config key 'plot_data' in {config_file}" in err
-    config_file.write_text(f"max_level = 1\nout = {tmp_path / 'o.csv'}\nplot_data = Off\n")
-    assert main(["run", "--config", str(config_file)]) == 0
-    assert not list(tmp_path.glob("*.dat"))
-
-
-def test_config_value_that_does_not_convert_names_key_and_file(tmp_path, capsys):
-    config_file = tmp_path / "settings.cfg"
-    config_file.write_text("max_level = 1.5\n")
-    assert main(["run", "--config", str(config_file)]) == 1
-    err = capsys.readouterr().err
-    assert f"error: bad value '1.5' for config key 'max_level' in {config_file}" in err
 
 
 @pytest.mark.parametrize("bad", ["-1", "1.5", "one"])

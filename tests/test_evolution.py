@@ -279,6 +279,22 @@ def _zero_source(t, x, y):
     return np.zeros(np.broadcast(x, y).shape)
 
 
+@pytest.mark.parametrize("missing", ["coeffs", "variant"])
+def test_plain_source_without_coeffs_or_variant_is_named(
+    mesh_chain, dofmaps, monkeypatch, missing
+):
+    assemblers = []
+    monkeypatch.setattr(forms.FormAssembler, "__init__", lambda *args: assemblers.append(args))
+    given = {"coeffs": HEAT, "variant": "primary"}
+    del given[missing]
+    message = f"^{missing} is required: the problem given has no attribute '{missing}'$"
+    with pytest.raises(ValueError, match=message):
+        backward_euler_run(
+            _zero_source, TimePartition.uniform(0.1, 1), mesh_chain[1], dofmaps[1], **given
+        )
+    assert assemblers == []
+
+
 # time loop -> call(mesh, dofmap, initial)
 TIME_LOOPS = {
     "least-squares": lambda m, dm, initial: backward_euler_run(

@@ -14,12 +14,21 @@ from parafosls.evolution import (
     galerkin_be_reference,
     l2_project_initial,
 )
-from parafosls.forms import CoefficientError, Coefficients, FormAssembler
+from parafosls.forms import (
+    CoefficientError,
+    Coefficients,
+    FormAssembler,
+    assemble_p1_load,
+    assemble_p1_mass,
+    assemble_p1_stiffness,
+)
 from parafosls.projection import elliptic_project
 from parafosls.spaces import (
     build_dof_map,
     eval_fields_on_triangle,
     eval_local_basis,
+    p1_vertex_values,
+    rt0_edge_values,
 )
 
 from oracles import eval_discrete_function
@@ -322,3 +331,43 @@ def test_coefficient_vector_not_finite_is_named(mesh_chain, dofmaps, entry, name
     index = vectors[name].size - 1
     with pytest.raises(ValueError, match=f"^{name} is not finite at entry {index}: value inf"):
         VECTOR_ENTRIES[entry](m, dm, vectors)
+
+
+def _zero_field(x, y):
+    return np.zeros(np.broadcast(x, y).shape)
+
+
+# entry point -> call(mesh, dofmap), with vectors sized by the dofmap
+PAIR_ENTRIES = {
+    "FormAssembler": lambda m, dm: FormAssembler(m, dm, HEAT, "primary"),
+    "assemble_p1_mass": assemble_p1_mass,
+    "assemble_p1_stiffness": assemble_p1_stiffness,
+    "assemble_p1_load": lambda m, dm: assemble_p1_load(m, dm, _zero_field, "u0"),
+    "p1_vertex_values": lambda m, dm: p1_vertex_values(np.zeros(dm.n_u), m, dm, "u_coeffs"),
+    "rt0_edge_values": lambda m, dm: rt0_edge_values(np.zeros(dm.n_sigma), m, dm, "sigma_coeffs"),
+    "eval_fields_on_triangle": lambda m, dm: eval_fields_on_triangle(
+        np.zeros(dm.n_u), np.zeros(dm.n_sigma), m, dm, 0, (0.2, 0.3, 0.5)),
+    "field_error_norms": lambda m, dm: field_error_norms(
+        *EXACT.values(), np.zeros(dm.n_u), np.zeros(dm.n_sigma), m, dm),
+    "l2_project_initial": lambda m, dm: l2_project_initial(_zero_field, m, dm),
+    "elliptic_project": lambda m, dm: elliptic_project(
+        *EXACT.values(), m, dm, PROBLEM.coeffs, 0.1, "primary"),
+    "backward_euler_run": lambda m, dm: backward_euler_run(PROBLEM, PARTITION, m, dm),
+}
+
+
+@pytest.mark.parametrize(
+    "mesh_level, dofmap_level", [(1, 2), (2, 1)], ids=["finer-map", "coarser-map"]
+)
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+def test_dofmap_of_another_mesh_is_named(mesh_chain, dofmaps, entry, mesh_level, dofmap_level):
+    """A dofmap built for another mesh fails where the pair enters,
+    instead of gathering or scattering wrong entries."""
+    m, dm = mesh_chain[mesh_level], dofmaps[dofmap_level]
+    other = mesh_chain[dofmap_level]
+    message = (
+        f"^dofmap does not match the mesh: it numbers {other.num_vertices} vertices and "
+        f"{other.num_edges} edges, the mesh has {m.num_vertices} and {m.num_edges}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        PAIR_ENTRIES[entry](m, dm)
