@@ -22,7 +22,6 @@ from .checks import run_verification_suite
 from .driver import ExperimentConfig, run_experiment
 from .evolution import (
     SeparableSource,
-    SystemState,
     TimePartition,
     backward_euler_run,
     galerkin_be_reference,

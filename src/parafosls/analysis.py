@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .evolution import SeparableSource
-from .forms import DATA_DEGREE, Coefficients, ProblemVariant
+from .forms import DATA_DEGREE, Coefficients, ProblemVariant, _step
 from .quadrature import triangle_rule
 from .spaces import (
     field_values,
@@ -198,25 +198,22 @@ def field_error_norms(
     )
 
 
-def compute_errors(final_state, problem, mesh, dofmap, k, final_time):
-    """Error report for the final state of a run.
+def compute_errors(u_coeffs, sigma_coeffs, problem, mesh, dofmap, k, final_time):
+    """Error report of the discrete pair (u_coeffs, sigma_coeffs) at final_time.
 
-    ``final_state`` is a ``SystemState`` or a ``ProjectionResult``. The
-    natural norm is sqrt(err_grad^2 + err_sigma^2 + k err_div^2).
+    The natural norm is sqrt(err_grad^2 + err_sigma^2 + k err_div^2); a
+    step k that is not positive and finite raises ValueError naming it.
     """
+    k = _step(k)
     fields = problem.fields_at(final_time)
     err_u, err_grad, err_sig, err_div = field_error_norms(
-        *fields,
-        final_state.u_coeffs,
-        final_state.sigma_coeffs,
-        mesh,
-        dofmap,
+        *fields, u_coeffs, sigma_coeffs, mesh, dofmap
     )
     natural = math.sqrt(err_grad**2 + err_sig**2 + k * err_div**2)
     return ErrorReport(
         level=mesh.level,
         h=mesh.mesh_width(),
-        k=float(k),
+        k=k,
         dofs=dofmap.total,
         err_u=err_u,
         err_grad_u=err_grad,

@@ -95,16 +95,17 @@ def _one_step(mesh, dofmap):
     """One primary-variant step of size _ONE_STEP from the projected initial data.
 
     Returns the assembler of the problem, the source at the new time,
-    the initial coefficients and the computed state.
+    the initial coefficients and the computed (u, sigma) coefficients.
     """
     problem = decaying_sine_problem(ProblemVariant.PRIMARY)
     init = l2_project_initial(lambda x, y: problem.u(0.0, x, y), mesh, dofmap)
-    step = backward_euler_run(
-        problem, TimePartition.uniform(_ONE_STEP, 1), mesh, dofmap, initial=init
-    )[-1]
+    u, sigma = backward_euler_run(
+        problem.f, TimePartition.uniform(_ONE_STEP, 1), mesh, dofmap,
+        problem.coeffs, problem.variant, initial=init,
+    )
     asm = FormAssembler(mesh, dofmap, problem.coeffs, problem.variant)
     g = lambda x, y: problem.f(_ONE_STEP, x, y)
-    return asm, g, init, step
+    return asm, g, init, (u[-1], sigma)
 
 
 def check_mesh(seed):
@@ -112,8 +113,9 @@ def check_mesh(seed):
         euler = m.num_vertices - m.num_edges + m.num_triangles
         if m.num_triangles != 4 * 4**L or euler != 1:
             return False, f"level {L}: T={m.num_triangles}, euler={euler}"
-        if abs(m.triangle_areas().sum() - 1.0) > 1e-12:
-            return False, f"level {L}: areas sum {m.triangle_areas().sum()}"
+        area = m.geometry.areas.sum()
+        if abs(area - 1.0) > 1e-12:
+            return False, f"level {L}: areas sum {area}"
         if not math.isclose(m.mesh_width(), 2.0**-L):
             return False, f"level {L}: h={m.mesh_width()}"
     return True, ""
@@ -186,14 +188,14 @@ def check_decoupling(seed):
     u0 = l2_project_initial(
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh, dofmap
     )
-    ls_states = backward_euler_run(
+    ls_u, _ = backward_euler_run(
         source, part, mesh, dofmap, coeffs=Coefficients.constant(),
         variant=ProblemVariant.PRIMARY, initial=u0,
     )
     galerkin = galerkin_be_reference(source, part, mesh, dofmap, initial=u0)
     worst = max(
-        np.abs(s.u_coeffs - g).max() / max(np.abs(g).max(), 1e-30)
-        for s, g in zip(ls_states[1:], galerkin[1:])
+        np.abs(s - g).max() / max(np.abs(g).max(), 1e-30)
+        for s, g in zip(ls_u[1:], galerkin[1:])
     )
     return worst <= 1e-8, f"max relative coefficient difference {worst:.2e}"
 
@@ -205,9 +207,11 @@ def check_stability(seed):
     for variant in ProblemVariant:
         problem = decaying_sine_problem(variant)
         init = l2_project_initial(lambda x, y: problem.u(0.0, x, y), mesh, dofmap)
-        states = backward_euler_run(problem, partition, mesh, dofmap, initial=init)
+        u, _ = backward_euler_run(
+            problem.f, partition, mesh, dofmap, problem.coeffs, problem.variant, initial=init
+        )
         try:
-            check_stability_bound(states, problem.f, partition, mesh, dofmap)
+            check_stability_bound(u, problem.f, partition, mesh, dofmap)
         except AssertionError as exc:
             return False, f"{variant.value}: {exc}"
     return True, ""
@@ -216,8 +220,8 @@ def check_stability(seed):
 def check_minimizer(seed):
     """The computed step beats random competitors in the functional."""
     mesh, dofmap = _level(2)
-    asm, g, init, step = _one_step(mesh, dofmap)
-    j_opt = asm.lsq_functional(_ONE_STEP, step.u_coeffs, step.sigma_coeffs, g=g, w=init)
+    asm, g, init, (u, sigma) = _one_step(mesh, dofmap)
+    j_opt = asm.lsq_functional(_ONE_STEP, u, sigma, g=g, w=init)
     detail = f"optimal value {j_opt:.6e}"
     rng = np.random.default_rng(seed)
     for _ in range(20):
@@ -239,7 +243,7 @@ def check_projection_rates(seed):
         for m in meshes[3:]:
             dm = build_dof_map(m)
             res = elliptic_project(*fields, m, dm, problem.coeffs, k, problem.variant)
-            reports.append(compute_errors(res, problem, m, dm, k, 0.1))
+            reports.append(compute_errors(res.u_coeffs, res.sigma_coeffs, problem, m, dm, k, 0.1))
         rates = observed_rates(reports)
         for quantity, band, label in (
             ("natural_norm", NATURAL_RATE_BAND, "natural"),
@@ -255,7 +259,7 @@ def check_variational_residual(seed):
     """The computed step satisfies its own variational equations."""
     asm, g, init, step = _one_step(*_level(2))
     rhs = asm.load_vector(_ONE_STEP, f=g, w=init)
-    full = np.concatenate([step.u_coeffs, step.sigma_coeffs])
+    full = np.concatenate(step)
     resid = np.abs(asm.total_matrix(_ONE_STEP) @ full - rhs).max()
     scale = max(np.abs(rhs).max(), 1.0)
     return resid <= 1e-8 * scale, f"max residual {resid:.2e}"

@@ -104,18 +104,21 @@ class ExperimentConfig:
 def run_level(config, level, mesh):
     """Run one level of an experiment on its mesh.
 
-    Returns (report, states, mesh, dofmap, partition); the trajectory
-    allows bound checks on every step.
+    Returns (report, u, sigma, dofmap, partition): the (N + 1, n_u)
+    scalar trajectory allows bound checks on every step, and sigma is
+    the final flux.
     """
     dofmap = build_dof_map(mesh)
     problem = decaying_sine_problem(config.variant)
     partition = config.partition(level)
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), mesh, dofmap)
-    states = backward_euler_run(problem, partition, mesh, dofmap, initial=initial)
-    report = compute_errors(
-        states[-1], problem, mesh, dofmap, config.step_size(level), config.final_time
+    u, sigma = backward_euler_run(
+        problem.f, partition, mesh, dofmap, problem.coeffs, problem.variant, initial=initial
     )
-    return report, states, mesh, dofmap, partition
+    report = compute_errors(
+        u[-1], sigma, problem, mesh, dofmap, config.step_size(level), config.final_time
+    )
+    return report, u, sigma, dofmap, partition
 
 
 def format_float(value):
@@ -150,11 +153,14 @@ def run_experiment(config):
     """Run all levels of one experiment and write the output files.
 
     Returns the list of per-level error reports, levels in order. An
-    output_path in a missing directory is rejected before level 0.
+    output_path that is a directory or lies in a missing one is rejected
+    before level 0.
     """
     out = Path(config.output_path) if config.output_path else None
     if out is not None and not out.parent.is_dir():
         raise ValueError(f"output_path {str(out)!r}: no directory {str(out.parent)!r}")
+    if out is not None and out.is_dir():
+        raise ValueError(f"output_path {str(out)!r} is a directory, not a file")
     reports = []
     try:
         meshes = mesh_hierarchy(config.max_level)

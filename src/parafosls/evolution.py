@@ -13,8 +13,9 @@ zero convection and reaction with unit diffusion the least-squares
 u-component must reproduce it; it evaluates f(t, x, y) at every step.
 """
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,19 +35,6 @@ from .spaces import _coefficient_vector, field_values, quadrature_points, quadra
 # the solver's residual contract.
 _STEP_RTOL = 1e-12
 _STABILITY_SLACK = 1e-10  # relative roundoff room of the per-step stability bound
-
-
-@dataclass
-class SystemState:
-    """Coefficients of one time level.
-
-    ``sigma_coeffs`` is None for the initial state: the scheme only
-    prescribes scalar initial data, and step one never reads sigma.
-    """
-
-    u_coeffs: np.ndarray
-    sigma_coeffs: Optional[np.ndarray]
-    time: float
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,9 @@ class TimePartition:
 
     @classmethod
     def uniform(cls, final_time, num_steps):
-        if num_steps < 1:
-            raise ValueError("need at least one step")
+        integer = isinstance(num_steps, numbers.Integral) and not isinstance(num_steps, bool)
+        if not (integer and num_steps >= 1):
+            raise ValueError(f"num_steps must be a positive integer, got {num_steps!r}")
         return cls(steps=np.full(num_steps, final_time / num_steps))
 
     @property
@@ -116,68 +105,42 @@ def l2_project_initial(u0, mesh, dofmap):
     return solver.solve_spd(mass, load).solution
 
 
-def _from_problem(problem, name, value):
-    """value, else problem.<name>; raises ValueError naming it when neither is set."""
-    value = getattr(problem, name, None) if value is None else value
-    if value is None:
-        raise ValueError(f"{name} is required: the problem given has no attribute {name!r}")
-    return value
-
-
-def backward_euler_run(
-    problem,
-    partition,
-    mesh,
-    dofmap,
-    coeffs=None,
-    variant=None,
-    initial=None,
-):
+def backward_euler_run(f, partition, mesh, dofmap, coeffs, variant, initial=None):
     """Run the least-squares backward Euler scheme over a partition.
 
     Parameters
     ----------
-    problem : manufactured problem or callable
-        Either an object with attributes ``f`` (source, signature
-        (t, x, y)), ``coeffs`` and ``variant``, or the source callable
-        itself (then ``coeffs`` and ``variant`` are required, and a
-        missing one raises ValueError naming it before any assembly). A
-        ``SeparableSource`` has its field g integrated once per run of
-        equal steps; a theta(t_n) that is not finite raises ValueError
-        before that step's solve.
+    f : callable
+        The source f(t, x, y). A ``SeparableSource`` has its field g
+        integrated once per run of equal steps; a theta(t_n) that is not
+        finite raises ValueError before that step's solve.
+    coeffs, variant
+        The coefficients and the splitting of the problem.
     initial : (n_u,) array or None
         Scalar initial coefficients; zero if None. A wrong length or a
         non-finite entry raises ValueError naming ``initial``.
 
     Returns
     -------
-    list of SystemState, one per time level including the initial one.
-    Only the final state keeps its flux coefficients.
+    u : (N + 1, n_u) array
+        Row n holds the scalar coefficients of time level n; row 0 the
+        checked initial data.
+    sigma : (n_sigma,) array
+        The flux coefficients of the final time level.
     """
-    f = getattr(problem, "f", problem)
     separable = isinstance(f, SeparableSource)
-    coeffs = _from_problem(problem, "coeffs", coeffs)
-    variant = _from_problem(problem, "variant", variant)
-
     steps = partition.steps
     times = partition.times
     n_u = dofmap.n_u
-    if initial is None:
-        initial = np.zeros(n_u)
-    initial = _coefficient_vector(initial, n_u, "initial")
-
-    states = [SystemState(u_coeffs=initial, sigma_coeffs=None, time=0.0)]
-    # The scalar iterates live in one block allocated up front: a view of
-    # each step's solution would pin its flux part as well, and a fresh
-    # array per step fragments the heap, so that peak memory would climb
-    # from run to run in a long-lived process.
-    iterates = np.empty((len(steps), n_u))
+    # One block for the whole trajectory: a fresh array per step
+    # fragments the heap, so that peak memory would climb from run to
+    # run in a long-lived process.
+    u = np.empty((len(steps) + 1, n_u))
+    u[0] = 0.0 if initial is None else _coefficient_vector(initial, n_u, "initial")
     assembler = FormAssembler(mesh, dofmap, coeffs, variant)
     handle = None
     current_k = None
     image = None  # k to_tests g of a separable source, for the current step size
-    u_prev = initial
-    last = len(steps)
     for n, k in enumerate(steps, start=1):
         if handle is None or not _same_step(k, current_k):
             handle = solver.FactorHandle(assembler.total_matrix(k))
@@ -186,40 +149,31 @@ def backward_euler_run(
         t_n = times[n]
         if separable:
             scale = _theta_at(f, t_n)
-            rhs = assembler.load_vector(current_k, w=u_prev)  # builds the operators first
+            rhs = assembler.load_vector(current_k, w=u[n - 1])  # builds the operators first
             image = assembler.source_load(current_k, f.g) if image is None else image
             rhs += scale * image
         else:
-            rhs = assembler.load_vector(current_k, f=lambda x, y: f(t_n, x, y), w=u_prev)
+            rhs = assembler.load_vector(current_k, f=lambda x, y: f(t_n, x, y), w=u[n - 1])
         try:
-            report = handle.solve(rhs)
+            sol = handle.solve(rhs).solution
         except solver.SolverError as exc:
             raise solver.SolverError(f"time step {n} failed: {exc}") from exc
-        sol = report.solution
-        u_n = iterates[n - 1]
-        u_n[:] = sol[:n_u]
-        states.append(
-            SystemState(
-                u_coeffs=u_n,
-                sigma_coeffs=sol[n_u:].copy() if n == last else None,
-                time=float(t_n),
-            )
-        )
-        u_prev = u_n
-    return states
+        u[n] = sol[:n_u]
+    return u, sol[n_u:].copy()
 
 
 def galerkin_be_reference(f, partition, mesh, dofmap, initial=None):
     """Backward Euler for the standard Galerkin heat discretization.
 
     Solves (1/k)<u^n, v> + <grad u^n, grad v> = (1/k)<u^{n-1}, v>
-    + <f^n, v> on the interior-vertex P1 space and returns the list of
-    coefficient vectors, including the initial one. Every source is
-    evaluated as f(t_n, x, y); ``initial`` is checked as in the scheme.
+    + <f^n, v> on the interior-vertex P1 space and returns the
+    (N + 1, n_u) array of coefficients, row 0 the initial ones. Every
+    source is evaluated as f(t_n, x, y); ``initial`` is checked as in
+    the scheme.
     """
-    if initial is None:
-        initial = np.zeros(dofmap.n_u)
-    trajectory = [_coefficient_vector(initial, dofmap.n_u, "initial")]
+    n_u = dofmap.n_u
+    u = np.empty((len(partition.steps) + 1, n_u))
+    u[0] = 0.0 if initial is None else _coefficient_vector(initial, n_u, "initial")
     mass = assemble_p1_mass(mesh, dofmap)
     stiffness = assemble_p1_stiffness(mesh, dofmap)
     times = partition.times
@@ -231,22 +185,26 @@ def galerkin_be_reference(f, partition, mesh, dofmap, initial=None):
             current_k = k
         t_n = times[n]
         load = assemble_p1_load(mesh, dofmap, lambda x, y: f(t_n, x, y), "source f")
-        rhs = mass @ trajectory[-1] / current_k + load
-        trajectory.append(handle.solve(rhs).solution)
-    return trajectory
+        rhs = mass @ u[n - 1] / current_k + load
+        u[n] = handle.solve(rhs).solution
+    return u
 
 
-def check_stability_bound(states, f, partition, mesh, dofmap):
+def check_stability_bound(u, f, partition, mesh, dofmap):
     """Verify the per-step a priori bound of the scalar iterates.
 
-    The n-th iterate must satisfy
+    Row n of the (N + 1, n_u) array ``u`` must satisfy
     ||u^n|| <= sum_{j<=n} k_j ||f^j|| + ||u^0||, up to a relative
     slack. Returns (lhs, rhs) arrays over n = 1..N; raises
-    AssertionError on violation, a NaN norm included. For a
+    AssertionError on violation, a NaN norm included. A ``u`` of
+    another shape raises ValueError naming it. For a
     ``SeparableSource`` theta g, ||f^j|| = |theta(t_j)| ||g|| with
     ||g|| integrated once; a theta(t_j) that is not finite raises
     ValueError.
     """
+    shape = (len(partition.steps) + 1, dofmap.n_u)
+    if np.shape(u) != shape:
+        raise ValueError(f"u must have shape {shape}, got shape {np.shape(u)}")
     mass = assemble_p1_mass(mesh, dofmap)
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
@@ -266,9 +224,9 @@ def check_stability_bound(states, f, partition, mesh, dofmap):
     else:
         source_norms = np.array([l2_norm(lambda x, y, t=t: f(t, x, y)) for t in times])
     # a running sum from ||u^0|| in step order, as the bound reads
-    terms = np.concatenate([[u_norm(states[0].u_coeffs)], partition.steps * source_norms])
+    terms = np.concatenate([[u_norm(u[0])], partition.steps * source_norms])
     rhs = np.cumsum(terms)[1:]
-    lhs = np.array([u_norm(state.u_coeffs) for state in states[1:]])
+    lhs = np.array([u_norm(row) for row in u[1:]])
     bad = ~(lhs <= rhs * (1.0 + _STABILITY_SLACK))
     if bad.any():
         n = int(np.argmax(bad))

@@ -105,10 +105,6 @@ class Mesh:
     def num_edges(self):
         return self.edges.shape[0]
 
-    def triangle_areas(self):
-        """Signed areas of all triangles (positive for CCW ordering)."""
-        return _signed_areas(self.vertices[self.triangles])
-
     def triangle_diameters(self):
         """Longest edge length of each triangle."""
         return _edge_lengths(self.vertices[self.triangles]).max(axis=1)

@@ -32,10 +32,6 @@ _SYMMETRIC_MODE = dict(
 class SolverError(RuntimeError):
     """Factorization failed or the residual contract could not be met."""
 
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
-
 
 class NotSPDError(SolverError):
     """The operator is not symmetric positive definite."""
@@ -113,8 +109,7 @@ class FactorHandle:
             x = x + self.lu.solve(residual)
         raise SolverError(
             f"residual {best:.3e} above tolerance {tol:.3e} "
-            f"after {_MAX_REFINEMENTS} refinement sweeps",
-            best_residual=best,
+            f"after {_MAX_REFINEMENTS} refinement sweeps"
         )
 
     def _extended_sweep(self, b, report, norm_b, tol):

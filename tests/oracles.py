@@ -76,19 +76,17 @@ def locate_point(mesh, x, tol=BARYCENTRIC_TOL):
     return t, np.array([lam0[t], lam1[t], lam2[t]])
 
 
-def eval_discrete_function(state, mesh, dofmap, x):
+def eval_discrete_function(u_coeffs, sigma_coeffs, mesh, dofmap, x):
     """Point evaluation of a discrete pair given by coefficient vectors.
 
-    ``state`` needs attributes ``u_coeffs`` and ``sigma_coeffs`` (the
-    latter may be None, in which case sigma and div sigma are zero).
+    ``sigma_coeffs`` may be None, in which case sigma and div sigma are
+    zero.
 
     Returns (u, grad u, sigma, div sigma) at x; raises if x is outside
     the domain.
     """
     triangle, lam = locate_point(mesh, x)
-    return eval_fields_on_triangle(
-        state.u_coeffs, state.sigma_coeffs, mesh, dofmap, triangle, lam
-    )
+    return eval_fields_on_triangle(u_coeffs, sigma_coeffs, mesh, dofmap, triangle, lam)
 
 
 def _pointwise(fn, x, y):
@@ -142,7 +140,7 @@ def _dense_form(mesh, dofmap, coeffs, variant, term, degree=4):
     rule = triangle_rule(degree)
     n = dofmap.total
     out = np.zeros((n, n))
-    areas = mesh.triangle_areas()
+    areas = mesh.geometry.areas
     for t in range(mesh.num_triangles):
         dofs = _local_dofs(mesh, dofmap, t)
         p = mesh.vertices[mesh.triangles[t]]
@@ -189,7 +187,7 @@ def dense_rhs(mesh, dofmap, coeffs, k, variant, f=None, w=None, degree=6):
     """Dense load vector of <k f + w, v/k + r(v)> by explicit loops."""
     rule = triangle_rule(degree)
     out = np.zeros(dofmap.total)
-    areas = mesh.triangle_areas()
+    areas = mesh.geometry.areas
     for t in range(mesh.num_triangles):
         dofs = _local_dofs(mesh, dofmap, t)
         p = mesh.vertices[mesh.triangles[t]]

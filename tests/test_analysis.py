@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from parafosls.analysis import (
     field_error_norms,
     observed_rates,
 )
-from parafosls.evolution import SystemState
 
 DECAY = 2.0 * math.pi**2
 
@@ -72,8 +72,9 @@ def test_zero_state_errors_match_analytic_norms(mesh_chain, dofmaps):
     problem = decaying_sine_problem("primary")
     m, dm = mesh_chain[3], dofmaps[3]
     T = 0.1
-    state = SystemState(np.zeros(dm.n_u), np.zeros(dm.n_sigma), T)
-    rep = compute_errors(state, problem, m, dm, k=0.01, final_time=T)
+    rep = compute_errors(
+        np.zeros(dm.n_u), np.zeros(dm.n_sigma), problem, m, dm, k=0.01, final_time=T
+    )
     amp = math.exp(-DECAY * T)
     assert np.isclose(rep.err_u, 0.5 * amp, rtol=1e-9)
     assert np.isclose(rep.err_grad_u, math.pi * amp / math.sqrt(2.0), rtol=1e-9)
@@ -84,22 +85,29 @@ def test_zero_state_errors_match_analytic_norms(mesh_chain, dofmaps):
 def test_natural_norm_identity(mesh_chain, dofmaps, rng):
     problem = decaying_sine_problem("alternative")
     m, dm = mesh_chain[2], dofmaps[2]
-    state = SystemState(
-        rng.standard_normal(dm.n_u), rng.standard_normal(dm.n_sigma), 0.1
-    )
+    u, sigma = rng.standard_normal(dm.n_u), rng.standard_normal(dm.n_sigma)
     k = 0.025
-    rep = compute_errors(state, problem, m, dm, k=k, final_time=0.1)
+    rep = compute_errors(u, sigma, problem, m, dm, k=k, final_time=0.1)
     recomputed = math.sqrt(
         rep.err_grad_u**2 + rep.err_sigma**2 + k * rep.err_div_sigma**2
     )
     assert abs(rep.natural_norm - recomputed) <= 1e-12 * rep.natural_norm
 
 
+@pytest.mark.parametrize("k", [0.0, -1e6, np.nan, np.inf])
+def test_error_report_names_a_bad_step(mesh_chain, dofmaps, k):
+    """k = nan used to give natural_norm = nan, k = -1e6 a math domain error."""
+    problem = decaying_sine_problem("primary")
+    m, dm = mesh_chain[1], dofmaps[1]
+    message = "^time step k must be positive and finite, got " + re.escape(str(k)) + "$"
+    with pytest.raises(ValueError, match=message):
+        compute_errors(np.zeros(dm.n_u), None, problem, m, dm, k=k, final_time=0.1)
+
+
 def test_report_metadata(mesh_chain, dofmaps):
     problem = decaying_sine_problem("primary")
     m, dm = mesh_chain[2], dofmaps[2]
-    state = SystemState(np.zeros(dm.n_u), None, 0.1)
-    rep = compute_errors(state, problem, m, dm, k=0.025, final_time=0.1)
+    rep = compute_errors(np.zeros(dm.n_u), None, problem, m, dm, k=0.025, final_time=0.1)
     assert rep.level == 2
     assert rep.h == 0.25
     assert rep.dofs == dm.total

@@ -34,9 +34,9 @@ def test_element_geometry_computed_once_per_mesh(monkeypatch):
     monkeypatch.setattr(Mesh.geometry, "func", counting)
     config = tiny_config()
     mesh = driver.mesh_hierarchy(2)[2]
-    _, states, mesh, dofmap, partition = driver.run_level(config, 2, mesh)
+    _, u, _, dofmap, partition = driver.run_level(config, 2, mesh)
     f = decaying_sine_problem(config.variant).f
-    check_stability_bound(states, f, partition, mesh, dofmap)
+    check_stability_bound(u, f, partition, mesh, dofmap)
     assert builds == [2]
     asm = FormAssembler(mesh, dofmap, Coefficients.constant(), config.variant)
     arrays = [v for v in vars(asm).values() if isinstance(v, np.ndarray)]
@@ -192,6 +192,17 @@ def test_out_in_missing_directory_fails_before_level_0(tmp_path, monkeypatch, ca
     with pytest.raises(ValueError, match="^output_path "):
         run_experiment(tiny_config(output_path=str(out)))
     assert levels == []
+
+
+def test_out_that_is_a_directory_fails_before_level_0(tmp_path, monkeypatch, capsys):
+    levels = []
+    monkeypatch.setattr(driver, "run_level", lambda config, level, mesh: levels.append(level))
+    assert main(["run", "--coupling", "h", "--max-level", "1", "--out", str(tmp_path)]) == 1
+    assert f"error: output_path '{tmp_path}' is a directory" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="^output_path .* is a directory"):
+        run_experiment(tiny_config(output_path=str(tmp_path)))
+    assert levels == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_single_level_run_writes_no_rates_file(tmp_path, capsys):

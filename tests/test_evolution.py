@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,17 @@ def test_partition_validation():
             TimePartition([0.05, bad])
     with pytest.raises(ValueError, match="time step 1 = nan"):
         TimePartition.uniform(np.nan, 4)
+    assert len(TimePartition.uniform(0.1, np.int64(4)).steps) == 4
     part = TimePartition([0.04, 0.03, 0.03])
     assert np.isclose(part.final_time, 0.1)
     assert np.array_equal(part.times, np.cumsum([0.0, 0.04, 0.03, 0.03]))
+
+
+@pytest.mark.parametrize("num_steps", [2.5, 0, -1, True, "4", None])
+def test_uniform_partition_names_a_bad_num_steps(num_steps):
+    message = f"^num_steps must be a positive integer, got {re.escape(repr(num_steps))}$"
+    with pytest.raises(ValueError, match=message):
+        TimePartition.uniform(0.1, num_steps)
 
 
 def test_steps_equal_up_to_roundoff_share_one_factorization(
@@ -70,25 +80,27 @@ def test_nan_source_fails_fast_with_named_cause(mesh_chain, dofmaps):
         )
 
 
-def test_states_do_not_pin_whole_solutions(mesh_chain, dofmaps):
-    """Only the kept states hold flux coefficients: the scalar iterates
-    share one block that holds nothing else."""
-    states = backward_euler_run(
+def test_run_returns_one_trajectory_block(mesh_chain, dofmaps, rng):
+    """The scalar iterates fill one (N + 1, n_u) block that owns its
+    memory; row 0 is a copy of the initial data."""
+    dm = dofmaps[1]
+    initial = rng.standard_normal(dm.n_u)
+    u, _ = backward_euler_run(
         lambda t, x, y: np.ones(np.broadcast(x, y).shape),
         TimePartition.uniform(0.1, 3),
         mesh_chain[1],
-        dofmaps[1],
+        dm,
         coeffs=HEAT,
         variant="primary",
+        initial=initial,
     )
-    block = states[1].u_coeffs.base
-    assert block.shape == (3, dofmaps[1].n_u)
-    assert all(state.u_coeffs.base is block for state in states[1:])
+    assert u.shape == (4, dm.n_u) and u.base is None
+    assert np.array_equal(u[0], initial) and not np.shares_memory(u, initial)
 
 
 def test_zero_data_gives_zero_trajectory(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
-    states = backward_euler_run(
+    u, sigma = backward_euler_run(
         lambda t, x, y: np.zeros(np.broadcast(x, y).shape),
         TimePartition.uniform(0.1, 4),
         m,
@@ -96,18 +108,17 @@ def test_zero_data_gives_zero_trajectory(mesh_chain, dofmaps):
         coeffs=HEAT,
         variant="primary",
     )
-    assert len(states) == 5
-    for s in states:
-        assert np.allclose(s.u_coeffs, 0.0)
-    assert states[0].sigma_coeffs is None
-    assert np.allclose(states[-1].sigma_coeffs, 0.0)
+    assert u.shape == (5, dm.n_u)
+    assert np.allclose(u, 0.0)
+    assert sigma.shape == (dm.n_sigma,)
+    assert np.allclose(sigma, 0.0)
 
 
 def independent_p1_inner_product(mesh, dofmap, fn, coeffs, degree=10):
     """<fn - u_h, phi_i> for all interior hats, by explicit loops."""
     rule = triangle_rule(degree)
     out = np.zeros(dofmap.n_u)
-    areas = mesh.triangle_areas()
+    areas = mesh.geometry.areas
     for t in range(mesh.num_triangles):
         p = mesh.vertices[mesh.triangles[t]]
         for lam, w in zip(rule.points, rule.weights):
@@ -176,11 +187,12 @@ def test_variable_step_run(mesh_chain, dofmaps, monkeypatch):
         build(tables, asm, rule, block)
 
     monkeypatch.setattr(forms._RuleTables, "__init__", counting)
-    states = backward_euler_run(problem, part, m, dm, initial=initial)
+    u, _ = backward_euler_run(
+        problem.f, part, m, dm, problem.coeffs, problem.variant, initial=initial
+    )
     assert passes == [forms.MATRIX_DEGREE, forms.DATA_DEGREE] * 2
-    assert len(states) == 4
-    assert np.isclose(states[-1].time, 0.1)
-    check_stability_bound(states, problem.f, part, m, dm)
+    assert u.shape == (4, dm.n_u)
+    check_stability_bound(u, problem.f, part, m, dm)
 
 
 def test_galerkin_single_dof_formula(mesh_chain, dofmaps):
@@ -224,12 +236,13 @@ def test_decoupled_run_matches_galerkin(mesh_chain, dofmaps):
         return (1.0 + 2.0 * t * np.pi**2) * np.sin(np.pi * x) * np.sin(np.pi * y)
 
     initial = l2_project_initial(u0_sine, m, dm)
-    ls = backward_euler_run(
+    ls, _ = backward_euler_run(
         source, part, m, dm, coeffs=HEAT, variant="primary", initial=initial
     )
     galerkin = galerkin_be_reference(source, part, m, dm, initial=initial)
+    assert galerkin.shape == ls.shape
     for s, g in zip(ls[1:], galerkin[1:]):
-        assert np.abs(s.u_coeffs - g).max() <= 1e-8 * np.abs(g).max()
+        assert np.abs(s - g).max() <= 1e-8 * np.abs(g).max()
 
 
 def test_source_evaluated_at_new_time(mesh_chain, dofmaps):
@@ -244,22 +257,34 @@ def test_source_evaluated_at_new_time(mesh_chain, dofmaps):
     def frozen_at_k(t, x, y):
         return np.full(np.broadcast(x, y).shape, k)
 
-    a = backward_euler_run(time_ramp, part, m, dm, coeffs=HEAT, variant="primary")
-    b = backward_euler_run(frozen_at_k, part, m, dm, coeffs=HEAT, variant="primary")
-    assert np.array_equal(a[-1].u_coeffs, b[-1].u_coeffs)
-    assert np.abs(a[-1].u_coeffs).max() > 0.0
+    a, _ = backward_euler_run(time_ramp, part, m, dm, coeffs=HEAT, variant="primary")
+    b, _ = backward_euler_run(frozen_at_k, part, m, dm, coeffs=HEAT, variant="primary")
+    assert np.array_equal(a[-1], b[-1])
+    assert np.abs(a[-1]).max() > 0.0
 
 
-def test_sigma_storage_policy(mesh_chain, dofmaps):
+def test_sigma_storage_policy(mesh_chain, dofmaps, monkeypatch):
+    """Only the final flux is kept, in an array of its own that does not
+    pin the last step's whole solution."""
     m, dm = mesh_chain[1], dofmaps[1]
     problem = decaying_sine_problem("primary")
+    solutions = []
+    solve = solver.FactorHandle.solve
+
+    def keeping(handle, *args, **kwargs):
+        report = solve(handle, *args, **kwargs)
+        solutions.append(report.solution)
+        return report
+
+    monkeypatch.setattr(solver.FactorHandle, "solve", keeping)
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
-    states = backward_euler_run(
-        problem, TimePartition.uniform(0.1, 4), m, dm, initial=initial
+    u, sigma = backward_euler_run(
+        problem.f, TimePartition.uniform(0.1, 4), m, dm,
+        problem.coeffs, problem.variant, initial=initial,
     )
-    assert states[0].sigma_coeffs is None
-    assert all(s.sigma_coeffs is None for s in states[1:-1])
-    assert states[-1].sigma_coeffs is not None
+    assert sigma.shape == (dm.n_sigma,) and sigma.base is None
+    assert np.array_equal(sigma, solutions[-1][dm.n_u:])
+    assert np.array_equal(u[-1], solutions[-1][: dm.n_u])
 
 
 def test_initial_length_validated(mesh_chain, dofmaps):
@@ -277,22 +302,6 @@ def test_initial_length_validated(mesh_chain, dofmaps):
 
 def _zero_source(t, x, y):
     return np.zeros(np.broadcast(x, y).shape)
-
-
-@pytest.mark.parametrize("missing", ["coeffs", "variant"])
-def test_plain_source_without_coeffs_or_variant_is_named(
-    mesh_chain, dofmaps, monkeypatch, missing
-):
-    assemblers = []
-    monkeypatch.setattr(forms.FormAssembler, "__init__", lambda *args: assemblers.append(args))
-    given = {"coeffs": HEAT, "variant": "primary"}
-    del given[missing]
-    message = f"^{missing} is required: the problem given has no attribute '{missing}'$"
-    with pytest.raises(ValueError, match=message):
-        backward_euler_run(
-            _zero_source, TimePartition.uniform(0.1, 1), mesh_chain[1], dofmaps[1], **given
-        )
-    assert assemblers == []
 
 
 # time loop -> call(mesh, dofmap, initial)
@@ -351,14 +360,16 @@ def test_separable_source_matches_plain_callable(mesh_chain, dofmaps, variant, p
     problem = decaying_sine_problem(variant)
     assert isinstance(problem.f, SeparableSource)
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
-    separable = backward_euler_run(problem, partition, m, dm, initial=initial)
-    plain = backward_euler_run(
+    u, sigma = backward_euler_run(
+        problem.f, partition, m, dm, problem.coeffs, variant, initial=initial
+    )
+    plain_u, plain_sigma = backward_euler_run(
         lambda t, x, y: problem.f(t, x, y), partition, m, dm,
         coeffs=problem.coeffs, variant=variant, initial=initial,
     )
-    for a, b in zip(separable[1:], plain[1:]):
-        assert relative_difference(a.u_coeffs, b.u_coeffs) <= 1e-12
-    assert relative_difference(separable[-1].sigma_coeffs, plain[-1].sigma_coeffs) <= 1e-12
+    for a, b in zip(u[1:], plain_u[1:]):
+        assert relative_difference(a, b) <= 1e-12
+    assert relative_difference(sigma, plain_sigma) <= 1e-12
 
 
 class CountingSource(SeparableSource):
@@ -419,12 +430,12 @@ def test_separable_nan_theta_fails_fast_with_named_cause(mesh_chain, dofmaps, mo
 def test_stability_bound_names_a_nan_theta(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
     part = TimePartition.uniform(0.1, 2)
-    states = backward_euler_run(
+    u, _ = backward_euler_run(
         SeparableSource(lambda t: 1.0, ones_field), part, m, dm, coeffs=HEAT, variant="primary"
     )
     source = SeparableSource(nan_after(0.06), ones_field)
     with pytest.raises(ValueError, match="^source theta is not finite at t = 0.1: value nan$"):
-        check_stability_bound(states, source, part, m, dm)
+        check_stability_bound(u, source, part, m, dm)
 
 
 def test_separable_field_of_wrong_shape_is_named(mesh_chain, dofmaps):
@@ -442,9 +453,9 @@ def test_stability_bound_separable_matches_plain(mesh_chain, dofmaps, variant):
     problem = decaying_sine_problem(variant)
     part = SEPARABLE_PARTITIONS["variable"]
     initial = l2_project_initial(lambda x, y: problem.u(0.0, x, y), m, dm)
-    states = backward_euler_run(problem, part, m, dm, initial=initial)
-    separable = check_stability_bound(states, problem.f, part, m, dm)
-    plain = check_stability_bound(states, lambda t, x, y: problem.f(t, x, y), part, m, dm)
+    u, _ = backward_euler_run(problem.f, part, m, dm, problem.coeffs, variant, initial=initial)
+    separable = check_stability_bound(u, problem.f, part, m, dm)
+    plain = check_stability_bound(u, lambda t, x, y: problem.f(t, x, y), part, m, dm)
     for a, b in zip(separable, plain):
         assert relative_difference(a, b) <= 1e-12
 
@@ -456,10 +467,23 @@ def test_stability_bound_fails_on_nan_state(mesh_chain, dofmaps):
     def ones(t, x, y):
         return np.ones(np.broadcast(x, y).shape)
 
-    states = backward_euler_run(ones, part, m, dm, coeffs=HEAT, variant="primary")
-    states[2].u_coeffs[0] = np.nan
+    u, _ = backward_euler_run(ones, part, m, dm, coeffs=HEAT, variant="primary")
+    u[2, 0] = np.nan
     with pytest.raises(AssertionError, match="stability bound violated at step 2: nan"):
-        check_stability_bound(states, ones, part, m, dm)
+        check_stability_bound(u, ones, part, m, dm)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 5), (9, 4), (9,), (1, 9, 5)], ids=["too-few-rows", "short-rows", "1d", "3d"]
+)
+def test_stability_bound_names_a_trajectory_of_the_wrong_shape(mesh_chain, dofmaps, shape):
+    """Two rows against an 8-step partition used to broadcast silently."""
+    m, dm = mesh_chain[1], dofmaps[1]
+    assert dm.n_u == 5
+    part = TimePartition.uniform(0.1, 8)
+    message = rf"^u must have shape \(9, 5\), got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        check_stability_bound(np.zeros(shape), _zero_source, part, m, dm)
 
 
 def _recording(method, name, calls):

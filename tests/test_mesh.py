@@ -19,7 +19,7 @@ def test_initial_mesh_counts():
 
 def test_initial_mesh_geometry():
     m = unit_square_initial_mesh()
-    assert np.allclose(m.triangle_areas(), 0.25)
+    assert np.allclose(m.geometry.areas, 0.25)
     assert np.allclose(m.triangle_diameters(), 1.0)
     assert m.mesh_width() == 1.0
     # four boundary corners, interior center
@@ -61,8 +61,8 @@ def test_refine_twice_count():
 
 def test_area_sum(mesh_chain):
     for m in mesh_chain:
-        assert abs(m.triangle_areas().sum() - 1.0) <= 1e-12
-        assert np.all(m.triangle_areas() > 0)
+        assert abs(m.geometry.areas.sum() - 1.0) <= 1e-12
+        assert np.all(m.geometry.areas > 0)
 
 
 def test_edge_orientation_convention(mesh_chain):

@@ -13,7 +13,6 @@ from parafosls.analysis import (
     observed_rates,
 )
 from parafosls.checks import L2_RATE_BAND, NATURAL_RATE_BAND, in_band
-from parafosls.evolution import SystemState
 from parafosls.forms import FormAssembler
 from parafosls.projection import elliptic_project
 from parafosls.solver import CoerciveFactorHandle
@@ -25,7 +24,6 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 def discrete_pair_as_callables(u_coeffs, sigma_coeffs, mesh, dofmap):
     """Wrap a discrete pair as pointwise-exact vectorized fields."""
-    state = SystemState(u_coeffs, sigma_coeffs, 0.0)
 
     def evaluate(x, y):
         xs = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast(x, y).shape)
@@ -36,7 +34,7 @@ def discrete_pair_as_callables(u_coeffs, sigma_coeffs, mesh, dofmap):
         divs = np.empty(xs.shape)
         for idx in np.ndindex(xs.shape):
             u, g, s, d = eval_discrete_function(
-                state, mesh, dofmap, (xs[idx], ys[idx])
+                u_coeffs, sigma_coeffs, mesh, dofmap, (xs[idx], ys[idx])
             )
             us[idx] = u
             grads[(0,) + idx], grads[(1,) + idx] = g
@@ -98,7 +96,7 @@ def projection_report(problem, mesh, dofmap, k):
     res = elliptic_project(
         *problem.fields_at(0.1), mesh, dofmap, problem.coeffs, k, problem.variant
     )
-    return compute_errors(res, problem, mesh, dofmap, k, 0.1)
+    return compute_errors(res.u_coeffs, res.sigma_coeffs, problem, mesh, dofmap, k, 0.1)
 
 
 def assert_projection_rates(problem, mesh_chain, dofmaps, k):

@@ -7,7 +7,6 @@ from parafosls.analysis import decaying_sine_problem, field_error_norms
 from parafosls.checks import conformity_jumps
 from parafosls.evolution import (
     SeparableSource,
-    SystemState,
     TimePartition,
     backward_euler_run,
     check_stability_bound,
@@ -81,7 +80,7 @@ def test_partition_of_unity(mesh_chain, rng):
 def test_rt0_divergence_theorem(mesh_chain):
     """Integral of div phi_i over the element equals the boundary flux s_i |e_i|."""
     m = mesh_chain[1]
-    areas = m.triangle_areas()
+    areas = m.geometry.areas
     for t in range(m.num_triangles):
         p = m.vertices[m.triangles[t]]
         basis = eval_local_basis(m, t, (1 / 3, 1 / 3, 1 / 3))
@@ -134,16 +133,16 @@ def test_degenerate_triangle_rejected(mesh_chain):
 
 def test_eval_discrete_function_zero(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
-    state = SystemState(np.zeros(dm.n_u), np.zeros(dm.n_sigma), 0.0)
-    u, grad, sigma, div = eval_discrete_function(state, m, dm, (0.3, 0.4))
+    u, grad, sigma, div = eval_discrete_function(
+        np.zeros(dm.n_u), np.zeros(dm.n_sigma), m, dm, (0.3, 0.4)
+    )
     assert u == 0.0 and div == 0.0
     assert np.allclose(grad, 0.0) and np.allclose(sigma, 0.0)
 
 
 def test_eval_discrete_function_lagrange(mesh_chain, dofmaps):
     m, dm = mesh_chain[0], dofmaps[0]
-    state = SystemState(np.array([0.7]), np.zeros(dm.n_sigma), 0.0)
-    u, _, _, _ = eval_discrete_function(state, m, dm, (0.5, 0.5))
+    u, _, _, _ = eval_discrete_function(np.array([0.7]), np.zeros(dm.n_sigma), m, dm, (0.5, 0.5))
     assert np.isclose(u, 0.7)
 
 
@@ -169,7 +168,7 @@ def test_single_rt0_dof_divergence(mesh_chain, dofmaps):
         _, _, _, div = eval_fields_on_triangle(
             np.zeros(dm.n_u), sigma, m, dm, t, (1 / 3, 1 / 3, 1 / 3)
         )
-        area = m.triangle_areas()[t]
+        area = m.geometry.areas[t]
         assert np.isclose(abs(div), edge_len / area)
         divs.append(div)
     assert np.isclose(divs[0], -divs[1])  # opposite orientation signs
@@ -177,9 +176,9 @@ def test_single_rt0_dof_divergence(mesh_chain, dofmaps):
 
 def test_u_vanishes_at_boundary_vertices(mesh_chain, dofmaps, rng):
     m, dm = mesh_chain[2], dofmaps[2]
-    state = SystemState(rng.standard_normal(dm.n_u), None, 0.0)
+    u_coeffs = rng.standard_normal(dm.n_u)
     for v in np.flatnonzero(m.boundary_vertex)[:6]:
-        u, _, _, _ = eval_discrete_function(state, m, dm, m.vertices[v])
+        u, _, _, _ = eval_discrete_function(u_coeffs, None, m, dm, m.vertices[v])
         assert abs(u) <= 1e-13
 
 
@@ -217,8 +216,8 @@ def _exact_with(name, fn):
     return [fn if field == name else EXACT[field] for field in EXACT]
 
 
-def _zero_states(dm):
-    return [SystemState(np.zeros(dm.n_u), None, t) for t in PARTITION.times]
+def _zero_trajectory(dm):
+    return np.zeros((len(PARTITION.steps) + 1, dm.n_u))
 
 
 def _with_coefficient(name, fn):
@@ -235,7 +234,7 @@ FIELD_SITES = [
     ("galerkin_be_reference", "source f", (), ("shape", "nan"),
      lambda m, dm, fn: galerkin_be_reference(_in_time(fn), PARTITION, m, dm)),
     ("check_stability_bound", "source f", (), ("shape", "nan"),
-     lambda m, dm, fn: check_stability_bound(_zero_states(dm), _in_time(fn), PARTITION, m, dm)),
+     lambda m, dm, fn: check_stability_bound(_zero_trajectory(dm), _in_time(fn), PARTITION, m, dm)),
     ("separable run", "source f", (), ("nan",),
      lambda m, dm, fn: backward_euler_run(
          SeparableSource(lambda t: 1.0, fn), PARTITION, m, dm, coeffs=HEAT, variant="primary")),
@@ -293,7 +292,7 @@ VECTOR_ENTRIES = {
     "eval_fields_on_triangle": lambda m, dm, v: eval_fields_on_triangle(
         v["u_coeffs"], v["sigma_coeffs"], m, dm, 0, (0.2, 0.3, 0.5)),
     "eval_discrete_function": lambda m, dm, v: eval_discrete_function(
-        SystemState(v["u_coeffs"], v["sigma_coeffs"], 0.0), m, dm, (0.3, 0.4)),
+        v["u_coeffs"], v["sigma_coeffs"], m, dm, (0.3, 0.4)),
 }
 VECTOR_SITES = [
     ("field_error_norms", "u_coeffs"),
@@ -352,7 +351,8 @@ PAIR_ENTRIES = {
     "l2_project_initial": lambda m, dm: l2_project_initial(_zero_field, m, dm),
     "elliptic_project": lambda m, dm: elliptic_project(
         *EXACT.values(), m, dm, PROBLEM.coeffs, 0.1, "primary"),
-    "backward_euler_run": lambda m, dm: backward_euler_run(PROBLEM, PARTITION, m, dm),
+    "backward_euler_run": lambda m, dm: backward_euler_run(
+        PROBLEM.f, PARTITION, m, dm, PROBLEM.coeffs, PROBLEM.variant),
 }
 
 

@@ -20,8 +20,9 @@ and, for both splittings:
     functional value, the field load of the elliptic projection, and
     both sparse load operators;
   - the convergence studies (primary with the h2 coupling, alternative
-    with the h coupling): every state of levels 0-3 and the five
-    final-time error quantities of each level;
+    with the h coupling): at levels 0-3, every row of the scalar
+    trajectory (line "state n u"), the final flux (line "state N sigma")
+    and the five final-time error quantities;
   - elliptic projections at levels 2-4 for the same three k, with the
     five error quantities of each.
 """
@@ -152,12 +153,10 @@ def study_digests():
     for variant, coupling in (("primary", "h2"), ("alternative", "h")):
         config = driver.ExperimentConfig(variant=variant, coupling=coupling)
         for level in range(STUDY_LEVELS + 1):
-            report, states = driver.run_level(config, level, meshes[level])[:2]
-            for n, state in enumerate(states):
-                tag = f"study {variant} {coupling} level {level} state {n}"
-                yield f"{tag} u", state.u_coeffs
-                if state.sigma_coeffs is not None:
-                    yield f"{tag} sigma", state.sigma_coeffs
+            report, u, sigma = driver.run_level(config, level, meshes[level])[:3]
+            for n, row in enumerate(u):
+                yield f"study {variant} {coupling} level {level} state {n} u", row
+            yield f"study {variant} {coupling} level {level} state {len(u) - 1} sigma", sigma
             errors = [getattr(report, q) for q in ERROR_QUANTITIES]
             yield f"study {variant} {coupling} level {level} errors", errors
 
