@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .evolution import SeparableSource
-from .forms import DATA_DEGREE, Coefficients, ProblemVariant, _step
+from .forms import DATA_DEGREE, Coefficients, ProblemVariant, _step, element_blocks
 from .quadrature import triangle_rule
 from .spaces import (
     field_values,
@@ -37,7 +37,6 @@ class ManufacturedProblem:
     """
 
     u: Callable
-    du_dt: Callable
     grad_u: Callable
     sigma: Callable
     div_sigma: Callable
@@ -70,9 +69,6 @@ def decaying_sine_problem(variant):
 
     def u(t, x, y):
         return np.exp(-decay * t) * np.sin(pi * x) * np.sin(pi * y)
-
-    def du_dt(t, x, y):
-        return -decay * u(t, x, y)
 
     def grad_u(t, x, y):
         amp = np.exp(-decay * t) * pi
@@ -121,7 +117,6 @@ def decaying_sine_problem(variant):
 
     return ManufacturedProblem(
         u=u,
-        du_dt=du_dt,
         grad_u=grad_u,
         sigma=sigma,
         div_sigma=div_sigma,
@@ -161,40 +156,50 @@ def field_error_norms(
     coefficient vectors (sigma may be None, meaning zero). A field of
     the wrong shape or with a value that is not finite, and a vector of
     the wrong length, raise ValueError naming it.
+
+    The points, RT0 values, field values and differences are formed one
+    block of ``forms.BLOCK_ELEMENTS`` elements at a time. Each block
+    writes its rows of one (nE, nQ) weighted integrand per quantity,
+    and each integrand is summed whole, so the sums and their order are
+    those of a single whole-mesh block.
     """
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
-    wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
-
     local_u = p1_vertex_values(u_coeffs, mesh, dofmap, "u_coeffs")  # (nE, 3)
-    u_h = np.einsum("qi,ei->eq", rule.points, local_u)
     grad_h = np.einsum("ei,eix->ex", local_u, geo.p1_grads)  # constant per element
-
     if sigma_coeffs is not None:
         local_s = rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs")
-        rt_vals = rt0_values(geo.rt_coef, geo.verts, pts)
-        sig_h = np.einsum("ei,eqix->eqx", local_s, rt_vals)
         div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
     else:
-        sig_h = np.zeros_like(pts)
         div_h = np.zeros(mesh.num_triangles)
 
-    u_ex = field_values(u, pts, "u")
-    grad_ex = np.moveaxis(field_values(grad_u, pts, "grad_u", (2,)), 0, -1)
-    sig_ex = np.moveaxis(field_values(sigma, pts, "sigma", (2,)), 0, -1)
-    div_ex = field_values(div_sigma, pts, "div_sigma")
+    err_u, err_grad, err_sig, err_div = np.empty(
+        (4, mesh.num_triangles, rule.weights.size)
+    )
+    for block in element_blocks(mesh.num_triangles):
+        wj = quadrature_weights(rule, geo.areas[block])
+        pts = quadrature_points(rule, geo.verts[block])
+        u_h = np.einsum("qi,ei->eq", rule.points, local_u[block])
+        if sigma_coeffs is not None:
+            rt_vals = rt0_values(geo.rt_coef[block], geo.verts[block], pts)
+            sig_h = np.einsum("ei,eqix->eqx", local_s[block], rt_vals)
+        else:
+            sig_h = np.zeros_like(pts)
 
-    err_u = np.sum(wj * (u_ex - u_h) ** 2)
-    grad_diff = grad_ex - grad_h[:, None, :]
-    err_grad = np.sum(wj * np.einsum("eqx,eqx->eq", grad_diff, grad_diff))
-    sig_diff = sig_ex - sig_h
-    err_sig = np.sum(wj * np.einsum("eqx,eqx->eq", sig_diff, sig_diff))
-    err_div = np.sum(wj * (div_ex - div_h[:, None]) ** 2)
-    return (
-        float(np.sqrt(err_u)),
-        float(np.sqrt(err_grad)),
-        float(np.sqrt(err_sig)),
-        float(np.sqrt(err_div)),
+        u_ex = field_values(u, pts, "u")
+        grad_ex = np.moveaxis(field_values(grad_u, pts, "grad_u", (2,)), 0, -1)
+        sig_ex = np.moveaxis(field_values(sigma, pts, "sigma", (2,)), 0, -1)
+        div_ex = field_values(div_sigma, pts, "div_sigma")
+
+        err_u[block] = wj * (u_ex - u_h) ** 2
+        grad_diff = grad_ex - grad_h[block, None, :]
+        err_grad[block] = wj * np.einsum("eqx,eqx->eq", grad_diff, grad_diff)
+        sig_diff = sig_ex - sig_h
+        err_sig[block] = wj * np.einsum("eqx,eqx->eq", sig_diff, sig_diff)
+        err_div[block] = wj * (div_ex - div_h[block, None]) ** 2
+    return tuple(
+        float(np.sqrt(np.sum(integrand)))
+        for integrand in (err_u, err_grad, err_sig, err_div)
     )
 
 

@@ -42,6 +42,12 @@ entries, so the block size changes no bit of any assembled array. The
 quadrature sums of the matrices and of the field load run through two
 written-out kernels that do np.einsum's products and sums in einsum's
 order, so each form is bitwise what its einsum expression gives.
+
+What an assembler keeps between calls is the load pair of its last
+step, about 18 MB at level 6. Its ``to_tests`` holds one entry per data
+point of each (element, slot) pair with a DOF and is built directly in
+CSR form, in the order a COO scatter would give it (see
+``FormAssembler._load_operators``).
 """
 
 import enum
@@ -50,6 +56,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .quadrature import triangle_rule
 from .spaces import (
@@ -153,6 +160,12 @@ class Coefficients:
             div_beta=_constant_field(0.0),
             gamma=_constant_field(gamma),
         )
+
+
+def element_blocks(n_e):
+    """Slices of consecutive blocks of BLOCK_ELEMENTS of n_e elements, the last one the rest."""
+    for start in range(0, n_e, BLOCK_ELEMENTS):
+        yield slice(start, min(start + BLOCK_ELEMENTS, n_e))
 
 
 def _step(k):
@@ -394,7 +407,8 @@ class FormAssembler:
     element geometry that the mesh computes once (``Mesh.geometry``).
     No table outlives the call; the assembler keeps only the data
     points, which every source load evaluates its field at, and the load
-    operators of the last step.
+    operators of the last step (about 18 MB at level 6; see
+    ``_load_operators`` for the order of ``to_tests``).
     """
 
     def __init__(self, mesh, dofmap, coeffs, variant):
@@ -410,17 +424,14 @@ class FormAssembler:
             ],
             axis=1,
         )
-        self._load_ops = None  # (k, operators): one pair at a time, ~20 MB at level 6
+        self._load_ops = None  # (k, operators): one pair at a time, ~18 MB at level 6
 
     def _blocks(self, rule):
-        """Yield (slice, _RuleTables) for consecutive blocks of elements.
+        """Yield (slice, _RuleTables) for the ``element_blocks`` of the mesh.
 
-        Each block holds BLOCK_ELEMENTS elements, the last one the rest.
         The tables of a block are built when the generator reaches it.
         """
-        n_e = self.mesh.num_triangles
-        for start in range(0, n_e, BLOCK_ELEMENTS):
-            block = slice(start, min(start + BLOCK_ELEMENTS, n_e))
+        for block in element_blocks(self.mesh.num_triangles):
             yield block, _RuleTables(self, rule, block)
 
     @cached_property
@@ -480,10 +491,14 @@ class FormAssembler:
         """Sparse operators of the load functional for step k.
 
         ``to_tests`` maps values at the data points to the test
-        functions (entries wj * (v/k + r(v)) scattered by
-        ``local_dofs``); ``from_u`` = to_tests I, where I interpolates
-        u-coefficients to the data points. The pair is kept until a
-        call with another k replaces it.
+        functions: its entries are wj * (v/k + r(v)), the column of data
+        point q of element e is e nQ + q, and the row is the element's
+        DOF of v. Row d holds the nQ points of each element with a slot
+        on DOF d, elements ascending, which is the order a COO to CSR
+        conversion gives, so the arrays are built directly in CSR form.
+        ``from_u`` = to_tests I, where I interpolates u-coefficients to
+        the data points. The pair is kept until a call with another k
+        replaces it.
         """
         if self._load_ops is None or self._load_ops[0] != k:
             self._load_ops = None
@@ -493,14 +508,24 @@ class FormAssembler:
             for block, t in self._blocks(rule):
                 test_factor = t.u_tab / k + t.r_tab  # v/k + r(v)
                 weighted[block] = t.wj[:, :, None] * test_factor
-            points = np.arange(n_e * n_q).reshape(n_e, n_q)
-            to_tests = scatter_matrix(
-                weighted,
-                self.local_dofs[:, None, :],
-                points[:, :, None],
-                (self.dofmap.total, n_e * n_q),
-            )
             from_u = self._scatter_matrix(np.einsum("eqi,qj->eij", weighted, rule.points))
+            dofs = self.local_dofs.ravel()
+            pairs = np.flatnonzero(dofs >= 0)  # e * 6 + slot
+            pairs = pairs[np.argsort(dofs[pairs], kind="stable")]
+            elements, slots = np.divmod(pairs, 6)
+            data = weighted[elements, :, slots].ravel()
+            del weighted
+            # int32 indices, as scipy picks while nE nQ and the entry count
+            # stay below 2**31 (0.2 M and 1.2 M at level 6)
+            columns = (elements.astype(np.int32) * n_q)[:, None] + np.arange(
+                n_q, dtype=np.int32
+            )
+            per_row = np.bincount(dofs[pairs], minlength=self.dofmap.total) * n_q
+            indptr = np.zeros(self.dofmap.total + 1, dtype=np.int32)
+            np.cumsum(per_row, out=indptr[1:])
+            to_tests = sp.csr_matrix(
+                (data, columns.ravel(), indptr), shape=(self.dofmap.total, n_e * n_q)
+            )
             self._load_ops = (k, (to_tests, from_u))
         return self._load_ops[1]
 

@@ -69,7 +69,7 @@ def elliptic_project(
     asm = FormAssembler(mesh, dofmap, coeffs, variant)
     matrix = asm.nonsymmetric_matrix(k)
     load = asm.nonsymmetric_load_from_fields(k, u, grad_u, sigma, div_sigma)
-    del asm  # the factorization needs none of the assembler's arrays
+    del asm  # frees the local DOF table; the element geometry stays cached on the mesh
     handle = solver.CoerciveFactorHandle(matrix)
     handle.certify_pivots()
     report = handle.solve(load)

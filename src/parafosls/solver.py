@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 DEFAULT_TOL = 1e-10
 _MAX_REFINEMENTS = 10
+ROW_BLOCK = 4096  # rows per block of extended_residual's long-double products
 # SuperLU's symmetric mode: minimum degree order on the pattern of A' + A,
 # pivots taken from the diagonal
 _SYMMETRIC_MODE = dict(
@@ -134,6 +135,11 @@ class FactorHandle:
         The row and column permutations must agree, and the smallest
         diagonal entry of U, whose unknown the error names, must be
         positive.
+
+        Reading ``lu.U`` makes SuperLU build CSC copies of both L and U,
+        which it caches for the life of the handle: 34 MB of arrays for
+        the level-6 projection matrix (L and U hold 1.42 M entries
+        each), held next to the factor itself.
         """
         error, what = self._PIVOT_ERROR
         lu = self.lu
@@ -154,13 +160,22 @@ def extended_residual(matrix, x, b):
     (80-bit extended precision on x86), in the order the entries are
     stored, so the digits that cancellation wipes out of a
     double-precision residual survive. Returns a long double array.
+
+    The products are formed for ROW_BLOCK rows at a time. Each row is
+    summed as one segment, as over the whole matrix at once, so the
+    blocks change no bit and only a block's products are held.
     """
     matrix = sp.csr_matrix(matrix)
     x = np.asarray(x, np.longdouble)
-    products = matrix.data.astype(np.longdouble) * x[matrix.indices]
-    sums = np.zeros(matrix.shape[0], dtype=np.longdouble)
-    rows = np.flatnonzero(np.diff(matrix.indptr))  # reduceat cannot sum an empty row
-    sums[rows] = np.add.reduceat(products, matrix.indptr[rows])
+    indptr, n_rows = matrix.indptr, matrix.shape[0]
+    sums = np.zeros(n_rows, dtype=np.longdouble)
+    for start in range(0, n_rows, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n_rows)
+        lo, hi = indptr[start], indptr[stop]
+        products = matrix.data[lo:hi].astype(np.longdouble) * x[matrix.indices[lo:hi]]
+        # reduceat cannot sum an empty row
+        rows = start + np.flatnonzero(np.diff(indptr[start : stop + 1]))
+        sums[rows] = np.add.reduceat(products, indptr[rows] - lo)
     return np.asarray(b, np.longdouble) - sums
 
 

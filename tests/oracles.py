@@ -7,6 +7,11 @@ assembler, so the two paths only share the quadrature rules and the
 basis definition. ``einsum_forms`` pins the summation order instead: it
 shares the tables and differs only in the contractions.
 
+``coo_load_operators``, ``whole_mesh_error_norms`` and
+``whole_extended_residual`` are the earlier whole-array forms of the
+load operators, the error norms and the long-double residual, against
+which the package's direct-CSR and blocked versions are checked bitwise.
+
 ``edge_connectivity`` numbers the edges of a triangle list from a sorted
 Python set, independently of the mesh module. ``locate_point`` and
 ``eval_discrete_function`` evaluate a discrete pair at a point of the
@@ -14,10 +19,22 @@ domain by a brute-force search over the triangles.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from parafosls import forms
 from parafosls.quadrature import triangle_rule
-from parafosls.spaces import eval_fields_on_triangle, eval_local_basis, scatter_vector
+from parafosls.spaces import (
+    eval_fields_on_triangle,
+    eval_local_basis,
+    field_values,
+    p1_vertex_values,
+    quadrature_points,
+    quadrature_weights,
+    rt0_edge_values,
+    rt0_values,
+    scatter_matrix,
+    scatter_vector,
+)
 
 BARYCENTRIC_TOL = 1e-12
 
@@ -254,3 +271,64 @@ def einsum_forms(asm, k, fields):
         "gram": asm._scatter_matrix(gram),
         "field load": scatter_vector(field_load, asm.local_dofs, asm.dofmap.total),
     }
+
+
+def coo_load_operators(asm, k):
+    """(to_tests, from_u) of ``FormAssembler._load_operators``, with
+    to_tests scattered through COO as ``scatter_matrix`` does."""
+    rule = triangle_rule(forms.DATA_DEGREE)
+    n_e, n_q = asm.mesh.num_triangles, rule.weights.size
+    weighted = np.empty((n_e, n_q, 6))
+    for block, t in asm._blocks(rule):
+        weighted[block] = t.wj[:, :, None] * (t.u_tab / k + t.r_tab)
+    points = np.arange(n_e * n_q).reshape(n_e, n_q)
+    to_tests = scatter_matrix(
+        weighted,
+        asm.local_dofs[:, None, :],
+        points[:, :, None],
+        (asm.dofmap.total, n_e * n_q),
+    )
+    from_u = asm._scatter_matrix(np.einsum("eqi,qj->eij", weighted, rule.points))
+    return to_tests, from_u
+
+
+def whole_mesh_error_norms(u, grad_u, sigma, div_sigma, u_coeffs, sigma_coeffs, mesh, dofmap):
+    """``analysis.field_error_norms`` with every array over the whole mesh."""
+    rule = triangle_rule(forms.DATA_DEGREE)
+    geo = mesh.geometry
+    wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
+    local_u = p1_vertex_values(u_coeffs, mesh, dofmap, "u_coeffs")
+    u_h = np.einsum("qi,ei->eq", rule.points, local_u)
+    grad_h = np.einsum("ei,eix->ex", local_u, geo.p1_grads)
+    if sigma_coeffs is not None:
+        local_s = rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs")
+        rt_vals = rt0_values(geo.rt_coef, geo.verts, pts)
+        sig_h = np.einsum("ei,eqix->eqx", local_s, rt_vals)
+        div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
+    else:
+        sig_h = np.zeros_like(pts)
+        div_h = np.zeros(mesh.num_triangles)
+    u_ex = field_values(u, pts, "u")
+    grad_ex = np.moveaxis(field_values(grad_u, pts, "grad_u", (2,)), 0, -1)
+    sig_ex = np.moveaxis(field_values(sigma, pts, "sigma", (2,)), 0, -1)
+    div_ex = field_values(div_sigma, pts, "div_sigma")
+    grad_diff = grad_ex - grad_h[:, None, :]
+    sig_diff = sig_ex - sig_h
+    squares = (
+        np.sum(wj * (u_ex - u_h) ** 2),
+        np.sum(wj * np.einsum("eqx,eqx->eq", grad_diff, grad_diff)),
+        np.sum(wj * np.einsum("eqx,eqx->eq", sig_diff, sig_diff)),
+        np.sum(wj * (div_ex - div_h[:, None]) ** 2),
+    )
+    return tuple(float(np.sqrt(square)) for square in squares)
+
+
+def whole_extended_residual(matrix, x, b):
+    """``solver.extended_residual`` with the products of all rows at once."""
+    matrix = sp.csr_matrix(matrix)
+    x = np.asarray(x, np.longdouble)
+    products = matrix.data.astype(np.longdouble) * x[matrix.indices]
+    sums = np.zeros(matrix.shape[0], dtype=np.longdouble)
+    rows = np.flatnonzero(np.diff(matrix.indptr))
+    sums[rows] = np.add.reduceat(products, matrix.indptr[rows])
+    return np.asarray(b, np.longdouble) - sums

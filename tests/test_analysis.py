@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from parafosls import forms
 from parafosls.analysis import (
     ErrorReport,
     compute_errors,
@@ -11,6 +12,8 @@ from parafosls.analysis import (
     field_error_norms,
     observed_rates,
 )
+
+from oracles import whole_mesh_error_norms
 
 DECAY = 2.0 * math.pi**2
 
@@ -27,18 +30,19 @@ def test_manufactured_consistency(variant, rng):
     div_sigma = problem.div_sigma(t, x, y)
     grad = problem.grad_u(t, x, y)
     u = problem.u(t, x, y)
+    du_dt = -DECAY * u  # u decays like exp(-2 pi^2 t)
 
     # scalar equation: du/dt - div sigma (- beta . grad u) + gamma u = f
     if variant == "primary":
         residual_scalar = (
-            problem.du_dt(t, x, y)
+            du_dt
             - div_sigma
             - (grad[0] + grad[1])
             - problem.f(t, x, y)
         )
         residual_flux = sigma - grad
     else:
-        residual_scalar = problem.du_dt(t, x, y) - div_sigma - problem.f(t, x, y)
+        residual_scalar = du_dt - div_sigma - problem.f(t, x, y)
         residual_flux = sigma - (grad - np.stack([u, u]))
     assert np.abs(residual_scalar).max() <= 1e-10
     assert np.abs(residual_flux).max() <= 1e-10
@@ -127,6 +131,21 @@ def test_interpolant_errors_are_positive(mesh_chain, dofmaps):
     assert all(e > 0.0 for e in errs)
     # the scalar interpolation error is small but nonzero
     assert errs[0] < 0.05
+
+
+@pytest.mark.parametrize("variant", ["primary", "alternative"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_blocked_error_norms_equal_whole_mesh(mesh_chain, dofmaps, variant, level, rng, monkeypatch):
+    """Blocks of 7 elements (a ragged last one: 64 = 9 * 7 + 1 and
+    256 = 36 * 7 + 4) give the whole-mesh norms bitwise, with and
+    without a flux."""
+    m, dm = mesh_chain[level], dofmaps[level]
+    monkeypatch.setattr(forms, "BLOCK_ELEMENTS", 7)
+    fields = decaying_sine_problem(variant).fields_at(0.1)
+    u, sigma = rng.standard_normal(dm.n_u), rng.standard_normal(dm.n_sigma)
+    for sigma_coeffs in (sigma, None):
+        blocked = field_error_norms(*fields, u, sigma_coeffs, m, dm)
+        assert blocked == whole_mesh_error_norms(*fields, u, sigma_coeffs, m, dm)
 
 
 def make_reports(errors):

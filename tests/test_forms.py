@@ -26,6 +26,7 @@ from parafosls.spaces import quadrature_points
 
 from oracles import (
     _residuals,
+    coo_load_operators,
     dense_coupling_matrix,
     dense_rhs,
     dense_total_matrix,
@@ -520,6 +521,22 @@ def assert_bitwise_equal(a, b):
             assert np.array_equal(getattr(a, part), getattr(b, part))
     else:
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", list(ProblemVariant))
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_load_operators_equal_coo_scatter(mesh_chain, dofmaps, variant, level):
+    """The load pair built directly in CSR form is bitwise the one a COO
+    scatter gives: data, indices and indptr, dtypes included."""
+    m, dm = mesh_chain[level], dofmaps[level]
+    for coeffs in (decaying_sine_problem(variant).coeffs, variable_coefficients()):
+        asm = FormAssembler(m, dm, coeffs, variant)
+        for k in (1e-6, 1e-3, 0.1):
+            for built, oracle in zip(asm._load_operators(k), coo_load_operators(asm, k)):
+                assert built.shape == oracle.shape
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(built, part), getattr(oracle, part)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))

@@ -18,6 +18,8 @@ from parafosls.solver import (
     solve_spd,
 )
 
+from oracles import whole_extended_residual
+
 
 def test_identity_system(rng):
     b = rng.standard_normal(12)
@@ -177,6 +179,23 @@ def test_reused_factor_reproduces_per_step_solving(mesh_chain, dofmaps):
         diff = np.abs(u[n] - u_prev).max()
         worst = max(worst, diff / max(np.abs(u_prev).max(), 1e-30))
     assert worst <= 1e-8
+
+
+def test_extended_residual_row_blocks_change_no_bit(rng, monkeypatch):
+    """Blocks of three rows give the whole-array residual bitwise, with
+    empty rows on both sides of the block boundary after row 2 and a
+    block (rows 6-8) that is empty throughout."""
+    dense = rng.standard_normal((11, 11)) * (rng.random((11, 11)) < 0.6)
+    dense[[2, 3, 6, 7, 8]] = 0.0
+    dense[:, 0] = 1.0
+    dense[[2, 3, 6, 7, 8], 0] = 0.0
+    matrix = sp.csr_matrix(dense)
+    x, b = rng.standard_normal(11), rng.standard_normal(11)
+    monkeypatch.setattr(solver, "ROW_BLOCK", 3)
+    blocked = extended_residual(matrix, x, b)
+    whole = whole_extended_residual(matrix, x, b)
+    assert blocked.dtype == whole.dtype == np.longdouble
+    assert np.array_equal(blocked, whole)
 
 
 def test_extended_residual_matches_exact_residual(rng):
