@@ -13,10 +13,10 @@ from typing import Callable
 import numpy as np
 
 from .evolution import SeparableSource
-from .forms import DATA_DEGREE, Coefficients, ProblemVariant, _step, element_blocks
+from .forms import DATA_DEGREE, Coefficients, ProblemVariant, _contract, _step, element_blocks
 from .quadrature import triangle_rule
 from .spaces import (
-    field_values,
+    field_table,
     p1_vertex_values,
     quadrature_points,
     quadrature_weights,
@@ -157,11 +157,12 @@ def field_error_norms(
     the wrong shape or with a value that is not finite, and a vector of
     the wrong length, raise ValueError naming it.
 
-    The points, RT0 values, field values and differences are formed one
-    block of ``forms.BLOCK_ELEMENTS`` elements at a time. Each block
-    writes its rows of one (nE, nQ) weighted integrand per quantity,
-    and each integrand is summed whole, so the sums and their order are
-    those of a single whole-mesh block.
+    The points, RT0 values, field values and differences are formed
+    element-last, one block of ``forms.BLOCK_ELEMENTS`` elements at a
+    time. Each block writes its rows of one element-first (nE, nQ)
+    weighted integrand per quantity, and each integrand is summed
+    whole, so the sums and their order are those of a single
+    whole-mesh block.
     """
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
@@ -177,26 +178,26 @@ def field_error_norms(
         (4, mesh.num_triangles, rule.weights.size)
     )
     for block in element_blocks(mesh.num_triangles):
-        wj = quadrature_weights(rule, geo.areas[block])
-        pts = quadrature_points(rule, geo.verts[block])
-        u_h = np.einsum("qi,ei->eq", rule.points, local_u[block])
+        wj = quadrature_weights(rule, geo.areas[block]).T
+        points = quadrature_points(rule, geo.verts[block])
+        u_h = np.einsum("qi,ei->eq", rule.points, local_u[block]).T
         if sigma_coeffs is not None:
-            rt_vals = rt0_values(geo.rt_coef[block], geo.verts[block], pts)
-            sig_h = np.einsum("ei,eqix->eqx", local_s[block], rt_vals)
+            rt_vals = rt0_values(geo.rt_coef[block], geo.verts[block], points)
+            sig_h = _contract(local_s[block].T[:, None, None], rt_vals.transpose(1, 2, 0, 3))
         else:
-            sig_h = np.zeros_like(pts)
+            sig_h = np.zeros((2,) + wj.shape)
 
-        u_ex = field_values(u, pts, "u")
-        grad_ex = np.moveaxis(field_values(grad_u, pts, "grad_u", (2,)), 0, -1)
-        sig_ex = np.moveaxis(field_values(sigma, pts, "sigma", (2,)), 0, -1)
-        div_ex = field_values(div_sigma, pts, "div_sigma")
+        u_ex = field_table(u, points, "u")
+        grad_ex = field_table(grad_u, points, "grad_u", (2,))
+        sig_ex = field_table(sigma, points, "sigma", (2,))
+        div_ex = field_table(div_sigma, points, "div_sigma")
 
-        err_u[block] = wj * (u_ex - u_h) ** 2
-        grad_diff = grad_ex - grad_h[block, None, :]
-        err_grad[block] = wj * np.einsum("eqx,eqx->eq", grad_diff, grad_diff)
+        err_u[block] = (wj * (u_ex - u_h) ** 2).T
+        grad_diff = grad_ex - grad_h[block].T[:, None]
+        err_grad[block] = (wj * _contract(grad_diff, grad_diff)).T
         sig_diff = sig_ex - sig_h
-        err_sig[block] = wj * np.einsum("eqx,eqx->eq", sig_diff, sig_diff)
-        err_div[block] = wj * (div_ex - div_h[block, None]) ** 2
+        err_sig[block] = (wj * _contract(sig_diff, sig_diff)).T
+        err_div[block] = (wj * (div_ex - div_h[block]) ** 2).T
     return tuple(
         float(np.sqrt(np.sum(integrand)))
         for integrand in (err_u, err_grad, err_sig, err_div)

@@ -28,7 +28,13 @@ from .forms import (
     assemble_p1_stiffness,
 )
 from .quadrature import triangle_rule
-from .spaces import _coefficient_vector, field_values, quadrature_points, quadrature_weights
+from .spaces import (
+    _coefficient_vector,
+    _element_first,
+    field_values,
+    quadrature_points,
+    quadrature_weights,
+)
 
 # Steps within this relative distance count as one step size and share
 # one factorization; the difference they make to a solution is far below
@@ -208,7 +214,8 @@ def check_stability_bound(u, f, partition, mesh, dofmap):
     mass = assemble_p1_mass(mesh, dofmap)
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
-    wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
+    wj = quadrature_weights(rule, geo.areas)
+    pts = _element_first(quadrature_points(rule, geo.verts))
 
     def u_norm(c):
         return float(np.sqrt(max(c @ (mass @ c), 0.0)))

@@ -31,8 +31,9 @@ roundoff and can be tested as such.
 All coefficient and data callables are vectorized over coordinate
 arrays: scalar fields map (x, y) to an array of the same shape, vector
 fields prepend an axis of length 2, matrix fields prepend (2, 2). Each
-is evaluated through ``spaces.field_values``, which names the field
-when its result has the wrong shape or a value that is not finite.
+is evaluated through ``spaces.field_values`` (at element-last points
+through ``spaces.field_table``), which names the field when its result
+has the wrong shape or a value that is not finite.
 
 The element tables (basis values, residuals r and d of the basis
 functions, weights) are built for one block of ``BLOCK_ELEMENTS``
@@ -42,6 +43,18 @@ entries, so the block size changes no bit of any assembled array. The
 quadrature sums of the matrices and of the field load run through two
 written-out kernels that do np.einsum's products and sums in einsum's
 order, so each form is bitwise what its einsum expression gives.
+
+Every table is built with its element axis last, (nQ, slot[, 2], nB),
+so each operation's inner loop spans the block's elements and the
+kernels read the tables as they are; the element matrices are written
+element-last too and scattered in (element, row, column) order. Only
+elementwise arithmetic and sums in a fixed order see the layout, so it
+changes no bit of any form. What is summed whole or raveled stays
+element-first, because np.sum adds pairwise in memory order and
+einsum's order can depend on the layout: the (nE, nQ) integrands of
+the functional (and of ``analysis.field_error_norms``), the einsum
+contractions that build the former, and the data points, whose raveled
+values meet the e nQ + q columns of ``to_tests``.
 
 What an assembler keeps between calls is the load pair of its last
 step, about 18 MB at level 6. Its ``to_tests`` holds one entry per data
@@ -61,7 +74,9 @@ import scipy.sparse as sp
 from .quadrature import triangle_rule
 from .spaces import (
     _coefficient_vector,
+    _element_first,
     _triangle_u_dofs,
+    field_table,
     field_values,
     p1_vertex_values,
     quadrature_points,
@@ -99,11 +114,13 @@ def _constant_field(value):
 
 
 def _spd_roots(values, where):
-    """(A^{1/2}, A^{-1/2}) of a field of 2x2 matrices, shape (2, 2) + shape.
+    """(A^{1/2}, A^{-1/2}) of a field of 2x2 matrices, each (2, 2) + shape.
 
-    Raises ``CoefficientError`` naming ``where(i)``, the point of flat
-    index i, unless A is symmetric (|A01 - A10| <= 1e-12 max|A|) and
-    positive definite there. The roots are in closed form
+    Raises ``CoefficientError`` naming ``where(i)`` unless A is symmetric
+    (|A01 - A10| <= 1e-12 max|A|) and positive definite at every point.
+    i is the flat index of the worst point in the field's transposed
+    point axes: for an element-last (nQ, nB) field, the first worst point
+    in (element, point) order. The roots are in closed form
     (Cayley-Hamilton): with s = sqrt(det A) and t = sqrt(tr A + 2s),
     A^{1/2} = (A + sI)/t and A^{-1/2} = adj(A + sI)/(t s). A = I gives
     exactly I.
@@ -112,27 +129,26 @@ def _spd_roots(values, where):
     asym = np.abs(b - c)
     tol = 1e-12 * np.abs(values).max(axis=(0, 1))
     if np.any(asym > tol):
-        worst = int(np.argmax(asym - tol))
+        worst = int(np.argmax((asym - tol).T))
         raise CoefficientError(
             f"diffusion matrix not symmetric at point {where(worst)}: "
-            f"|A01 - A10| = {asym.flat[worst]:.6g}"
+            f"|A01 - A10| = {asym.T.flat[worst]:.6g}"
         )
     det = a * d - b * c
     lambda_min = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
     # near cond(A) = 1/eps a positive lambda_min can round to det <= 0
     bad = (lambda_min <= 0.0) | (det <= 0.0)
     if np.any(bad):
-        worst = int(np.argmin(np.where(bad, lambda_min, np.inf)))
+        worst = int(np.argmin(np.where(bad, lambda_min, np.inf).T))
         raise CoefficientError(
             f"diffusion matrix not positive definite at point {where(worst)}: "
-            f"lambda_min = {lambda_min.flat[worst]:.6g}"
+            f"lambda_min = {lambda_min.T.flat[worst]:.6g}"
         )
     s = np.sqrt(det)
     t = np.sqrt(a + d + 2.0 * s)
     ts = t * s
-    root = np.stack([[(a + s) / t, b / t], [c / t, (d + s) / t]])
-    inv_root = np.stack([[(d + s) / ts, -b / ts], [-c / ts, (a + s) / ts]])
-    return root, inv_root
+    a_s, d_s = a + s, d + s
+    return np.divide([[a_s, b], [c, d_s]], t), np.divide([[d_s, -b], [-c, a_s]], ts)
 
 
 @dataclass(frozen=True)
@@ -176,47 +192,53 @@ def _step(k):
     return k
 
 
-def _slot_matvec(m, v):
-    """A (nE, nQ, 2, 2) matrix field applied to the (nE, nQ, n, 2) vectors.
+def _contract(m, v):
+    """sum_y m[y] v[y] over the leading axes, broadcasting the rest.
 
-    The einsum "eqxy,eqiy->eqix" written out, with the same products
-    and sums, so it is bitwise equal and much faster on strided views.
+    The sum starts from zero and adds the products in order, which is
+    how np.einsum sums the short contractions this replaces (beta.grad u,
+    A^{-1/2} beta, the flux of a discrete pair), so the results are
+    bitwise theirs, signed zeros included.
     """
-    m = m[:, :, None]
-    out = np.empty(np.broadcast_shapes(m.shape[:3], v.shape[:3]) + (2,))
-    for x in range(2):  # out_x = m_x0 v_0 + m_x1 v_1, with no temporary for the sum
-        np.multiply(m[..., x, 0], v[..., 0], out=out[..., x])
-        out[..., x] += m[..., x, 1] * v[..., 1]
+    out = np.zeros(np.broadcast_shapes(m.shape[1:], v.shape[1:]))
+    for m_y, v_y in zip(m, v):
+        out += m_y * v_y
     return out
 
 
-def _element_last(a):
-    """A contiguous copy of an (nE, ...) array with the element axis moved last."""
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+def _slot_matvec(m, v):
+    """A (2, 2, nQ, nB) matrix field applied to the (nQ, n, 2, nB) vectors of n slots.
+
+    Per flux component out_x = m_x0 v_0 + m_x1 v_1, the products and
+    sums of the einsum "eqxy,eqiy->eqix" on the element-first tables.
+    """
+    m = m[:, :, :, None]
+    out = np.empty(v.shape)
+    for x in range(2):  # no temporary for the sum
+        np.multiply(m[x, 0], v[:, :, 0], out=out[:, :, x])
+        out[:, :, x] += m[x, 1] * v[:, :, 1]
+    return out
 
 
 def _quad_matrix(w, a, b, slots=None):
-    """sum_q w_q a_qi . b_qj: the einsum "eq,eqi,eqj->eij", or
-    "eq,eqix,eqjx->eij" when the tables carry a trailing flux axis.
+    """sum_q w_q a_qi . b_qj of element-last tables, element axis last.
 
-    w is (nE, nQ), a (nE, nQ, n[, 2]) and b (nE, nQ, m[, 2]). The
-    result is (nE, n, m), or (nE,) + slots with the first n rows and m
-    columns filled and the rest exactly zero. The arithmetic is
-    einsum's, so the result is bitwise equal: per point the products
-    (w a_i) b_j, the two flux components added first, and the points
-    accumulated in order from zero. The work runs on element-last
-    copies, so every operation's inner loop spans the block's elements.
+    w is (nQ, nB), a (nQ, n[, 2], nB) and b (nQ, m[, 2], nB); a table
+    may broadcast over the points or the elements. The result is
+    (n, m, nB), or slots + (nB,) with the first n rows and m columns
+    filled and the rest exactly zero. It is bitwise the einsum
+    "eq,eqi,eqj->eij" (or "eq,eqix,eqjx->eij" with the flux axis) of the
+    element-first tables: per point the products (w a_i) b_j, the two
+    flux components added first, and the points accumulated in order
+    from zero. Every operation's inner loop spans the block's elements.
     """
-    same = b is a
-    w, a = _element_last(w), _element_last(a)
-    b = a if same else _element_last(b)
-    n, m, n_e = a.shape[1], b.shape[1], a.shape[-1]
+    n, m, n_e = a.shape[1], b.shape[1], w.shape[-1]
     out = np.zeros((slots or (n, m)) + (n_e,))
     acc = out[:n, :m]
-    wa = np.empty(a.shape[1:])
+    wa = np.empty(a.shape[1:-1] + (n_e,))
     prod = np.empty((n, m, n_e))
     second = np.empty_like(prod)
-    for q in range(a.shape[0]):
+    for q in range(w.shape[0]):
         np.multiply(w[q], a[q], out=wa)
         if a.ndim == 3:
             np.multiply(wa[:, None], b[q], out=prod)
@@ -225,19 +247,18 @@ def _quad_matrix(w, a, b, slots=None):
             np.multiply(wa[:, None, 1], b[q, :, 1], out=second)
             prod += second
         acc += prod
-    return np.moveaxis(out, -1, 0)
+    return out
 
 
 def _quad_vector(w, c, a, slots=None):
-    """sum_q w_q c_q . a_qi: the einsum "eq,eq,eqi->ei", or
-    "eq,eqx,eqix->ei" when c and a carry a trailing flux axis.
+    """sum_q w_q c_q . a_qi: ``_quad_matrix`` with c as a table of one slot.
 
-    w is (nE, nQ), c (nE, nQ[, 2]) and a (nE, nQ, n[, 2]). The result
-    is (nE, n), or (nE, slots) with the first n filled and the rest
-    exactly zero. It is ``_quad_matrix`` with c as a table of one slot, so the
-    products are (w c) a_i, bitwise the einsum's.
+    w is (nQ, nB), c (nQ[, 2], nB) and a (nQ, n[, 2], nB). The result
+    is (n, nB), or (slots, nB) with the first n filled and the rest
+    exactly zero; the products are (w c) a_i, bitwise the einsum
+    "eq,eq,eqi->ei" (or "eq,eqx,eqix->ei") of the element-first tables.
     """
-    return _quad_matrix(w, c[:, :, None], a, slots and (1, slots))[:, 0]
+    return _quad_matrix(w, c[:, None], a, slots and (1, slots))[0]
 
 
 def _signed_sum(terms):
@@ -258,12 +279,18 @@ def _signed_sum(terms):
 class _RuleTables:
     """Element tables of one quadrature rule on one block of elements.
 
-    For each element e of the block, quadrature point q and local basis
-    index i in 0..5 (three P1 vertex functions, then three RT0 edge
-    functions) the tables hold the scalar value U, the first-order
+    For each quadrature point q, local basis index i in 0..5 (three P1
+    vertex functions, then three RT0 edge functions) and element e of
+    the block the tables hold the scalar value U, the first-order
     residual R = r(basis_i) and the flux residual G = d(basis_i), plus
-    the physical weights wj = w_q * 2|T_e|. Each table entry is
-    computed only on the slots where its basis part is non-zero.
+    the physical weights wj = w_q * 2|T_e|. Every table has the element
+    axis last, (nQ, slot[, 2], nB), and the coefficients and the roots
+    of A are (components..., nQ, nB), so the quadrature kernels read
+    them as they are and each inner loop spans the block's elements.
+    Each table entry is computed only on the slots where its basis part
+    is non-zero, with the products and sums of the einsum expressions
+    of the forms on element-first tables, so each form is bitwise what
+    those give.
 
     U and R are built with the tables; they are all that loads read.
     The roots of A (and with them its admissibility check), the RT0
@@ -271,105 +298,103 @@ class _RuleTables:
     loads never hold them.
 
     The coefficient checks run per block: a ``CoefficientError`` names
-    the worst offending point of the first block that has one. Each
-    coefficient is checked finite where it is evaluated: beta, div beta
-    and gamma with the tables, A with its roots.
+    the first worst offending point, in (element, point) order, of the
+    first block that has one. Each coefficient is checked finite where
+    it is evaluated: beta, div beta and gamma with the tables, A with
+    its roots.
     """
 
     def __init__(self, asm, rule, block):
-        lam = rule.points  # (nQ, 3)
         geo = asm.mesh.geometry
         self.variant = asm.variant
         self._verts = geo.verts[block]
-        self.wj = quadrature_weights(rule, geo.areas[block])  # (nE, nQ)
-        self._pts = quadrature_points(rule, self._verts)  # (nE, nQ, 2)
-        self.x = self._pts[..., 0]
-        self.y = self._pts[..., 1]
-        n_e, n_q = self.x.shape
+        self._rt_coef = geo.rt_coef[block]
+        self.wj = np.ascontiguousarray(quadrature_weights(rule, geo.areas[block]).T)
+        self._points = quadrature_points(rule, self._verts)  # (nQ, 2, nB)
+        n_q, n_e = self.wj.shape
         # held by value: a reference to the assembler would be a cycle
         self._diffusion = asm.coeffs.A
-        self._rt_coef = geo.rt_coef[block]
-        self.rt_divs = geo.rt_divs[block]
+        self.rt_divs = geo.rt_divs[block].T.copy()  # (3, nB)
 
-        self.lam = lam
-        beta = self._coefficient(asm.coeffs.beta, "beta", (2,))
-        self.beta = np.moveaxis(beta, 0, -1)  # (nE, nQ, 2)
+        self.beta = self._coefficient(asm.coeffs.beta, "beta", (2,))
         self.gamma = self._coefficient(asm.coeffs.gamma, "gamma")
         div_beta = self._coefficient(asm.coeffs.div_beta, "div_beta")
         margin = 0.5 * div_beta + self.gamma
         if np.any(margin < 0.0):
-            worst = int(np.argmin(margin))
+            worst = int(np.argmin(margin.T))
             raise CoefficientError(
                 "coefficient condition 0.5 div(beta) + gamma >= 0 fails at "
-                f"point {self._point(worst)}: value {margin.flat[worst]:.6g}"
+                f"point {self._point(worst)}: value {margin.T.flat[worst]:.6g}"
             )
 
+        self.lam = rule.points[:, :, None]  # (nQ, 3, 1): P1 values, the same on every element
         # P1 gradients (slots 0-2) at the quadrature points
-        self.grads = np.broadcast_to(geo.p1_grads[block, None], (n_e, n_q, 3, 2))
+        grads = np.moveaxis(geo.p1_grads[block], 0, -1).copy()  # (3, 2, nB)
+        self.grads = np.broadcast_to(grads, (n_q, 3, 2, n_e))
 
         # scalar value of each local basis function, zero for RT0 slots
-        self.u_tab = np.zeros((n_e, n_q, 6))
-        self.u_tab[:, :, :3] = lam[None, :, :]
-        self.u_p1 = self.u_tab[:, :, :3]  # the slots where U is not zero
+        u_tab = np.zeros((n_q, 6, 1))
+        u_tab[:, :3] = self.lam
+        self.u_tab = np.broadcast_to(u_tab, (n_q, 6, n_e))
+        self.u_p1 = self.u_tab[:, :3]  # the slots where U is not zero
 
-        self.r_tab = np.empty((n_e, n_q, 6))
-        self.r_tab[:, :, :3] = self.scalar_residual(u=lam, grad=self.grads)
-        self.r_tab[:, :, 3:] = self.scalar_residual(div=self.rt_divs[:, None, :])
+        self.r_tab = np.empty((n_q, 6, n_e))
+        self.r_tab[:, :3] = self.scalar_residual(u=self.lam, grad=self.grads)
+        self.r_tab[:, 3:] = self.scalar_residual(div=self.rt_divs)
 
     @cached_property
     def a_roots(self):
-        """(A^{1/2}, A^{-1/2}) at the points, each (nE, nQ, 2, 2); checks A."""
-        a_vals = self._coefficient(self._diffusion, "A", (2, 2))
-        return tuple(
-            np.moveaxis(root, (0, 1), (-2, -1))
-            for root in _spd_roots(a_vals, self._point)
-        )
+        """(A^{1/2}, A^{-1/2}) at the points, each (2, 2, nQ, nB); checks A."""
+        return _spd_roots(self._coefficient(self._diffusion, "A", (2, 2)), self._point)
 
     @cached_property
     def rt_vals(self):
-        """RT0 values (slots 3-5) at the quadrature points, (nE, nQ, 3, 2)."""
-        return rt0_values(self._rt_coef, self._verts, self._pts)
+        """RT0 values (slots 3-5) at the quadrature points, (nQ, 3, 2, nB)."""
+        return rt0_values(self._rt_coef, self._verts, self._points)
 
     @cached_property
     def g_tab(self):
-        """G = d(basis_i) at the quadrature points, (nE, nQ, 6, 2)."""
-        g_tab = np.empty(self.u_tab.shape + (2,))
-        g_tab[:, :, :3] = self.flux_residual(u=self.lam, grad=self.grads)
-        g_tab[:, :, 3:] = self.flux_residual(sigma=self.rt_vals)
+        """G = d(basis_i) at the quadrature points, (nQ, 6, 2, nB)."""
+        n_q, _, n_e = self.r_tab.shape
+        g_tab = np.empty((n_q, 6, 2, n_e))
+        g_tab[:, :3] = self.flux_residual(u=self.lam, grad=self.grads)
+        g_tab[:, 3:] = self.flux_residual(sigma=self.rt_vals)
         return g_tab
 
     def _point(self, flat_index):
         """The quadrature point of a flat (element, point) index, formatted."""
-        return f"({self.x.flat[flat_index]:.6g}, {self.y.flat[flat_index]:.6g})"
+        n_q, _, n_e = self._points.shape
+        e, q = np.unravel_index(flat_index, (n_e, n_q))
+        x, y = self._points[q, :, e]
+        return f"({x:.6g}, {y:.6g})"
 
     def _coefficient(self, fn, name, components=()):
-        """A coefficient at the points, components + (nE, nQ); see ``field_values``."""
-        return field_values(
-            fn, self._pts, f"coefficient {name}", components, CoefficientError
-        )
+        """A coefficient at the points, components + (nQ, nB); see ``field_table``."""
+        return field_table(fn, self._points, f"coefficient {name}", components, CoefficientError)
 
     def scalar_residual(self, u=None, grad=None, div=None):
-        """r (nE, nQ, n) of fields with a slot axis.
+        """r (nQ, n, nB) of fields with a slot axis.
 
         The scalar value u and the divergence div broadcast to
-        (nE, nQ, n), the gradient grad to (nE, nQ, n, 2). A part given
+        (nQ, n, nB), the gradient grad to (nQ, n, 2, nB). A part given
         as None is zero and left out. The terms are summed in the order
         of the definitions in the module docstring. This method and
         ``flux_residual`` are the one place where the two splittings
         differ.
         """
-        gamma_u = None if u is None else self.gamma[:, :, None] * u
+        gamma_u = None if u is None else self.gamma[:, None] * u
         if self.variant is ProblemVariant.PRIMARY:
             beta_grad = (
-                None if grad is None else np.einsum("eqx,eqix->eqi", self.beta, grad)
+                None if grad is None
+                else _contract(self.beta[:, :, None], np.moveaxis(grad, 2, 0))
             )
             return _signed_sum([(-1, div), (-1, beta_grad), (1, gamma_u)])
         return _signed_sum([(-1, div), (1, gamma_u)])
 
     def flux_residual(self, u=None, grad=None, sigma=None):
-        """d (nE, nQ, n, 2) of fields with a slot axis, as ``scalar_residual``.
+        """d (nQ, n, 2, nB) of fields with a slot axis, as ``scalar_residual``.
 
-        The flux sigma broadcasts to (nE, nQ, n, 2).
+        The flux sigma broadcasts to (nQ, n, 2, nB).
         """
         a_sqrt, a_inv_sqrt = self.a_roots
         a_grad = None if grad is None else _slot_matvec(a_sqrt, grad)
@@ -378,19 +403,20 @@ class _RuleTables:
             return _signed_sum([(1, a_grad), (-1, a_sig)])
         beta_u = None
         if u is not None:
-            a_beta = np.einsum("eqxy,eqy->eqx", a_inv_sqrt, self.beta)
-            beta_u = a_beta[:, :, None, :] * u[..., None]
+            a_beta = _contract(np.moveaxis(a_inv_sqrt, 1, 0), self.beta[:, None])
+            beta_u = np.moveaxis(a_beta, 0, 1)[:, None] * u[:, :, None]
         return _signed_sum([(1, a_sig), (-1, a_grad), (1, beta_u)])
 
     def exact_residuals(self, u, grad_u, sigma, div_sigma):
-        """r (nE, nQ) and d (nE, nQ, 2) of an exact field given by vectorized callables."""
-        u_vals = field_values(u, self._pts, "u")[..., None]
-        grad = np.moveaxis(field_values(grad_u, self._pts, "grad_u", (2,)), 0, -1)
-        div = field_values(div_sigma, self._pts, "div_sigma")[..., None]
-        sig = np.moveaxis(field_values(sigma, self._pts, "sigma", (2,)), 0, -1)
-        r = self.scalar_residual(u=u_vals, grad=grad[:, :, None], div=div)
-        d = self.flux_residual(u=u_vals, grad=grad[:, :, None], sigma=sig[:, :, None])
-        return r[..., 0], d[:, :, 0]
+        """r (nQ, nB) and d (nQ, 2, nB) of an exact field given by vectorized callables."""
+        pts = self._points
+        u_vals = field_table(u, pts, "u")[:, None]
+        grad = np.moveaxis(field_table(grad_u, pts, "grad_u", (2,)), 0, 1)[:, None]
+        div = field_table(div_sigma, pts, "div_sigma")[:, None]
+        sig = np.moveaxis(field_table(sigma, pts, "sigma", (2,)), 0, 1)[:, None]
+        r = self.scalar_residual(u=u_vals, grad=grad, div=div)
+        d = self.flux_residual(u=u_vals, grad=grad, sigma=sig)
+        return r[:, 0], d[:, 0]
 
 
 class FormAssembler:
@@ -402,9 +428,10 @@ class FormAssembler:
     (loads, functional values, exact-field products) to degree 6.
 
     Each form builds the tables it reads one block of BLOCK_ELEMENTS
-    elements at a time, fills its whole-mesh array of element terms
-    block by block and scatters it in one call. The tables read the
-    element geometry that the mesh computes once (``Mesh.geometry``).
+    elements at a time, fills its whole-mesh, element-last array of
+    element terms block by block and scatters it in one call. The
+    tables read the element geometry that the mesh computes once
+    (``Mesh.geometry``).
     No table outlives the call; the assembler keeps only the data
     points, which every source load evaluates its field at, and the load
     operators of the last step (about 18 MB at level 6; see
@@ -436,18 +463,26 @@ class FormAssembler:
 
     @cached_property
     def _data_points(self):
-        """The data points (nE, nQ, 2), kept for sources evaluated per step."""
-        return quadrature_points(triangle_rule(DATA_DEGREE), self.mesh.geometry.verts)
+        """The data points (nE, nQ, 2), kept for sources evaluated per step.
+
+        They stay element-first: a source's values at them, raveled, are
+        in the e nQ + q column order of ``to_tests``.
+        """
+        points = quadrature_points(triangle_rule(DATA_DEGREE), self.mesh.geometry.verts)
+        return _element_first(points)
 
     def _scatter_matrix(self, local):
-        """Sum element matrices into a global CSR matrix.
+        """Sum element-last element matrices into a global CSR matrix.
 
-        ``local`` is (nE, 6, m), with columns the first m local slots:
+        ``local`` is (6, m, nE), with columns the first m local slots:
         m = 6 gives a square matrix on the product space, m = 3 one
-        acting on u-coefficients. A (nE, 2, 3, 3) ``local`` holds the
+        acting on u-coefficients. A (2, 3, 3, nE) ``local`` holds the
         u-u and the sigma-sigma block of each element only, and the
-        matrix stores no u-sigma entry.
+        matrix stores no u-sigma entry. The entries are scattered in
+        (element, row, column) order, so duplicates are summed as from
+        an element-first array.
         """
+        local = np.moveaxis(local, -1, 0)
         if not np.isfinite(local).all():
             raise ValueError("non-finite element matrix entries")
         n = self.dofmap.total
@@ -463,10 +498,10 @@ class FormAssembler:
     def total_matrix(self, k):
         """Matrix of the full time-step form (symmetric positive definite)."""
         k = _step(k)
-        local = np.empty((self.mesh.num_triangles, 6, 6))
+        local = np.empty((6, 6, self.mesh.num_triangles))
         for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
             u = t.u_p1
-            local[block] = (
+            local[..., block] = (
                 _quad_matrix(t.wj / k, u, u, (6, 6))
                 + _quad_matrix(t.wj, t.r_tab, u, (6, 6))
                 + _quad_matrix(t.wj, u, t.r_tab, (6, 6))
@@ -478,9 +513,9 @@ class FormAssembler:
     def nonsymmetric_matrix(self, k):
         """Matrix of the spatial part <r(u), v> + k<r(u), r(v)> + <d(u), d(v)>."""
         k = _step(k)
-        local = np.empty((self.mesh.num_triangles, 6, 6))
+        local = np.empty((6, 6, self.mesh.num_triangles))
         for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
-            local[block] = (
+            local[..., block] = (
                 _quad_matrix(t.wj, t.u_p1, t.r_tab, (6, 6))
                 + _quad_matrix(t.wj * k, t.r_tab, t.r_tab)
                 + _quad_matrix(t.wj, t.g_tab, t.g_tab)
@@ -495,36 +530,47 @@ class FormAssembler:
         point q of element e is e nQ + q, and the row is the element's
         DOF of v. Row d holds the nQ points of each element with a slot
         on DOF d, elements ascending, which is the order a COO to CSR
-        conversion gives, so the arrays are built directly in CSR form.
-        ``from_u`` = to_tests I, where I interpolates u-coefficients to
-        the data points. The pair is kept until a call with another k
-        replaces it.
+        conversion gives, so the arrays are built directly in CSR form:
+        each (element, slot) pair with a DOF owns nQ consecutive entries
+        at its rank in a stable sort of the pairs by DOF, and each block
+        of elements writes its pairs' entries there. ``from_u`` =
+        to_tests I, where I interpolates u-coefficients to the data
+        points; its element matrices are written block by block too, so
+        no whole-mesh table of weighted test functions is held. The pair
+        is kept until a call with another k replaces it.
         """
         if self._load_ops is None or self._load_ops[0] != k:
             self._load_ops = None
             rule = triangle_rule(DATA_DEGREE)
             n_e, n_q = self.mesh.num_triangles, rule.weights.size
-            weighted = np.empty((n_e, n_q, 6))
+            dofs = self.local_dofs.ravel()
+            pairs = np.flatnonzero(dofs >= 0)  # e * 6 + slot, ascending
+            by_dof = np.argsort(dofs[pairs], kind="stable")
+            rank = np.empty_like(by_dof)
+            rank[by_dof] = np.arange(by_dof.size)
+            data = np.empty((pairs.size, n_q))
+            local = np.empty((6, 3, n_e))
             for block, t in self._blocks(rule):
                 test_factor = t.u_tab / k + t.r_tab  # v/k + r(v)
-                weighted[block] = t.wj[:, :, None] * test_factor
-            from_u = self._scatter_matrix(np.einsum("eqi,qj->eij", weighted, rule.points))
-            dofs = self.local_dofs.ravel()
-            pairs = np.flatnonzero(dofs >= 0)  # e * 6 + slot
-            pairs = pairs[np.argsort(dofs[pairs], kind="stable")]
-            elements, slots = np.divmod(pairs, 6)
-            data = weighted[elements, :, slots].ravel()
-            del weighted
+                local[..., block] = _quad_matrix(t.wj, test_factor, rule.points[:, :, None])
+                first, last = np.searchsorted(pairs, (6 * block.start, 6 * block.stop))
+                elements, slots = np.divmod(pairs[first:last] - 6 * block.start, 6)
+                weighted = t.wj[:, None] * test_factor
+                data[rank[first:last]] = weighted[:, slots, elements].T
+            pairs = pairs[by_dof]
+            del by_dof, rank
+            from_u = self._scatter_matrix(local)
+            del local
             # int32 indices, as scipy picks while nE nQ and the entry count
             # stay below 2**31 (0.2 M and 1.2 M at level 6)
-            columns = (elements.astype(np.int32) * n_q)[:, None] + np.arange(
+            columns = ((pairs // 6).astype(np.int32) * n_q)[:, None] + np.arange(
                 n_q, dtype=np.int32
             )
             per_row = np.bincount(dofs[pairs], minlength=self.dofmap.total) * n_q
             indptr = np.zeros(self.dofmap.total + 1, dtype=np.int32)
             np.cumsum(per_row, out=indptr[1:])
             to_tests = sp.csr_matrix(
-                (data, columns.ravel(), indptr), shape=(self.dofmap.total, n_e * n_q)
+                (data.ravel(), columns.ravel(), indptr), shape=(self.dofmap.total, n_e * n_q)
             )
             self._load_ops = (k, (to_tests, from_u))
         return self._load_ops[1]
@@ -594,11 +640,15 @@ class FormAssembler:
         )
         terms = np.empty(w_vals.shape)
         for block, t in self._blocks(rule):
-            u_vals = np.einsum("eqi,ei->eq", t.u_tab, local[block])
-            r_vals = np.einsum("eqi,ei->eq", t.r_tab, local[block])
-            g_vals = np.einsum("eqix,ei->eqx", t.g_tab, local[block])
+            # einsum sums over the slots in an order of its own, so it reads
+            # element-first copies of the tables, and the terms stay
+            # element-first for the sums over them
+            u_tab, r_tab, g_tab = map(_element_first, (t.u_tab, t.r_tab, t.g_tab))
+            u_vals = np.einsum("eqi,ei->eq", u_tab, local[block])
+            r_vals = np.einsum("eqi,ei->eq", r_tab, local[block])
+            g_vals = np.einsum("eqix,ei->eqx", g_tab, local[block])
             scalar_res = (u_vals - w_vals[block]) / k + r_vals - data[block]
-            terms[block] = t.wj * (
+            terms[block] = t.wj.T * (
                 k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals)
             )
         return terms
@@ -606,24 +656,25 @@ class FormAssembler:
     def nonsymmetric_load_from_fields(self, k, u, grad_u, sigma, div_sigma):
         """Load b(exact pair, basis_i) for the elliptic projection."""
         k = _step(k)
-        local = np.empty((self.mesh.num_triangles, 6))
+        local = np.empty((6, self.mesh.num_triangles))
         for block, t in self._blocks(triangle_rule(DATA_DEGREE)):
             r_ex, g_ex = t.exact_residuals(u, grad_u, sigma, div_sigma)
-            local[block] = (
+            local[:, block] = (
                 _quad_vector(t.wj, r_ex, t.u_p1, 6)
                 + _quad_vector(t.wj * k, r_ex, t.r_tab)
                 + _quad_vector(t.wj, g_ex, t.g_tab)
             )
-        return scatter_vector(local, self.local_dofs, self.dofmap.total)
+        return scatter_vector(local.T, self.local_dofs, self.dofmap.total)
 
     def natural_gram(self, k):
         """Gram matrix of ||grad u||^2 + ||sigma||^2 + k ||div sigma||^2."""
         k = _step(k)
-        local = np.empty((self.mesh.num_triangles, 2, 3, 3))  # u-u, sigma-sigma
+        local = np.empty((2, 3, 3, self.mesh.num_triangles))  # u-u, sigma-sigma
         for block, t in self._blocks(triangle_rule(MATRIX_DEGREE)):
-            local[block, 0] = _quad_matrix(t.wj, t.grads, t.grads)
-            local[block, 1] = _quad_matrix(t.wj, t.rt_vals, t.rt_vals) + np.einsum(
-                "eq,ei,ej->eij", t.wj * k, t.rt_divs, t.rt_divs
+            divs = np.broadcast_to(t.rt_divs, t.r_tab[:, 3:].shape)
+            local[0, ..., block] = _quad_matrix(t.wj, t.grads, t.grads)
+            local[1, ..., block] = _quad_matrix(t.wj, t.rt_vals, t.rt_vals) + _quad_matrix(
+                t.wj * k, divs, divs
             )
         return self._scatter_matrix(local)
 
@@ -645,8 +696,8 @@ def assemble_p1_load(mesh, dofmap, fn, name):
     """Load vector <f, v> on the interior-vertex P1 space of the field fn called name."""
     rule = triangle_rule(DATA_DEGREE)
     geo = mesh.geometry
-    wj, pts = quadrature_weights(rule, geo.areas), quadrature_points(rule, geo.verts)
-    vals = field_values(fn, pts, name)
+    wj = quadrature_weights(rule, geo.areas)
+    vals = field_values(fn, _element_first(quadrature_points(rule, geo.verts)), name)
     local = np.einsum("eq,eq,qi->ei", wj, vals, rule.points)
     return scatter_vector(local, _triangle_u_dofs(mesh, dofmap), dofmap.n_u)
 

@@ -11,9 +11,13 @@ The module also holds the vectorized pieces all assemblers share,
 computed from the mesh's element geometry: quadrature weights and
 points, RT0 values, the P1_0 vertex and RT0 edge gathers, which check
 the length and finiteness of the coefficient vector, and the scatters to
-global arrays, which drop the -1 boundary indices. ``field_values`` is the one
-place where a caller's (x, y) field is evaluated: it checks the shape
-and the finiteness of the result and names the field when either fails.
+global arrays, which drop the -1 boundary indices. The points and RT0
+values have the element axis last, as the element tables that read
+them; the weights, the gathers and the scatters are element-first.
+``field_values`` is the one place where a caller's (x, y) field is
+evaluated: it checks the shape and the finiteness of the result and
+names the field when either fails; ``field_table`` calls it at
+element-last points.
 """
 
 from dataclasses import dataclass
@@ -79,33 +83,38 @@ def quadrature_weights(rule, areas):
 
 
 def quadrature_points(rule, verts):
-    """Physical points of a rule on every triangle, (T, Q, 2).
+    """Physical points of a rule on the (T, 3, 2) triangles verts, (Q, 2, T).
 
-    The einsum "qi,eix->eqx" written out one coordinate at a time, with
-    the same products and sums: sum_i lambda_qi p_ei, added in vertex
-    order.
+    The element axis is last, as in every element table. The points are
+    sum_i lambda_qi p_ei added in vertex order, the products and sums of
+    the einsum "qi,eix->eqx".
     """
-    lam = rule.points
-    out = np.empty((verts.shape[0], lam.shape[0], 2))
-    for x in range(2):
-        p = verts[:, None, :, x]
-        np.multiply(lam[:, 0], p[..., 0], out=out[..., x])
-        out[..., x] += lam[:, 1] * p[..., 1]
-        out[..., x] += lam[:, 2] * p[..., 2]
+    lam = rule.points[:, :, None, None]
+    p = np.moveaxis(verts, 0, -1).copy()  # (3, 2, T), contiguous for the inner loops
+    out = lam[:, 0] * p[0]
+    out += lam[:, 1] * p[1]
+    out += lam[:, 2] * p[2]
     return out
 
 
 def rt0_values(rt_coef, verts, points):
-    """RT0 basis vectors c_i (x - p_i) at per-triangle points, (T, Q, 3, 2).
+    """RT0 basis vectors c_i (x - p_i) at per-triangle points, (Q, 3, 2, T).
 
-    Computed one coordinate at a time, which gives the same bits faster
-    than broadcasting over the trailing axis of length 2.
+    rt_coef is (T, 3), verts (T, 3, 2) and points (Q, 2, T), as
+    ``quadrature_points`` gives them; the element axis is last.
     """
-    out = np.empty(points.shape[:2] + (3, 2))
-    for x in range(2):
-        np.subtract(points[:, :, None, x], verts[:, None, :, x], out=out[..., x])
-        out[..., x] *= rt_coef[:, None, :]
+    out = points[:, None] - np.moveaxis(verts, 0, -1).copy()
+    out *= rt_coef.T.copy()[:, None]
     return out
+
+
+def _element_first(table):
+    """A contiguous copy of an element-last table with the element axis first.
+
+    For arrays that are summed whole or raveled in (element, point)
+    order, and for einsums, whose summation order depends on the layout.
+    """
+    return np.ascontiguousarray(np.moveaxis(table, -1, 0))
 
 
 def field_values(fn, points, name, components=(), error=ValueError):
@@ -136,6 +145,18 @@ def field_values(fn, points, name, components=(), error=ValueError):
             f"({x.flat[first]:.6g}, {y.flat[first]:.6g}): value {value}"
         )
     return values
+
+
+def field_table(fn, points, name, components=(), error=ValueError):
+    """``field_values`` at element-last (Q, 2, T) points, components + (Q, T).
+
+    The field is called on the element-first view of the points, so a
+    failure names the first bad point in (element, point) order, as for
+    element-first points; the values come back as a contiguous
+    element-last array.
+    """
+    values = field_values(fn, np.moveaxis(points, -1, 0), name, components, error)
+    return np.ascontiguousarray(np.swapaxes(values, -1, -2))
 
 
 def _coefficient_vector(coeffs, size, name):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafosls import forms
-from parafosls.analysis import decaying_sine_problem
+from parafosls.analysis import decaying_sine_problem, field_error_norms
 from parafosls.evolution import TimePartition, backward_euler_run, l2_project_initial
 from parafosls.forms import (
     CoefficientError,
@@ -22,7 +22,7 @@ from parafosls.forms import (
 )
 from parafosls.quadrature import triangle_rule
 from parafosls.solver import FactorHandle
-from parafosls.spaces import quadrature_points
+from parafosls.spaces import _element_first
 
 from oracles import (
     _residuals,
@@ -31,6 +31,9 @@ from oracles import (
     dense_rhs,
     dense_total_matrix,
     einsum_forms,
+    element_first_forms,
+    element_first_points,
+    whole_mesh_error_norms,
 )
 
 CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
@@ -39,7 +42,7 @@ HEAT = Coefficients.constant()
 
 def rule_points(mesh, degree):
     """The (nE, nQ, 2) points of the rule of that degree on every element."""
-    return quadrature_points(triangle_rule(degree), mesh.geometry.verts)
+    return element_first_points(triangle_rule(degree), mesh.geometry.verts)
 
 
 def variable_coefficients():
@@ -194,13 +197,14 @@ def test_exact_residuals_match_oracle(mesh_chain, dofmaps, variant):
     fields = decaying_sine_problem(variant).fields_at(0.05)
     asm = FormAssembler(m, dm, coeffs, variant)
     tables = forms._RuleTables(asm, triangle_rule(forms.DATA_DEGREE), slice(None))
-    r, d = tables.exact_residuals(*fields)
-    for e, q in np.ndindex(tables.x.shape):
-        x, y = tables.x[e, q], tables.y[e, q]
+    r, d = tables.exact_residuals(*fields)  # (nQ, nE), (nQ, 2, nE)
+    points = rule_points(m, forms.DATA_DEGREE)
+    for e, q in np.ndindex(points.shape[:2]):
+        x, y = points[e, q]
         values = [np.asarray(fn(x, y), dtype=float) for fn in fields]
         r_ref, d_ref = _residuals(coeffs, variant, x, y, *values)
-        np.testing.assert_allclose(r[e, q], r_ref, rtol=1e-12)
-        np.testing.assert_allclose(d[e, q], d_ref, rtol=1e-12)
+        np.testing.assert_allclose(r[q, e], r_ref, rtol=1e-12)
+        np.testing.assert_allclose(d[q, :, e], d_ref, rtol=1e-12)
 
 
 def test_decoupled_u_block_is_galerkin_operator(mesh_chain, dofmaps):
@@ -374,6 +378,47 @@ def test_diffusion_indefinite_at_one_point_names_it(mesh_chain, dofmaps, monkeyp
             asm.total_matrix(0.1)
 
 
+_FAILURE_MESSAGES = {
+    "asymmetric A": r"diffusion matrix not symmetric at point {}: \|A01 - A10\| = 5$",
+    "indefinite A": r"diffusion matrix not positive definite at point {}: lambda_min = -0\.5$",
+    "negative margin": r"0\.5 div\(beta\) \+ gamma >= 0 fails at point {}: value -0\.5$",
+    "non-finite gamma": r"coefficient gamma is not finite at point {}: value nan$",
+}
+
+
+@pytest.mark.parametrize("failure", list(_FAILURE_MESSAGES))
+def test_first_offending_point_in_element_order(mesh_chain, dofmaps, failure):
+    """A coefficient that fails equally at point 3 of element 1 and at
+    point 0 of element 5 is named at the first of them in (element,
+    point) order; point by point, over the elements, the other one comes
+    first."""
+    m, dm = mesh_chain[1], dofmaps[1]
+    points = rule_points(m, forms.MATRIX_DEGREE)
+    first, other = points[1, 3], points[5, 0]
+
+    def bad(x, y):
+        return ((x == first[0]) & (y == first[1])) | ((x == other[0]) & (y == other[1]))
+
+    def A(x, y):
+        out = _rotated_diffusion(0.0, np.ones_like(x), np.ones_like(x))
+        if failure == "asymmetric A":
+            out[0, 1] = np.where(bad(x, y), 5.0, 0.0)
+        if failure == "indefinite A":
+            out[1, 1] = np.where(bad(x, y), -0.5, 1.0)
+        return out
+
+    def gamma(x, y):
+        if failure.endswith("A"):
+            return np.zeros(np.broadcast(x, y).shape)
+        return np.where(bad(x, y), np.nan if failure == "non-finite gamma" else -0.5, 1.0)
+
+    coeffs = dataclasses.replace(_diffusion_only(A), gamma=gamma)
+    asm = FormAssembler(m, dm, coeffs, "primary")
+    point = re.escape("({:.6g}, {:.6g})".format(*first))
+    with pytest.raises(CoefficientError, match=_FAILURE_MESSAGES[failure].format(point)):
+        asm.total_matrix(0.1)
+
+
 def test_diffusion_singular_to_roundoff_rejected(mesh_chain, dofmaps):
     """Here tr/2 - hypot rounds to lambda_min = 3.6e-15 > 0 while det A
     rounds to -3.6e-15, so the closed-form roots would be NaN."""
@@ -515,12 +560,18 @@ def every_form(asm, variant):
     return out
 
 
+def _same_bits(x, y):
+    """Bitwise equality, which np.array_equal is not for signed zeros."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def assert_bitwise_equal(a, b):
     if hasattr(a, "indptr"):
         for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(a, part), getattr(b, part))
+            assert _same_bits(getattr(a, part), getattr(b, part))
     else:
-        assert np.array_equal(a, b)
+        assert _same_bits(a, b)
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
@@ -537,6 +588,44 @@ def test_load_operators_equal_coo_scatter(mesh_chain, dofmaps, variant, level):
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(built, part), getattr(oracle, part)
                     assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", list(ProblemVariant))
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_forms_equal_element_first_oracle(mesh_chain, dofmaps, variant, level, monkeypatch):
+    """Every form built from the element-last tables in blocks of 5 (a
+    ragged last one at every level) is bitwise the one the element-first
+    tables and kernels give: the four matrices, the field load, the
+    functional terms, both load operators and the error norms."""
+    m, dm = mesh_chain[level], dofmaps[level]
+    monkeypatch.setattr(forms, "BLOCK_ELEMENTS", 5)
+    rng = np.random.default_rng(level)
+    u, sigma, w = (rng.standard_normal(n) for n in (dm.n_u, dm.n_sigma, dm.n_u))
+    fields = decaying_sine_problem(variant).fields_at(0.1)
+
+    def g(x, y):
+        return np.sin(np.pi * x) * np.cos(y)
+
+    for coeffs in (decaying_sine_problem(variant).coeffs, variable_coefficients()):
+        asm = FormAssembler(m, dm, coeffs, variant)
+        for k in (1e-6, 1e-3, 0.1):
+            oracle = element_first_forms(asm, k, fields, u, sigma, g, w)
+            assert _same_bits(asm._lsq_terms(k, u, sigma, g, w), oracle.pop("lsq terms"))
+            built = {
+                "total": asm.total_matrix(k),
+                "nonsymmetric": asm.nonsymmetric_matrix(k),
+                "gram": asm.natural_gram(k),
+                "field load": asm.nonsymmetric_load_from_fields(k, *fields),
+            }
+            for name, value in oracle.items():
+                assert_bitwise_equal(built[name], value)
+            for op, ref in zip(asm._load_operators(k), coo_load_operators(asm, k)):
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(op, part), getattr(ref, part)
+                    assert a.dtype == b.dtype and _same_bits(a, b)
+    for sigma_coeffs in (sigma, None):
+        blocked = field_error_norms(*fields, u, sigma_coeffs, m, dm)
+        assert blocked == whole_mesh_error_norms(*fields, u, sigma_coeffs, m, dm)
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
@@ -572,24 +661,18 @@ def test_block_size_changes_no_bit(
 
 
 def _einsum_operands(rng, n_e, n_q, flux):
-    """Random w (a transposed view), a, and a slot-strided b of a block."""
+    """Random element-last w, a, and a slot-strided b of a block."""
     tail = (2,) if flux else ()
-    w = rng.random((n_q, n_e)).T
-    a = rng.standard_normal((n_e, n_q, 6) + tail)
-    b = rng.standard_normal((n_e, n_q, 12) + tail)[:, :, ::2]
+    w = rng.random((n_q, n_e))
+    a = rng.standard_normal((n_q, 6) + tail + (n_e,))
+    b = rng.standard_normal((n_q, 12) + tail + (n_e,))[:, ::2]
     return w, a, b
-
-
-def _same_bits(x, y):
-    """Bitwise equality, which np.array_equal is not for signed zeros."""
-    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def _padded(a):
     """a on the first three of six slots, zero on the rest."""
-    out = np.zeros(a.shape[:2] + (6,) + a.shape[3:])
-    out[:, :, :3] = a
+    out = np.zeros(a.shape[:1] + (6,) + a.shape[2:])
+    out[:, :3] = a
     return out
 
 
@@ -597,18 +680,20 @@ def _padded(a):
 @pytest.mark.parametrize("n_q", [6, 12])
 @pytest.mark.parametrize("flux", [False, True])
 def test_quad_matrix_equals_einsum(n_e, n_q, flux):
+    """The kernel on element-last tables is einsum on element-first copies."""
     w, a, b = _einsum_operands(np.random.default_rng(n_e + n_q), n_e, n_q, flux)
     spec = "eq,eqix,eqjx->eij" if flux else "eq,eqi,eqj->eij"
-    u = a[:, :, :3]
-    for args, slots in (((w, a, b), None), ((w, b, b), None), ((w, u, u), (6, 6)),
-                        ((w, u, b), (6, 6)), ((w, b, u), (6, 6))):
-        full = [arg if arg is not u else _padded(u) for arg in args]
-        assert _same_bits(forms._quad_matrix(*args, slots), np.einsum(spec, *full))
+    ef = _element_first
+    u = a[:, :3]
+    for args, slots in (((a, b), None), ((b, b), None), ((u, u), (6, 6)),
+                        ((u, b), (6, 6)), ((b, u), (6, 6))):
+        full = [ef(_padded(arg) if arg is u else arg) for arg in args]
+        assert _same_bits(ef(forms._quad_matrix(w, *args, slots)), np.einsum(spec, ef(w), *full))
     if flux:  # a table broadcast over the points, as the P1 gradients
-        grads = np.broadcast_to(a[:, :1, :3], (n_e, n_q, 3, 2))
-        full = np.ascontiguousarray(grads)
+        grads = np.broadcast_to(a[:1, :3], (n_q, 3, 2, n_e))
+        full = ef(grads)
         assert _same_bits(
-            forms._quad_matrix(w, grads, grads), np.einsum(spec, w, full, full)
+            ef(forms._quad_matrix(w, grads, grads)), np.einsum(spec, ef(w), full, full)
         )
 
 
@@ -619,14 +704,17 @@ def test_quad_vector_equals_einsum(n_e, n_q, flux):
     rng = np.random.default_rng(n_e * n_q)
     w, a, b = _einsum_operands(rng, n_e, n_q, flux)
     if flux:  # strided views, as the exact residuals
-        c = np.moveaxis(rng.standard_normal((2, n_e, n_q)), 0, -1)
+        c = np.moveaxis(rng.standard_normal((2, n_q, n_e)), 0, 1)
     else:
-        c = rng.standard_normal((n_q, n_e)).T
+        c = rng.standard_normal((n_q, n_e))
     spec = "eq,eqx,eqix->ei" if flux else "eq,eq,eqi->ei"
-    assert _same_bits(forms._quad_vector(w, c, a), np.einsum(spec, w, c, a))
-    assert _same_bits(forms._quad_vector(w, c, b), np.einsum(spec, w, c, b))
-    u = a[:, :, :3]
-    assert _same_bits(forms._quad_vector(w, c, u, 6), np.einsum(spec, w, c, _padded(u)))
+    ef = _element_first
+    for table in (a, b):
+        assert _same_bits(ef(forms._quad_vector(w, c, table)), np.einsum(spec, ef(w), ef(c), ef(table)))
+    u = a[:, :3]
+    assert _same_bits(
+        ef(forms._quad_vector(w, c, u, 6)), np.einsum(spec, ef(w), ef(c), ef(_padded(u)))
+    )
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
