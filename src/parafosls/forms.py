@@ -57,10 +57,12 @@ contractions that build the former, and the data points, whose raveled
 values meet the e nQ + q columns of ``to_tests``.
 
 What an assembler keeps between calls is the load pair of its last
-step, about 18 MB at level 6. Its ``to_tests`` holds one entry per data
-point of each (element, slot) pair with a DOF and is built directly in
-CSR form, in the order a COO scatter would give it (see
-``FormAssembler._load_operators``).
+step, about 18 MB at level 6. Its ``to_tests`` is the CSC form of the
+element-ordered weighted test table: column e nQ + q holds data point q
+of element e, one entry per slot with a DOF. A CSC product adds into
+each row in ascending column order, the (e, q) order of the rows of
+the CSR matrix a COO scatter gives, so its products are theirs bit for
+bit (see ``FormAssembler._load_operators``).
 """
 
 import enum
@@ -434,8 +436,8 @@ class FormAssembler:
     (``Mesh.geometry``).
     No table outlives the call; the assembler keeps only the data
     points, which every source load evaluates its field at, and the load
-    operators of the last step (about 18 MB at level 6; see
-    ``_load_operators`` for the order of ``to_tests``).
+    operators of the last step (about 18 MB at level 6; ``to_tests`` is
+    the weighted test table in CSC form, see ``_load_operators``).
     """
 
     def __init__(self, mesh, dofmap, coeffs, variant):
@@ -526,52 +528,50 @@ class FormAssembler:
         """Sparse operators of the load functional for step k.
 
         ``to_tests`` maps values at the data points to the test
-        functions: its entries are wj * (v/k + r(v)), the column of data
-        point q of element e is e nQ + q, and the row is the element's
-        DOF of v. Row d holds the nQ points of each element with a slot
-        on DOF d, elements ascending, which is the order a COO to CSR
-        conversion gives, so the arrays are built directly in CSR form:
-        each (element, slot) pair with a DOF owns nQ consecutive entries
-        at its rank in a stable sort of the pairs by DOF, and each block
-        of elements writes its pairs' entries there. ``from_u`` =
-        to_tests I, where I interpolates u-coefficients to the data
-        points; its element matrices are written block by block too, so
-        no whole-mesh table of weighted test functions is held. The pair
-        is kept until a call with another k replaces it.
+        functions: it is the weighted test table wj * (v/k + r(v)) in
+        CSC form, column e nQ + q holding data point q of element e with
+        one entry per slot that has a DOF, that DOF as its row. Each
+        block writes its columns' entries as one masked transpose of its
+        table; a second pass, after ``from_u`` is scattered, writes their
+        rows. ``to_tests @ x`` adds data x[j] into each row for ascending
+        columns j, from zero: the (e, q) order in which the column-sorted
+        CSR rows of a COO scatter sum, so the products are bitwise equal.
+        ``from_u`` = to_tests I, where I interpolates u-coefficients to
+        the data points; its element matrices are written block by block
+        too, so no whole-mesh table is held. The pair is kept until a
+        call with another k replaces it.
         """
         if self._load_ops is None or self._load_ops[0] != k:
             self._load_ops = None
             rule = triangle_rule(DATA_DEGREE)
             n_e, n_q = self.mesh.num_triangles, rule.weights.size
-            dofs = self.local_dofs.ravel()
-            pairs = np.flatnonzero(dofs >= 0)  # e * 6 + slot, ascending
-            by_dof = np.argsort(dofs[pairs], kind="stable")
-            rank = np.empty_like(by_dof)
-            rank[by_dof] = np.arange(by_dof.size)
-            data = np.empty((pairs.size, n_q))
+            # int32, as scipy picks while nE nQ and the entry count stay
+            # below 2**31 (0.2 M and 1.2 M at level 6)
+            indptr = np.zeros(n_e * n_q + 1, dtype=np.int32)
+            np.cumsum(np.repeat((self.local_dofs >= 0).sum(axis=1), n_q), out=indptr[1:])
+
+            def entries(block):
+                """The block's slice of the entries and its (nB, nQ, 6) local DOFs."""
+                dofs = self.local_dofs[block, None, :]
+                span = slice(indptr[block.start * n_q], indptr[block.stop * n_q])
+                return span, np.broadcast_to(dofs, (dofs.shape[0], n_q, 6))
+
+            data = np.empty(indptr[-1])
             local = np.empty((6, 3, n_e))
             for block, t in self._blocks(rule):
                 test_factor = t.u_tab / k + t.r_tab  # v/k + r(v)
                 local[..., block] = _quad_matrix(t.wj, test_factor, rule.points[:, :, None])
-                first, last = np.searchsorted(pairs, (6 * block.start, 6 * block.stop))
-                elements, slots = np.divmod(pairs[first:last] - 6 * block.start, 6)
                 weighted = t.wj[:, None] * test_factor
-                data[rank[first:last]] = weighted[:, slots, elements].T
-            pairs = pairs[by_dof]
-            del by_dof, rank
+                span, dofs = entries(block)
+                data[span] = np.moveaxis(weighted, -1, 0)[dofs >= 0]
+                del t, test_factor, weighted  # freed before the next block's tables
             from_u = self._scatter_matrix(local)
             del local
-            # int32 indices, as scipy picks while nE nQ and the entry count
-            # stay below 2**31 (0.2 M and 1.2 M at level 6)
-            columns = ((pairs // 6).astype(np.int32) * n_q)[:, None] + np.arange(
-                n_q, dtype=np.int32
-            )
-            per_row = np.bincount(dofs[pairs], minlength=self.dofmap.total) * n_q
-            indptr = np.zeros(self.dofmap.total + 1, dtype=np.int32)
-            np.cumsum(per_row, out=indptr[1:])
-            to_tests = sp.csr_matrix(
-                (data.ravel(), columns.ravel(), indptr), shape=(self.dofmap.total, n_e * n_q)
-            )
+            indices = np.empty(indptr[-1], dtype=np.int32)
+            for block in element_blocks(n_e):
+                span, dofs = entries(block)
+                indices[span] = dofs[dofs >= 0]
+            to_tests = sp.csc_matrix((data, indices, indptr), shape=(self.dofmap.total, n_e * n_q))
             self._load_ops = (k, (to_tests, from_u))
         return self._load_ops[1]
 

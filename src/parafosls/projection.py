@@ -20,7 +20,7 @@ off-diagonal pivot raises NotCoerciveError), and the solve ends with one
 refinement sweep on a residual accumulated in extended precision.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +28,11 @@ from . import solver
 from .forms import FormAssembler
 
 
-@dataclass
-class ProjectionResult:
-    """Discrete projection coefficients, the step weight used, and the
-    solve's achieved relative residual and refinement sweeps (the
-    extended-precision sweep included when its solution is returned)."""
+class ProjectionResult(NamedTuple):
+    """Discrete projection coefficients: ``u, sigma = elliptic_project(...)``."""
 
     u_coeffs: np.ndarray
     sigma_coeffs: np.ndarray
-    k: float
-    relative_residual: float
-    refinement_sweeps: int
 
 
 def elliptic_project(
@@ -65,6 +59,8 @@ def elliptic_project(
     Returns
     -------
     ProjectionResult
+        The u- and sigma-coefficients; the solve meets
+        ``solver.DEFAULT_TOL`` or raises ``SolverError``.
     """
     asm = FormAssembler(mesh, dofmap, coeffs, variant)
     matrix = asm.nonsymmetric_matrix(k)
@@ -72,12 +68,5 @@ def elliptic_project(
     del asm  # frees the local DOF table; the element geometry stays cached on the mesh
     handle = solver.CoerciveFactorHandle(matrix)
     handle.certify_pivots()
-    report = handle.solve(load)
-    n_u = dofmap.n_u
-    return ProjectionResult(
-        u_coeffs=report.solution[:n_u],
-        sigma_coeffs=report.solution[n_u:],
-        k=float(k),
-        relative_residual=report.relative_residual,
-        refinement_sweeps=report.iterations,
-    )
+    solution = handle.solve(load).solution
+    return ProjectionResult(solution[: dofmap.n_u], solution[dofmap.n_u :])

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_TOL = 1e-10
-_MAX_REFINEMENTS = 10
+_MAX_REFINEMENTS = 2  # double-precision sweeps; no returned solve has needed more than one
 ROW_BLOCK = 4096  # rows per block of extended_residual's long-double products
 # SuperLU's symmetric mode: minimum degree order on the pattern of A' + A,
 # pivots taken from the diagonal
@@ -65,8 +65,9 @@ class FactorHandle:
     less than half the fill of the default column ordering. The pivots
     are those of an LDL' factorization of the symmetrically permuted
     matrix, all positive exactly when the matrix is positive definite;
-    ``certify_pivots`` checks this. Solves refine in double precision;
-    the residual contract of ``solve`` guards the result.
+    ``certify_pivots`` checks this. Solves refine in double precision,
+    at most two sweeps; the residual contract of ``solve`` guards the
+    result.
 
     The handle keeps the operator in CSR form for the residuals; SuperLU
     gets a CSC copy, which the handle does not keep.

@@ -577,13 +577,15 @@ def assert_bitwise_equal(a, b):
 @pytest.mark.parametrize("variant", list(ProblemVariant))
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_load_operators_equal_coo_scatter(mesh_chain, dofmaps, variant, level):
-    """The load pair built directly in CSR form is bitwise the one a COO
-    scatter gives: data, indices and indptr, dtypes included."""
+    """The load pair in CSR form (to_tests is stored as CSC) is bitwise
+    the one a COO scatter gives: data, indices and indptr, dtypes
+    included."""
     m, dm = mesh_chain[level], dofmaps[level]
     for coeffs in (decaying_sine_problem(variant).coeffs, variable_coefficients()):
         asm = FormAssembler(m, dm, coeffs, variant)
         for k in (1e-6, 1e-3, 0.1):
-            for built, oracle in zip(asm._load_operators(k), coo_load_operators(asm, k)):
+            for op, oracle in zip(asm._load_operators(k), coo_load_operators(asm, k)):
+                built = op.tocsr()
                 assert built.shape == oracle.shape
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(built, part), getattr(oracle, part)
@@ -596,7 +598,10 @@ def test_forms_equal_element_first_oracle(mesh_chain, dofmaps, variant, level, m
     """Every form built from the element-last tables in blocks of 5 (a
     ragged last one at every level) is bitwise the one the element-first
     tables and kernels give: the four matrices, the field load, the
-    functional terms, both load operators and the error norms."""
+    functional terms, both load operators and the error norms. So are
+    the products of to_tests (stored as CSC) and of the oracle's CSR
+    operator, for an x spanning 16 decades with both signed zeros and
+    for the separable image k to_tests g."""
     m, dm = mesh_chain[level], dofmaps[level]
     monkeypatch.setattr(forms, "BLOCK_ELEMENTS", 5)
     rng = np.random.default_rng(level)
@@ -605,6 +610,10 @@ def test_forms_equal_element_first_oracle(mesh_chain, dofmaps, variant, level, m
 
     def g(x, y):
         return np.sin(np.pi * x) * np.cos(y)
+
+    g_vals = g(*np.moveaxis(rule_points(m, forms.DATA_DEGREE), -1, 0)).ravel()
+    x = rng.standard_normal(g_vals.size) * 10.0 ** rng.uniform(-8.0, 8.0, g_vals.size)
+    x[::7], x[3::11] = 0.0, -0.0
 
     for coeffs in (decaying_sine_problem(variant).coeffs, variable_coefficients()):
         asm = FormAssembler(m, dm, coeffs, variant)
@@ -619,10 +628,14 @@ def test_forms_equal_element_first_oracle(mesh_chain, dofmaps, variant, level, m
             }
             for name, value in oracle.items():
                 assert_bitwise_equal(built[name], value)
-            for op, ref in zip(asm._load_operators(k), coo_load_operators(asm, k)):
+            ops, refs = asm._load_operators(k), coo_load_operators(asm, k)
+            for op, ref in zip(ops, refs):
+                op = op.tocsr()
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(op, part), getattr(ref, part)
                     assert a.dtype == b.dtype and _same_bits(a, b)
+            assert _same_bits(ops[0] @ x, refs[0] @ x)
+            assert _same_bits(asm.source_load(k, g), k * (refs[0] @ g_vals))
     for sigma_coeffs in (sigma, None):
         blocked = field_error_norms(*fields, u, sigma_coeffs, m, dm)
         assert blocked == whole_mesh_error_norms(*fields, u, sigma_coeffs, m, dm)

@@ -255,7 +255,7 @@ def test_coercive_nonsymmetric_matrix_certified():
 def refined_in_double(handle, b, tol):
     """Oracle: the float-only refinement loop of a FactorHandle solve."""
     x = handle.lu.solve(b)
-    for sweep in range(11):
+    for sweep in range(solver._MAX_REFINEMENTS + 1):
         residual = b - handle.matrix @ x
         rel = np.linalg.norm(residual) / np.linalg.norm(b)
         if rel <= tol:

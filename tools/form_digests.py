@@ -59,13 +59,16 @@ PROJECTION_TIME = 0.1
 
 
 def digest(value):
-    """SHA-256 of an array, a float or a sparse matrix (data, indices, indptr, shape).
+    """SHA-256 of an array, a float or a sparse matrix.
 
-    Integer and bool arrays are digested in their own dtype, everything
-    else as float.
+    A sparse matrix is digested in one canonical form, the (data,
+    indices, indptr, shape) of its CSR form, so a change of storage
+    format alone does not read as a change of bits. Integer and bool
+    arrays are digested in their own dtype, everything else as float.
     """
     h = hashlib.sha256()
     if hasattr(value, "indptr"):
+        value = value.tocsr()
         parts = (value.data, value.indices, value.indptr, np.asarray(value.shape))
     else:
         array = np.asarray(value)
