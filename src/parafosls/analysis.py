@@ -153,9 +153,9 @@ def field_error_norms(
 
     Returns (err_u, err_grad_u, err_sigma, err_div_sigma). The analytic
     fields are (x, y) callables; the discrete pair is given by its
-    coefficient vectors (sigma may be None, meaning zero). A field of
-    the wrong shape or with a value that is not finite, and a vector of
-    the wrong length, raise ValueError naming it.
+    coefficient vectors. A field of the wrong shape or with a value that
+    is not finite, and a vector of the wrong length, raise ValueError
+    naming it.
 
     The points, RT0 values, field values and differences are formed
     element-last, one block of ``forms.BLOCK_ELEMENTS`` elements at a
@@ -168,11 +168,8 @@ def field_error_norms(
     geo = mesh.geometry
     local_u = p1_vertex_values(u_coeffs, mesh, dofmap, "u_coeffs")  # (nE, 3)
     grad_h = np.einsum("ei,eix->ex", local_u, geo.p1_grads)  # constant per element
-    if sigma_coeffs is not None:
-        local_s = rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs")
-        div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
-    else:
-        div_h = np.zeros(mesh.num_triangles)
+    local_s = rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs")
+    div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
 
     err_u, err_grad, err_sig, err_div = np.empty(
         (4, mesh.num_triangles, rule.weights.size)
@@ -181,11 +178,8 @@ def field_error_norms(
         wj = quadrature_weights(rule, geo.areas[block]).T
         points = quadrature_points(rule, geo.verts[block])
         u_h = np.einsum("qi,ei->eq", rule.points, local_u[block]).T
-        if sigma_coeffs is not None:
-            rt_vals = rt0_values(geo.rt_coef[block], geo.verts[block], points)
-            sig_h = _contract(local_s[block].T[:, None, None], rt_vals.transpose(1, 2, 0, 3))
-        else:
-            sig_h = np.zeros((2,) + wj.shape)
+        rt_vals = rt0_values(geo.rt_coef[block], geo.verts[block], points)
+        sig_h = _contract(local_s[block].T[:, None, None], rt_vals.transpose(1, 2, 0, 3))
 
         u_ex = field_table(u, points, "u")
         grad_ex = field_table(grad_u, points, "grad_u", (2,))

@@ -38,7 +38,8 @@ has the wrong shape or a value that is not finite.
 The element tables (basis values, residuals r and d of the basis
 functions, weights) are built for one block of ``BLOCK_ELEMENTS``
 elements at a time inside each form call, and none is kept between
-calls. Every element term is computed from its own element's table
+calls; each form drops a block's tables before the next block's are
+built. Every element term is computed from its own element's table
 entries, so the block size changes no bit of any assembled array. The
 quadrature sums of the matrices and of the field load run through two
 written-out kernels that do np.einsum's products and sums in einsum's
@@ -56,8 +57,9 @@ the functional (and of ``analysis.field_error_norms``), the einsum
 contractions that build the former, and the data points, whose raveled
 values meet the e nQ + q columns of ``to_tests``.
 
-What an assembler keeps between calls is the load pair of its last
-step, about 18 MB at level 6. Its ``to_tests`` is the CSC form of the
+What an assembler keeps between calls is the data points, where every
+source load evaluates its field, and the load pair of its last step,
+about 18 MB at level 6. Its ``to_tests`` is the CSC form of the
 element-ordered weighted test table: column e nQ + q holds data point q
 of element e, one entry per slot with a DOF. A CSC product adds into
 each row in ascending column order, the (e, q) order of the rows of
@@ -435,7 +437,7 @@ class FormAssembler:
     tables read the element geometry that the mesh computes once
     (``Mesh.geometry``).
     No table outlives the call; the assembler keeps only the data
-    points, which every source load evaluates its field at, and the load
+    points, where every source load evaluates its field, and the load
     operators of the last step (about 18 MB at level 6; ``to_tests`` is
     the weighted test table in CSC form, see ``_load_operators``).
     """
@@ -445,13 +447,10 @@ class FormAssembler:
         self.dofmap = dofmap
         self.coeffs = coeffs
         self.variant = ProblemVariant(variant)
-        # local slot -> global dof, -1 for boundary u slots
+        # local slot -> global dof, -1 for boundary u slots; the
+        # sigma-DOF of edge e is n_u + e
         self.local_dofs = np.concatenate(
-            [
-                _triangle_u_dofs(mesh, dofmap),
-                dofmap.sigma_dof_of_edge[mesh.triangle_edges],
-            ],
-            axis=1,
+            [_triangle_u_dofs(mesh, dofmap), dofmap.n_u + mesh.triangle_edges], axis=1
         )
         self._load_ops = None  # (k, operators): one pair at a time, ~18 MB at level 6
 
@@ -510,6 +509,7 @@ class FormAssembler:
                 + _quad_matrix(t.wj * k, t.r_tab, t.r_tab)
                 + _quad_matrix(t.wj, t.g_tab, t.g_tab)
             )
+            del t  # freed before the next block's tables
         return self._scatter_matrix(local)
 
     def nonsymmetric_matrix(self, k):
@@ -522,6 +522,7 @@ class FormAssembler:
                 + _quad_matrix(t.wj * k, t.r_tab, t.r_tab)
                 + _quad_matrix(t.wj, t.g_tab, t.g_tab)
             )
+            del t
         return self._scatter_matrix(local)
 
     def _load_operators(self, k):
@@ -584,44 +585,32 @@ class FormAssembler:
         k = _step(k)
         return self._source_term(k, self._load_operators(k)[0], f)
 
-    def load_vector(self, k, f=None, w=None):
+    def load_vector(self, k, w, f=None):
         """Load of F(v; f, w) = <k f + w, v/k + r(v)>.
 
-        f is a callable (x, y) -> array (data at the current time
-        level) or None; w, the previous iterate, is a u-coefficient
-        vector (checked for length and finiteness) or None. The first
-        call with a given k builds the sparse load operators, so each
-        later call with that k costs one data evaluation and two sparse
+        w, the previous iterate, is a u-coefficient vector (checked for
+        length and finiteness); f is a callable (x, y) -> array (data at
+        the current time level), or None for no source. The first call
+        with a given k builds the sparse load operators, so each later
+        call with that k costs one data evaluation and two sparse
         products.
         """
         k = _step(k)
         to_tests, from_u = self._load_operators(k)
-        if w is None:
-            load = np.zeros(self.dofmap.total)
-        else:
-            load = from_u @ _coefficient_vector(w, self.dofmap.n_u, "w")
+        load = from_u @ _coefficient_vector(w, self.dofmap.n_u, "w")
         if f is not None:
             load += self._source_term(k, to_tests, f)
         return load
 
-    def _gather_local(self, u_coeffs, sigma_coeffs):
-        local = np.zeros((self.mesh.num_triangles, 6))
-        local[:, :3] = p1_vertex_values(u_coeffs, self.mesh, self.dofmap, "u_coeffs")
-        if sigma_coeffs is not None:
-            local[:, 3:] = rt0_edge_values(
-                sigma_coeffs, self.mesh, self.dofmap, "sigma_coeffs"
-            )
-        return local
-
-    def lsq_functional(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
+    def lsq_functional(self, k, u_coeffs, sigma_coeffs, g, w):
         """Value of the least-squares functional at a discrete pair.
 
-        g is a data callable or None; w, the previous iterate, is a
-        u-coefficient vector or None.
+        g is the data callable; w, the previous iterate, is a
+        u-coefficient vector.
         """
         return float(np.sum(self._lsq_terms(k, u_coeffs, sigma_coeffs, g, w)))
 
-    def lsq_indicators(self, k, u_coeffs, sigma_coeffs, g=None, w=None):
+    def lsq_indicators(self, k, u_coeffs, sigma_coeffs, g, w):
         """(nE,) element contributions of ``lsq_functional``, which sum to it."""
         return np.sum(self._lsq_terms(k, u_coeffs, sigma_coeffs, g, w), axis=1)
 
@@ -629,15 +618,16 @@ class FormAssembler:
         """(nE, nQ) weighted integrand of the functional at the data points."""
         k = _step(k)
         rule = triangle_rule(DATA_DEGREE)
-        local = self._gather_local(u_coeffs, sigma_coeffs)
-        if w is None:
-            w = np.zeros(self.dofmap.n_u)
-        w_local = p1_vertex_values(w, self.mesh, self.dofmap, "w")
-        w_vals = np.einsum("qi,ei->eq", rule.points, w_local)
-        data = (
-            np.zeros_like(w_vals) if g is None
-            else field_values(g, self._data_points, "data g")
+        mesh, dofmap = self.mesh, self.dofmap
+        local = np.concatenate(
+            [
+                p1_vertex_values(u_coeffs, mesh, dofmap, "u_coeffs"),
+                rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs"),
+            ],
+            axis=1,
         )
+        w_vals = np.einsum("qi,ei->eq", rule.points, p1_vertex_values(w, mesh, dofmap, "w"))
+        data = field_values(g, self._data_points, "data g")
         terms = np.empty(w_vals.shape)
         for block, t in self._blocks(rule):
             # einsum sums over the slots in an order of its own, so it reads
@@ -651,6 +641,7 @@ class FormAssembler:
             terms[block] = t.wj.T * (
                 k * scalar_res**2 + np.einsum("eqx,eqx->eq", g_vals, g_vals)
             )
+            del t, u_tab, r_tab, g_tab
         return terms
 
     def nonsymmetric_load_from_fields(self, k, u, grad_u, sigma, div_sigma):
@@ -664,6 +655,7 @@ class FormAssembler:
                 + _quad_vector(t.wj * k, r_ex, t.r_tab)
                 + _quad_vector(t.wj, g_ex, t.g_tab)
             )
+            del t, r_ex, g_ex
         return scatter_vector(local.T, self.local_dofs, self.dofmap.total)
 
     def natural_gram(self, k):
@@ -676,6 +668,7 @@ class FormAssembler:
             local[1, ..., block] = _quad_matrix(t.wj, t.rt_vals, t.rt_vals) + _quad_matrix(
                 t.wj * k, divs, divs
             )
+            del t, divs
         return self._scatter_matrix(local)
 
 

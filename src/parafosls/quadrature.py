@@ -26,10 +26,6 @@ class QuadratureRule:
     exactness_degree: int
 
 
-def _orbit1():
-    return [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
-
-
 def _orbit3(a):
     b = 1.0 - 2.0 * a
     return [(b, a, a), (a, b, a), (a, a, b)]
@@ -41,18 +37,12 @@ def _orbit6(a, b):
 
 
 # (degree, [(orbit points, unit-sum weight), ...]); weights are scaled
-# by the reference area 1/2 on construction
+# by the reference area 1/2 on construction. The forms ask for degrees 4
+# and 6 only.
 _RULES = {
-    1: [(_orbit1(), 1.0)],
-    2: [(_orbit3(1.0 / 6.0), 1.0 / 3.0)],
     4: [
         (_orbit3(0.445948490915965), 0.223381589678011),
         (_orbit3(0.091576213509771), 0.109951743655322),
-    ],
-    5: [
-        (_orbit1(), 0.225),
-        (_orbit3(0.470142064105115), 0.132394152788506),
-        (_orbit3(0.101286507323456), 0.125939180544827),
     ],
     6: [
         (_orbit3(0.063089014491502), 0.050844906370207),
@@ -88,8 +78,9 @@ def triangle_rule(degree):
     """Return a rule exact for all polynomials of total degree <= degree.
 
     Supported requests are 1 <= degree <= 10; the returned rule may be
-    exact to a higher degree than requested. Degrees up to 6 use
-    tabulated symmetric rules, higher degrees a conical product.
+    exact to a higher degree than requested. Degrees up to 4 get the
+    tabulated symmetric rule of degree 4 (6 points), 5 and 6 the one of
+    degree 6 (12 points), higher degrees a conical product.
     """
     if not 1 <= degree <= 10:
         raise ValueError(f"unsupported quadrature degree {degree} (need 1..10)")

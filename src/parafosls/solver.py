@@ -70,7 +70,9 @@ class FactorHandle:
     result.
 
     The handle keeps the operator in CSR form for the residuals; SuperLU
-    gets a CSC copy, which the handle does not keep.
+    gets a CSC copy, which the handle does not keep. A matrix that is
+    not square, or has a NaN or infinite entry, raises ValueError before
+    any factorization.
     """
 
     _EXTENDED_SWEEP = False
@@ -80,6 +82,11 @@ class FactorHandle:
         matrix = sp.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
+        bad = matrix.nnz - np.count_nonzero(np.isfinite(matrix.data))
+        if bad:
+            raise ValueError(
+                f"matrix is not finite: {bad} of {matrix.nnz} stored entries are NaN or infinite"
+            )
         self.matrix = matrix
         try:
             self.lu = spla.splu(matrix.tocsc(), **_SYMMETRIC_MODE)

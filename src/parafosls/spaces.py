@@ -33,11 +33,11 @@ class DofMap:
     """Global DOF indexing for the product space P1_0 x RT0.
 
     u_dof_of_vertex : (V,) int array, -1 at boundary vertices
-    sigma_dof_of_edge : (E,) int array, values in [n_u, n_u + n_sigma)
+
+    The sigma-DOF of edge e is n_u + e.
     """
 
     u_dof_of_vertex: np.ndarray
-    sigma_dof_of_edge: np.ndarray
     n_u: int
     n_sigma: int
 
@@ -67,14 +67,7 @@ def build_dof_map(mesh):
     interior = ~mesh.boundary_vertex
     u_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
     u_dof[interior] = np.arange(interior.sum())
-    n_u = int(interior.sum())
-    sigma_dof = n_u + np.arange(mesh.num_edges, dtype=np.int64)
-    return DofMap(
-        u_dof_of_vertex=u_dof,
-        sigma_dof_of_edge=sigma_dof,
-        n_u=n_u,
-        n_sigma=mesh.num_edges,
-    )
+    return DofMap(u_dof_of_vertex=u_dof, n_u=int(interior.sum()), n_sigma=mesh.num_edges)
 
 
 def quadrature_weights(rule, areas):
@@ -270,8 +263,7 @@ def eval_fields_on_triangle(u_coeffs, sigma_coeffs, mesh, dofmap, triangle, bary
     the gathers.
     """
     u_coeffs = _coefficient_vector(u_coeffs, dofmap.n_u, "u_coeffs")
-    if sigma_coeffs is not None:
-        sigma_coeffs = _coefficient_vector(sigma_coeffs, dofmap.n_sigma, "sigma_coeffs")
+    sigma_coeffs = _coefficient_vector(sigma_coeffs, dofmap.n_sigma, "sigma_coeffs")
     u_dofs = _triangle_u_dofs(mesh, dofmap)[triangle]
     basis = eval_local_basis(mesh, triangle, barycentric)
     u_val = 0.0
@@ -282,8 +274,7 @@ def eval_fields_on_triangle(u_coeffs, sigma_coeffs, mesh, dofmap, triangle, bary
             grad += u_coeffs[dof] * basis.p1_gradients[i]
     sigma = np.zeros(2)
     div = 0.0
-    if sigma_coeffs is not None:
-        for i, e in enumerate(mesh.triangle_edges[triangle]):
-            sigma += sigma_coeffs[e] * basis.rt0_values[i]
-            div += sigma_coeffs[e] * basis.rt0_divergences[i]
+    for i, e in enumerate(mesh.triangle_edges[triangle]):
+        sigma += sigma_coeffs[e] * basis.rt0_values[i]
+        div += sigma_coeffs[e] * basis.rt0_divergences[i]
     return u_val, grad, sigma, div

@@ -100,9 +100,6 @@ def locate_point(mesh, x, tol=BARYCENTRIC_TOL):
 def eval_discrete_function(u_coeffs, sigma_coeffs, mesh, dofmap, x):
     """Point evaluation of a discrete pair given by coefficient vectors.
 
-    ``sigma_coeffs`` may be None, in which case sigma and div sigma are
-    zero.
-
     Returns (u, grad u, sigma, div sigma) at x; raises if x is outside
     the domain.
     """
@@ -120,7 +117,7 @@ def _local_dofs(mesh, dofmap, t):
     for v in mesh.triangles[t]:
         dofs.append(int(dofmap.u_dof_of_vertex[v]))
     for e in mesh.triangle_edges[t]:
-        dofs.append(int(dofmap.sigma_dof_of_edge[e]))
+        dofs.append(dofmap.n_u + int(e))
     return dofs
 
 
@@ -204,7 +201,7 @@ def dense_coupling_matrix(mesh, dofmap, coeffs, variant, degree=4):
     return _dense_form(mesh, dofmap, coeffs, variant, _coupling, degree)
 
 
-def dense_rhs(mesh, dofmap, coeffs, k, variant, f=None, w=None, degree=6):
+def dense_rhs(mesh, dofmap, coeffs, k, variant, w, f=None, degree=6):
     """Dense load vector of <k f + w, v/k + r(v)> by explicit loops."""
     rule = triangle_rule(degree)
     out = np.zeros(dofmap.total)
@@ -220,10 +217,9 @@ def dense_rhs(mesh, dofmap, coeffs, k, variant, f=None, w=None, degree=6):
             data = 0.0
             if f is not None:
                 data += k * float(_pointwise(f, xq[0], xq[1]))
-            if w is not None:
-                for i in range(3):
-                    if dofs[i] >= 0:
-                        data += w[dofs[i]] * basis.p1_values[i]
+            for i in range(3):
+                if dofs[i] >= 0:
+                    data += w[dofs[i]] * basis.p1_values[i]
             for i, fld in enumerate(fields):
                 if dofs[i] < 0:
                     continue
@@ -438,7 +434,7 @@ class ElementFirstTables:
         return r[..., 0], d[:, :, 0]
 
 
-def element_first_forms(asm, k, fields, u, sigma, g=None, w=None):
+def element_first_forms(asm, k, fields, u, sigma, g, w):
     """Every form of ``FormAssembler`` at step k from the element-first
     tables and kernels: the four matrices, the field load of the exact
     fields and the (nE, nQ) functional terms at (u, sigma; g, w)."""
@@ -470,11 +466,9 @@ def element_first_forms(asm, k, fields, u, sigma, g=None, w=None):
     mesh, dofmap, rule = asm.mesh, asm.dofmap, triangle_rule(forms.DATA_DEGREE)
     local = np.zeros((mesh.num_triangles, 6))
     local[:, :3] = p1_vertex_values(u, mesh, dofmap, "u")
-    if sigma is not None:
-        local[:, 3:] = rt0_edge_values(sigma, mesh, dofmap, "sigma")
-    w_local = p1_vertex_values(np.zeros(dofmap.n_u) if w is None else w, mesh, dofmap, "w")
-    w_vals = np.einsum("qi,ei->eq", rule.points, w_local)
-    data = np.zeros_like(w_vals) if g is None else field_values(g, d.pts, "g")
+    local[:, 3:] = rt0_edge_values(sigma, mesh, dofmap, "sigma")
+    w_vals = np.einsum("qi,ei->eq", rule.points, p1_vertex_values(w, mesh, dofmap, "w"))
+    data = field_values(g, d.pts, "g")
     u_vals = np.einsum("eqi,ei->eq", d.u_tab, local)
     r_vals = np.einsum("eqi,ei->eq", d.r_tab, local)
     g_vals = np.einsum("eqix,ei->eqx", d.g_tab, local)
@@ -516,14 +510,10 @@ def whole_mesh_error_norms(u, grad_u, sigma, div_sigma, u_coeffs, sigma_coeffs, 
     local_u = p1_vertex_values(u_coeffs, mesh, dofmap, "u_coeffs")
     u_h = np.einsum("qi,ei->eq", rule.points, local_u)
     grad_h = np.einsum("ei,eix->ex", local_u, geo.p1_grads)
-    if sigma_coeffs is not None:
-        local_s = rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs")
-        rt_vals = element_first_rt0_values(geo.rt_coef, geo.verts, pts)
-        sig_h = np.einsum("ei,eqix->eqx", local_s, rt_vals)
-        div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
-    else:
-        sig_h = np.zeros_like(pts)
-        div_h = np.zeros(mesh.num_triangles)
+    local_s = rt0_edge_values(sigma_coeffs, mesh, dofmap, "sigma_coeffs")
+    rt_vals = element_first_rt0_values(geo.rt_coef, geo.verts, pts)
+    sig_h = np.einsum("ei,eqix->eqx", local_s, rt_vals)
+    div_h = np.einsum("ei,ei->e", local_s, geo.rt_divs)
     u_ex = field_values(u, pts, "u")
     grad_ex = np.moveaxis(field_values(grad_u, pts, "grad_u", (2,)), 0, -1)
     sig_ex = np.moveaxis(field_values(sigma, pts, "sigma", (2,)), 0, -1)

@@ -105,13 +105,15 @@ def test_error_report_names_a_bad_step(mesh_chain, dofmaps, k):
     m, dm = mesh_chain[1], dofmaps[1]
     message = "^time step k must be positive and finite, got " + re.escape(str(k)) + "$"
     with pytest.raises(ValueError, match=message):
-        compute_errors(np.zeros(dm.n_u), None, problem, m, dm, k=k, final_time=0.1)
+        compute_errors(np.zeros(dm.n_u), np.zeros(dm.n_sigma), problem, m, dm, k=k, final_time=0.1)
 
 
 def test_report_metadata(mesh_chain, dofmaps):
     problem = decaying_sine_problem("primary")
     m, dm = mesh_chain[2], dofmaps[2]
-    rep = compute_errors(np.zeros(dm.n_u), None, problem, m, dm, k=0.025, final_time=0.1)
+    rep = compute_errors(
+        np.zeros(dm.n_u), np.zeros(dm.n_sigma), problem, m, dm, k=0.025, final_time=0.1
+    )
     assert rep.level == 2
     assert rep.h == 0.25
     assert rep.dofs == dm.total
@@ -125,9 +127,7 @@ def test_interpolant_errors_are_positive(mesh_chain, dofmaps):
     T = 0.1
     interior = dm.u_dof_of_vertex >= 0
     coeffs = problem.u(T, m.vertices[interior, 0], m.vertices[interior, 1])
-    errs = field_error_norms(
-        *problem.fields_at(T), coeffs, None, m, dm
-    )
+    errs = field_error_norms(*problem.fields_at(T), coeffs, np.zeros(dm.n_sigma), m, dm)
     assert all(e > 0.0 for e in errs)
     # the scalar interpolation error is small but nonzero
     assert errs[0] < 0.05
@@ -137,13 +137,13 @@ def test_interpolant_errors_are_positive(mesh_chain, dofmaps):
 @pytest.mark.parametrize("level", [2, 3])
 def test_blocked_error_norms_equal_whole_mesh(mesh_chain, dofmaps, variant, level, rng, monkeypatch):
     """Blocks of 7 elements (a ragged last one: 64 = 9 * 7 + 1 and
-    256 = 36 * 7 + 4) give the whole-mesh norms bitwise, with and
-    without a flux."""
+    256 = 36 * 7 + 4) give the whole-mesh norms bitwise, with a random
+    and a zero flux."""
     m, dm = mesh_chain[level], dofmaps[level]
     monkeypatch.setattr(forms, "BLOCK_ELEMENTS", 7)
     fields = decaying_sine_problem(variant).fields_at(0.1)
     u, sigma = rng.standard_normal(dm.n_u), rng.standard_normal(dm.n_sigma)
-    for sigma_coeffs in (sigma, None):
+    for sigma_coeffs in (sigma, np.zeros(dm.n_sigma)):
         blocked = field_error_norms(*fields, u, sigma_coeffs, m, dm)
         assert blocked == whole_mesh_error_norms(*fields, u, sigma_coeffs, m, dm)
 

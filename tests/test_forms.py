@@ -40,6 +40,10 @@ CONVECTION = Coefficients.constant(beta=(1.0, 1.0))
 HEAT = Coefficients.constant()
 
 
+def zero_field(x, y):
+    return np.zeros(np.broadcast(x, y).shape)
+
+
 def rule_points(mesh, degree):
     """The (nE, nQ, 2) points of the rule of that degree on every element."""
     return element_first_points(triangle_rule(degree), mesh.geometry.verts)
@@ -276,9 +280,10 @@ def test_step_must_be_positive_and_finite(mesh_chain, dofmaps, k, monkeypatch):
     zeros = np.zeros(dm.n_u), np.zeros(dm.n_sigma)
     fields = decaying_sine_problem("primary").fields_at(0.0)
     calls = (
-        asm.total_matrix, asm.nonsymmetric_matrix, asm.natural_gram, asm.load_vector,
-        lambda k: asm.lsq_functional(k, *zeros),
-        lambda k: asm.lsq_indicators(k, *zeros),
+        asm.total_matrix, asm.nonsymmetric_matrix, asm.natural_gram,
+        lambda k: asm.load_vector(k, w=zeros[0]),
+        lambda k: asm.lsq_functional(k, *zeros, g=zero_field, w=zeros[0]),
+        lambda k: asm.lsq_indicators(k, *zeros, g=zero_field, w=zeros[0]),
         lambda k: asm.nonsymmetric_load_from_fields(k, *fields),
     )
     for call in calls:
@@ -289,7 +294,7 @@ def test_step_must_be_positive_and_finite(mesh_chain, dofmaps, k, monkeypatch):
 
 def test_rhs_zero_data(mesh_chain, dofmaps):
     asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, "primary")
-    rhs = asm.load_vector(0.1, f=None, w=None)
+    rhs = asm.load_vector(0.1, f=None, w=np.zeros(dofmaps[1].n_u))
     assert np.allclose(rhs, 0.0)
 
 
@@ -302,7 +307,7 @@ def test_rhs_matches_dense_oracle(mesh_chain, dofmaps, variant, rng):
         return np.sin(np.pi * x) * np.cos(y)
 
     fast = FormAssembler(m, dm, CONVECTION, variant).load_vector(0.25, f=f, w=w)
-    slow = dense_rhs(m, dm, CONVECTION, 0.25, variant, f=f, w=w)
+    slow = dense_rhs(m, dm, CONVECTION, 0.25, variant, w, f=f)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
 
@@ -313,7 +318,7 @@ def test_load_vector_matches_dense_oracle_level2(
     mesh_chain, dofmaps, variant, w_kind, with_f, rng
 ):
     m, dm = mesh_chain[2], dofmaps[2]
-    w = rng.standard_normal(dm.n_u) if w_kind == "vector" else None
+    w = rng.standard_normal(dm.n_u) if w_kind == "vector" else np.zeros(dm.n_u)
 
     def f(x, y):
         return np.sin(np.pi * x) * np.cos(y)
@@ -321,7 +326,7 @@ def test_load_vector_matches_dense_oracle_level2(
     f = f if with_f else None
     asm = FormAssembler(m, dm, variable_coefficients(), variant)
     fast = asm.load_vector(0.03, f=f, w=w)
-    slow = dense_rhs(m, dm, asm.coeffs, 0.03, variant, f=f, w=w)
+    slow = dense_rhs(m, dm, asm.coeffs, 0.03, variant, w, f=f)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12 * np.abs(slow).max())
 
 
@@ -329,7 +334,7 @@ def test_source_of_wrong_shape_named(mesh_chain, dofmaps):
     asm = FormAssembler(mesh_chain[1], dofmaps[1], CONVECTION, "primary")
     expected = str(rule_points(mesh_chain[1], forms.DATA_DEGREE).shape[:2])
     with pytest.raises(ValueError, match=r"source f .*shape \(5,\).*" + re.escape(expected)):
-        asm.load_vector(0.1, f=lambda x, y: np.zeros(5))
+        asm.load_vector(0.1, f=lambda x, y: np.zeros(5), w=np.zeros(dofmaps[1].n_u))
 
 
 def test_rhs_previous_step_scaling(mesh_chain, dofmaps):
@@ -475,7 +480,9 @@ def test_identity_diffusion_roots_are_exact():
 def test_lsq_functional_zero_state(mesh_chain, dofmaps):
     m, dm = mesh_chain[1], dofmaps[1]
     asm = FormAssembler(m, dm, CONVECTION, "primary")
-    value = asm.lsq_functional(0.1, np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=None, w=None)
+    value = asm.lsq_functional(
+        0.1, np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=zero_field, w=np.zeros(dm.n_u)
+    )
     assert value == 0.0
 
 
@@ -484,7 +491,8 @@ def test_lsq_functional_positive_off_zero(mesh_chain, dofmaps, rng):
     for variant in ProblemVariant:
         v = rng.standard_normal(dm.total)
         asm = FormAssembler(m, dm, CONVECTION, variant)
-        assert asm.lsq_functional(0.1, v[: dm.n_u], v[dm.n_u :], g=None, w=None) > 0.0
+        value = asm.lsq_functional(0.1, v[: dm.n_u], v[dm.n_u :], zero_field, np.zeros(dm.n_u))
+        assert value > 0.0
 
 
 @pytest.mark.parametrize("variant", list(ProblemVariant))
@@ -547,7 +555,9 @@ def every_form(asm, variant):
         "nonsymmetric": asm.nonsymmetric_matrix(k),
         "gram": asm.natural_gram(k),
         "functional": asm.lsq_functional(k, u, sigma, g=f, w=w),
-        "functional, no data": asm.lsq_functional(k, u, None),
+        "functional, zero data": asm.lsq_functional(
+            k, u, np.zeros(dm.n_sigma), g=zero_field, w=np.zeros(dm.n_u)
+        ),
         "indicators": asm.lsq_indicators(k, u, sigma, g=f, w=w),
         "field load": asm.nonsymmetric_load_from_fields(
             k, *decaying_sine_problem(variant).fields_at(0.1)
@@ -555,7 +565,7 @@ def every_form(asm, variant):
         "source load": asm.source_load(k, lambda x, y: np.cos(x + y)),
     }
     for f_name, source in (("plain", f), ("none", None)):
-        for w_name, datum in (("vector", w), ("none", None)):
+        for w_name, datum in (("vector", w), ("zero", np.zeros(dm.n_u))):
             out[f"load f {f_name}, w {w_name}"] = asm.load_vector(k, f=source, w=datum)
     return out
 
@@ -636,7 +646,7 @@ def test_forms_equal_element_first_oracle(mesh_chain, dofmaps, variant, level, m
                     assert a.dtype == b.dtype and _same_bits(a, b)
             assert _same_bits(ops[0] @ x, refs[0] @ x)
             assert _same_bits(asm.source_load(k, g), k * (refs[0] @ g_vals))
-    for sigma_coeffs in (sigma, None):
+    for sigma_coeffs in (sigma, np.zeros(dm.n_sigma)):
         blocked = field_error_norms(*fields, u, sigma_coeffs, m, dm)
         assert blocked == whole_mesh_error_norms(*fields, u, sigma_coeffs, m, dm)
 

@@ -1,4 +1,4 @@
-"""Deterministic guards on the traced memory peaks of three level-5 calls.
+"""Deterministic guards on the traced memory peaks of four level-5 calls.
 
 tracemalloc counts every NumPy array allocation, so these ratios repeat
 exactly, unlike a process's peak resident set size. Each bound sits
@@ -13,6 +13,10 @@ the reading of the current code (level 5, 4096 elements):
   next block's are built;
 - ``field_error_norms``: peak in (nE, nQ) float arrays of the data
   rule, 23.9 before and 12.0 now;
+- ``nonsymmetric_matrix``: peak in (6, 6, nE) float arrays of element
+  matrices, 6.68 (7.87 MB) while a block's tables stayed alive during
+  the build of the next block's, and 5.03 (5.93 MB) now that each form
+  frees them first;
 - ``extended_residual``: peak in long doubles per stored entry of the
   matrix, 2.14 before and 1.64 now.
 """
@@ -28,6 +32,7 @@ from parafosls.solver import extended_residual
 
 LOAD_PEAK_OVER_KEPT = 1.5
 ERROR_NORM_ARRAYS = 16.0
+MATRIX_PEAK_OVER_ELEMENT_MATRICES = 5.8
 RESIDUAL_LONG_DOUBLES_PER_ENTRY = 1.9
 
 
@@ -59,6 +64,9 @@ def test_level5_peaks_stay_below_the_whole_array_forms(mesh_chain, dofmaps, rng)
     peak, _ = _traced(lambda: field_error_norms(*fields, u, sigma, m, dm))
     n_q = triangle_rule(DATA_DEGREE).weights.size
     assert peak <= ERROR_NORM_ARRAYS * m.num_triangles * n_q * 8
+
+    peak, _ = _traced(lambda: asm.nonsymmetric_matrix(0.01))
+    assert peak <= MATRIX_PEAK_OVER_ELEMENT_MATRICES * m.num_triangles * 36 * 8
 
     matrix = asm.nonsymmetric_matrix(0.01)
     x, b = rng.standard_normal(dm.total), rng.standard_normal(dm.total)

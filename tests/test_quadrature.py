@@ -18,13 +18,6 @@ def reference_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-def test_degree_one_is_centroid_rule():
-    r = triangle_rule(1)
-    assert len(r.weights) == 1
-    assert np.isclose(r.weights[0], 0.5)
-    assert np.allclose(r.points[0], 1.0 / 3.0)
-
-
 @pytest.mark.parametrize("degree", range(1, 11))
 def test_weights_positive_and_sum_to_reference_area(degree):
     r = triangle_rule(degree)

@@ -112,6 +112,25 @@ def test_non_finite_rhs_rejected_before_solving():
         handle.solve(np.array([1.0, np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "factorize",
+    [FactorHandle, CoerciveFactorHandle, lambda matrix: solve_spd(matrix, np.ones(3))],
+    ids=["FactorHandle", "CoerciveFactorHandle", "solve_spd"],
+)
+def test_non_finite_matrix_rejected_before_factorizing(factorize, bad, monkeypatch):
+    """SuperLU reported such a matrix as exactly singular."""
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized a non-finite matrix")
+
+    monkeypatch.setattr(solver.spla, "splu", no_factorization)
+    entries = np.diag([2.0, 2.0, 2.0])
+    entries[0, 1] = entries[1, 0] = bad
+    with pytest.raises(ValueError, match=r"^matrix is not finite: 2 of 5 stored entries are NaN"):
+        factorize(sp.csr_matrix(entries))
+
+
 def test_indefinite_matrix_detected():
     matrix = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(NotSPDError, match="curvature"):

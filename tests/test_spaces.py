@@ -49,9 +49,10 @@ def test_dof_counts_level1(dofmaps):
 
 def test_dof_indices_are_a_bijection(mesh_chain, dofmaps):
     for m, dm in zip(mesh_chain[:4], dofmaps[:4]):
-        used = set(dm.u_dof_of_vertex[dm.u_dof_of_vertex >= 0])
-        used |= set(dm.sigma_dof_of_edge)
-        assert used == set(range(dm.total))
+        local_dofs = FormAssembler(m, dm, HEAT, "primary").local_dofs
+        assert local_dofs.dtype == np.int64
+        assert set(local_dofs[local_dofs >= 0]) == set(range(dm.total))
+        assert set(dm.u_dof_of_vertex[dm.u_dof_of_vertex >= 0]) == set(range(dm.n_u))
         assert np.all(dm.u_dof_of_vertex[m.boundary_vertex] == -1)
         assert np.all(dm.u_dof_of_vertex[~m.boundary_vertex] >= 0)
 
@@ -178,7 +179,7 @@ def test_u_vanishes_at_boundary_vertices(mesh_chain, dofmaps, rng):
     m, dm = mesh_chain[2], dofmaps[2]
     u_coeffs = rng.standard_normal(dm.n_u)
     for v in np.flatnonzero(m.boundary_vertex)[:6]:
-        u, _, _, _ = eval_discrete_function(u_coeffs, None, m, dm, m.vertices[v])
+        u, _, _, _ = eval_discrete_function(u_coeffs, np.zeros(dm.n_sigma), m, dm, m.vertices[v])
         assert abs(u) <= 1e-13
 
 
@@ -239,12 +240,13 @@ FIELD_SITES = [
      lambda m, dm, fn: backward_euler_run(
          SeparableSource(lambda t: 1.0, fn), PARTITION, m, dm, coeffs=HEAT, variant="primary")),
     ("load_vector", "source f", (), ("nan",),
-     lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").load_vector(0.1, f=fn)),
+     lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").load_vector(
+         0.1, f=fn, w=np.zeros(dm.n_u))),
     ("source_load", "source f", (), ("shape", "nan"),
      lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").source_load(0.1, fn)),
     ("lsq_functional", "data g", (), ("nan",),
      lambda m, dm, fn: FormAssembler(m, dm, HEAT, "primary").lsq_functional(
-         0.1, np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=fn)),
+         0.1, np.zeros(dm.n_u), np.zeros(dm.n_sigma), g=fn, w=np.zeros(dm.n_u))),
 ]
 for _name in EXACT:
     FIELD_SITES += [
@@ -286,7 +288,7 @@ VECTOR_ENTRIES = {
     "field_error_norms": lambda m, dm, v: field_error_norms(
         *EXACT.values(), v["u_coeffs"], v["sigma_coeffs"], m, dm),
     "lsq_functional": lambda m, dm, v: FormAssembler(m, dm, HEAT, "primary").lsq_functional(
-        0.1, v["u_coeffs"], v["sigma_coeffs"], w=v["w"]),
+        0.1, v["u_coeffs"], v["sigma_coeffs"], g=_zero_field, w=v["w"]),
     "load_vector": lambda m, dm, v: FormAssembler(m, dm, HEAT, "primary").load_vector(
         0.1, w=v["w"]),
     "eval_fields_on_triangle": lambda m, dm, v: eval_fields_on_triangle(
@@ -314,12 +316,15 @@ def _vectors(dm):
 
 @pytest.mark.parametrize("entry, name", VECTOR_SITES)
 def test_coefficient_vector_of_wrong_length_is_named(mesh_chain, dofmaps, entry, name):
+    """None is a vector of shape (): no vector is read as zero when left out."""
     m, dm = mesh_chain[1], dofmaps[1]
     vectors = _vectors(dm)
     size = vectors[name].size
-    vectors[name] = np.zeros(size + 1)
-    with pytest.raises(ValueError, match=f"^{name} must have length {size}, got shape"):
-        VECTOR_ENTRIES[entry](m, dm, vectors)
+    for bad, shape in ((np.zeros(size + 1), f"({size + 1},)"), (None, "()")):
+        vectors[name] = bad
+        message = f"^{name} must have length {size}, got shape {re.escape(shape)}$"
+        with pytest.raises(ValueError, match=message):
+            VECTOR_ENTRIES[entry](m, dm, vectors)
 
 
 @pytest.mark.parametrize("entry, name", VECTOR_SITES)
